@@ -10,9 +10,9 @@ deterministic LP/MILP solvers, and out-of-sample benchmarking utilities.
 
 __version__ = "0.1.0"
 
-from .instance import (DemandModel, Instance, LocationDecision,
-                       apply_robustness_level, arithmetic_support, big_lambda,
-                       big_lambda_matrix, lambda_from_distance,
+from .instance import (DemandModel, Instance, apply_robustness_level,
+                       arithmetic_support, big_lambda, big_lambda_matrix,
+                       decision_independent, lambda_from_distance,
                        lambda_rho_means, load_problem, mean_of, means_vector,
                        save_problem, second_moment_window, validate,
                        variance_of, variances_vector)
@@ -29,9 +29,10 @@ from .milp import (DualBounds, LinearExpr, MilpModel, binding_dual_bounds,
                    mccormick_bilinear, mccormick_trilinear, model_stats)
 from .solvers import (LpSolution, MipSolution, branch_and_bound,
                       enumerate_oracle, exact_solve, parse_lp_text,
-                      simplex_solve, solve_lp_file)
+                      simplex_solve, solve_robust)
 from .benchmarks import (ComparisonConfig, ComparisonResult, EvaluationReport,
                          ScenarioSet, compare_methods, evaluate_plan,
-                         gen_gamma, gen_normal, gen_perturbed, train_sp)
+                         gen_gamma, gen_normal, gen_perturbed, gen_scenarios,
+                         train_sp)
 from .experiments import (ExperimentConfig, fixture_figure2, generate_instance,
                           run)

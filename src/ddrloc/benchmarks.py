@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import (DemandModel, Instance, _as_y, means_vector,
-                       variances_vector)
+from .instance import (DemandModel, Instance, _as_y, decision_independent,
+                       means_vector, variances_vector)
 from .transport import second_stage_costs, unmet_by_customer
 
 __all__ = [
@@ -27,11 +27,14 @@ __all__ = [
     "gen_normal",
     "gen_gamma",
     "gen_perturbed",
+    "gen_scenarios",
     "evaluate_plan",
     "order_statistic",
     "ComparisonConfig",
     "ComparisonResult",
     "compare_methods",
+    "sp_sample",
+    "sp_objective",
     "train_sp",
 ]
 
@@ -140,6 +143,16 @@ def gen_perturbed(model: DemandModel, y_hat, reps: int = 10, per_rep: int = 100,
     return ScenarioSet(draws, _uniform(reps * per_rep), seed, "perturbed")
 
 
+def gen_scenarios(model: DemandModel, y_hat, dist: str, n: int, seed: int) -> ScenarioSet:
+    """Test scenarios from the generator named by ``dist``.
+
+    ``perturbed`` always draws its default 10 reps of 100 and ignores ``n``.
+    """
+    if dist == "perturbed":
+        return gen_perturbed(model, y_hat, seed=seed)
+    return {"normal": gen_normal, "gamma": gen_gamma}[dist](model, y_hat, n=n, seed=seed)
+
+
 def order_statistic(values: np.ndarray, level: int) -> float:
     """Worst-tail order statistic: the ceil((1 - level/100) n)-th largest value."""
     n = len(values)
@@ -175,23 +188,32 @@ def _feasible_plans(n: int, budget):
             if budget is None or sum(y) <= budget]
 
 
+def sp_sample(model: DemandModel, n_scen: int, seed: int) -> np.ndarray:
+    """SP training demands: clamped Normal draws at the baseline moments (y = 0)."""
+    rng = np.random.default_rng(seed)
+    return np.maximum(
+        rng.normal(model.bar_mu, model.bar_sigma,
+                   size=(n_scen, len(model.bar_mu))), 0.0)
+
+
+def sp_objective(instance: Instance, y, draws: np.ndarray) -> float:
+    """Opening cost plus the sample-average recourse of plan ``y``."""
+    return float(instance.open_cost @ y + second_stage_costs(instance, y, draws).mean())
+
+
 def train_sp(instance: Instance, model: DemandModel, n_scen: int, seed: int,
              budget=None) -> np.ndarray:
-    """Sample-average plan from Normal draws at the baseline moments.
+    """Sample-average plan on :func:`sp_sample` draws.
 
     Training scenarios ignore the decision dependence (moments at y = 0);
     for up to 14 facilities the plans are enumerated against the vectorized
     closed form, otherwise the scenario MILP is solved by branch and bound.
     """
-    rng = np.random.default_rng(seed)
-    draws = np.maximum(
-        rng.normal(model.bar_mu, model.bar_sigma,
-                   size=(n_scen, len(model.bar_mu))), 0.0)
+    draws = sp_sample(model, n_scen, seed)
     if instance.n_facilities <= 14:
         best_y, best = None, math.inf
         for y in _feasible_plans(instance.n_facilities, budget):
-            obj = float(instance.open_cost @ y
-                        + second_stage_costs(instance, y, draws).mean())
+            obj = sp_objective(instance, y, draws)
             if obj < best - 1e-12:
                 best_y, best = y, obj
         return best_y
@@ -203,18 +225,6 @@ def train_sp(instance: Instance, model: DemandModel, n_scen: int, seed: int,
     if sol.status != "optimal":
         raise RuntimeError(f"scenario MILP ended {sol.status}")
     return np.array([round(sol.x[nm]) for nm in m.meta["y_vars"]], dtype=int)
-
-
-def _train_robust(instance: Instance, model: DemandModel, budget, solver: str):
-    from .solvers import enumerate_oracle, exact_solve
-
-    if solver == "enumerate" or (solver == "auto" and instance.n_facilities <= 12):
-        y, _ = enumerate_oracle(instance, model, budget=budget)
-        return np.asarray(y, dtype=int)
-    sol, y, _ = exact_solve(instance, model, budget=budget)
-    if sol.status != "optimal":
-        raise RuntimeError(f"robust MILP ended {sol.status}")
-    return y
 
 
 # ---------------------------------------------------------------------------
@@ -292,24 +302,20 @@ def compare_methods(instance: Instance, model: DemandModel,
     Test sets share a base seed but are generated per plan because the true
     moments move with the open facilities.
     """
-    gen = {"normal": gen_normal, "gamma": gen_gamma,
-           "perturbed": gen_perturbed}[config.dist]
-    dr_model = model.replace(lambda_mu=np.zeros_like(model.lambda_mu),
-                             lambda_sigma=np.zeros_like(model.lambda_sigma))
+    from .solvers import solve_robust
+
     plans = {}
     for k, n_scen in enumerate(config.sp_sizes):
         plans[f"SP({n_scen})"] = train_sp(instance, model, n_scen,
                                           seed=config.seed + 1000 * (k + 1),
                                           budget=config.budget)
-    plans["DR"] = _train_robust(instance, dr_model, config.budget, config.solver)
-    plans["DDDR"] = _train_robust(instance, model, config.budget, config.solver)
+    plans["DR"] = solve_robust(instance, decision_independent(model),
+                               config.budget, config.solver)[0]
+    plans["DDDR"] = solve_robust(instance, model, config.budget, config.solver)[0]
 
     reports = {}
     for method, y in plans.items():
-        if config.dist == "perturbed":
-            scen = gen(model, y, seed=config.seed)
-        else:
-            scen = gen(model, y, n=config.n_test, seed=config.seed)
+        scen = gen_scenarios(model, y, config.dist, config.n_test, config.seed)
         reports[method] = evaluate_plan(instance, y, scen)
     methods = tuple(plans)
     plan_ids = {m: tuple(int(instance.facility_ids[i])

@@ -8,13 +8,13 @@ import sys
 
 import numpy as np
 
-from .benchmarks import (evaluate_plan, gen_gamma, gen_normal, gen_perturbed,
+from .benchmarks import (evaluate_plan, gen_scenarios, sp_objective, sp_sample,
                          train_sp)
 from .experiments import (ExperimentConfig, fixture_figure2, generate_instance,
                           run)
-from .instance import load_problem, save_problem
+from .instance import (decision_independent, load_problem, save_problem,
+                       write_atomic)
 from .milp import DualBounds, build_dddr, export_lp_text
-from .transport import second_stage_costs
 
 
 def _parse_size(text: str):
@@ -66,9 +66,7 @@ def _write_plan(path, instance, y, method, objective, extra=None):
                                      for i in np.flatnonzero(y)),
            "objective": objective}
     doc.update(extra or {})
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_atomic(path, json.dumps(doc, indent=1) + "\n")
 
 
 def cmd_gen(args) -> int:
@@ -81,36 +79,22 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .solvers import enumerate_oracle, exact_solve
+    from .solvers import solve_robust
 
     instance, model = load_problem(args.problem)
     if args.method == "sp":
         y = train_sp(instance, model, args.scenarios, seed=args.seed,
                      budget=args.budget)
-        rng = np.random.default_rng(args.seed)
-        draws = np.maximum(rng.normal(model.bar_mu, model.bar_sigma,
-                                      size=(args.scenarios, model.n_customers)), 0.0)
-        obj = float(instance.open_cost @ y
-                    + second_stage_costs(instance, y, draws).mean())
+        obj = sp_objective(instance, y, sp_sample(model, args.scenarios, args.seed))
         extra = {"scenarios": args.scenarios}
     else:
-        m = model
-        if args.method == "dr":
-            m = model.replace(lambda_mu=np.zeros_like(model.lambda_mu),
-                              lambda_sigma=np.zeros_like(model.lambda_sigma))
-        if args.solver == "enumerate" or (args.solver == "auto"
-                                          and instance.n_facilities <= 12):
-            y, obj = enumerate_oracle(instance, m, budget=args.budget)
-            extra = {"solver": "enumerate"}
-        else:
-            sol, y, _ = exact_solve(instance, m, budget=args.budget,
-                                    with_cuts=args.cuts == "on")
-            if sol.status != "optimal":
-                print(f"solve failed: {sol.status}", file=sys.stderr)
-                return 1
-            obj = sol.objective
-            extra = {"solver": "milp", "nodes": sol.node_count,
-                     "bound": sol.bound}
+        m = decision_independent(model) if args.method == "dr" else model
+        try:
+            y, obj, extra = solve_robust(instance, m, args.budget, args.solver,
+                                         with_cuts=args.cuts == "on")
+        except RuntimeError as exc:
+            print(f"solve failed: {exc}", file=sys.stderr)
+            return 1
     opens = sorted(int(instance.facility_ids[i]) for i in np.flatnonzero(y))
     print(f"{args.method}: objective {obj:.4f}, open {opens}")
     if args.out:
@@ -121,12 +105,7 @@ def cmd_solve(args) -> int:
 def cmd_evaluate(args) -> int:
     instance, model = load_problem(args.problem)
     y = _load_plan(args.plan, instance)
-    gen = {"normal": gen_normal, "gamma": gen_gamma,
-           "perturbed": gen_perturbed}[args.dist]
-    if args.dist == "perturbed":
-        scen = gen(model, y, seed=args.seed)
-    else:
-        scen = gen(model, y, n=args.n, seed=args.seed)
+    scen = gen_scenarios(model, y, args.dist, args.n, args.seed)
     rep = evaluate_plan(instance, y, scen)
     print(f"scenarios: {scen.n_scenarios} ({args.dist})")
     print(f"mean objective: {rep.mean_objective:.4f} "
@@ -144,8 +123,7 @@ def cmd_evaluate(args) -> int:
         lines += [f"mean_unmet,{rep.mean_unmet:.10g}",
                   f"std_unmet,{rep.std_unmet:.10g}"]
         lines += [f"unmet_p{q},{v:.10g}" for q, v in rep.unmet_percentiles.items()]
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_atomic(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -169,8 +147,7 @@ def cmd_export_lp(args) -> int:
     bounds = DualBounds.uniform(instance.n_customers, args.dual_bound)
     m = build_dddr(instance, model, bounds=bounds, budget=args.budget,
                    with_cuts=args.cuts == "on")
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write(export_lp_text(m))
+    write_atomic(args.out, export_lp_text(m))
     print(f"wrote {args.out}: {len(m.variables)} variables, "
           f"{len(m.constraints)} constraints")
     return 0
@@ -189,9 +166,7 @@ def cmd_fixture(args) -> int:
                       for j in range(instance.n_customers)],
     }
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        write_atomic(args.out, json.dumps(doc, indent=1) + "\n")
         print(f"wrote {args.out}")
     else:
         json.dump(doc, sys.stdout, indent=1)

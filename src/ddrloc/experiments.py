@@ -14,8 +14,7 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,8 @@ from . import __version__
 from .benchmarks import ComparisonConfig, compare_methods
 from .instance import (DemandModel, Instance, apply_robustness_level,
                        arithmetic_support, lambda_from_distance,
-                       lambda_rho_means, save_problem, validate)
+                       lambda_rho_means, save_problem, validate,
+                       write_atomic)
 
 __all__ = [
     "ExperimentConfig",
@@ -126,19 +126,6 @@ def generate_instance(config: ExperimentConfig, seed: int | None = None):
     return instance, model
 
 
-def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def run(config: ExperimentConfig) -> str:
     """Full pipeline: generate, train all methods, evaluate, write artifacts.
 
@@ -165,17 +152,17 @@ def run(config: ExperimentConfig) -> str:
             "mean_unmet": rep.mean_unmet,
         }
         safe = method.replace("(", "_").replace(")", "")
-        _atomic_write(os.path.join(run_dir, "plans", f"{safe}.json"),
-                      json.dumps(doc, indent=1) + "\n")
-    _atomic_write(os.path.join(run_dir, "compare.csv"), result.to_csv())
-    _atomic_write(os.path.join(run_dir, "compare.txt"), result.to_text())
+        write_atomic(os.path.join(run_dir, "plans", f"{safe}.json"),
+                     json.dumps(doc, indent=1) + "\n")
+    write_atomic(os.path.join(run_dir, "compare.csv"), result.to_csv())
+    write_atomic(os.path.join(run_dir, "compare.txt"), result.to_text())
 
     if config.export_lp:
         from .milp import DualBounds, build_dddr, export_lp_text
         bounds = DualBounds.uniform(instance.n_customers, config.dual_bound)
         m = build_dddr(instance, model, bounds=bounds, budget=config.budget,
                        with_cuts=config.cuts)
-        _atomic_write(os.path.join(run_dir, "model.lp"), export_lp_text(m))
+        write_atomic(os.path.join(run_dir, "model.lp"), export_lp_text(m))
 
     manifest = {
         "config": config.to_dict(),
@@ -183,8 +170,8 @@ def run(config: ExperimentConfig) -> str:
         "version": __version__,
         "seed": config.seed,
     }
-    _atomic_write(os.path.join(run_dir, "manifest.json"),
-                  json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    write_atomic(os.path.join(run_dir, "manifest.json"),
+                 json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     return run_dir
 
 

@@ -17,17 +17,15 @@ with ``sum_i lambda_sigma[j, i] < 1`` so the variance stays positive.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Instance",
     "DemandModel",
-    "LocationDecision",
     "arithmetic_support",
     "mean_of",
     "variance_of",
@@ -36,7 +34,9 @@ __all__ = [
     "lambda_from_distance",
     "lambda_rho_means",
     "apply_robustness_level",
+    "decision_independent",
     "validate",
+    "write_atomic",
     "save_problem",
     "load_problem",
     "problem_to_dict",
@@ -181,29 +181,7 @@ class DemandModel:
         return DemandModel(**fields)
 
 
-@dataclass(frozen=True)
-class LocationDecision:
-    """Binary open/close plan over the facility candidates."""
-
-    y: np.ndarray
-    budget: int | None = None
-
-    def __post_init__(self):
-        y = np.asarray(self.y)
-        if not np.all((y == 0) | (y == 1)):
-            raise ValueError("location decision entries must be 0/1")
-        object.__setattr__(self, "y", _frozen(y, dtype=np.int8))
-        if self.budget is not None and int(self.y.sum()) > self.budget:
-            raise ValueError("plan opens more facilities than the budget allows")
-
-    @property
-    def open_indices(self):
-        return tuple(int(i) for i in np.flatnonzero(self.y))
-
-
 def _as_y(y) -> np.ndarray:
-    if isinstance(y, LocationDecision):
-        return np.asarray(y.y, dtype=float)
     return np.asarray(y, dtype=float)
 
 
@@ -325,6 +303,12 @@ def apply_robustness_level(model: DemandModel, kappa: float) -> DemandModel:
         eps_sigma_lo=np.full(n, 1.0 - kappa),
         eps_sigma_hi=np.full(n, 1.0 + kappa),
     )
+
+
+def decision_independent(model: DemandModel) -> DemandModel:
+    """The same demand model with every dependency weight zeroed (the DR model)."""
+    zero = np.zeros_like(model.lambda_mu)
+    return model.replace(lambda_mu=zero, lambda_sigma=zero)
 
 
 # ---------------------------------------------------------------------------
@@ -460,20 +444,23 @@ def problem_from_dict(doc: dict) -> tuple[Instance, DemandModel]:
     return instance, model
 
 
-def save_problem(path: str, instance: Instance, model: DemandModel) -> None:
-    """Write instance + demand model atomically (temp file then rename)."""
-    doc = problem_to_dict(instance, model)
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` with LF line ends through a temp file, then rename."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        with os.fdopen(fd, "w", newline="\n") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_problem(path: str, instance: Instance, model: DemandModel) -> None:
+    """Write instance + demand model atomically (temp file then rename)."""
+    write_atomic(path, json.dumps(problem_to_dict(instance, model), indent=1) + "\n")
 
 
 def load_problem(path: str) -> tuple[Instance, DemandModel]:

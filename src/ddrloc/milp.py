@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, DemandModel, big_lambda_matrix
+from .instance import (Instance, DemandModel, big_lambda_matrix,
+                       decision_independent)
 from .transport import theta_affine
 
 __all__ = [
@@ -57,9 +58,6 @@ class LinearExpr:
         if coeff != 0.0:
             self.coeffs[var] = self.coeffs.get(var, 0.0) + coeff
         return self
-
-    def value(self, assignment: dict[str, float]) -> float:
-        return self.constant + sum(c * assignment[v] for v, c in self.coeffs.items())
 
 
 @dataclass(frozen=True)
@@ -171,9 +169,6 @@ class MilpModel:
             out.append(Variable(v.name, kind, float(lo), float(hi)))
         m.variables = out
         return m.seal()
-
-    def objective_value(self, assignment: dict[str, float]) -> float:
-        return self.objective.value(assignment)
 
 
 @dataclass(frozen=True)
@@ -388,9 +383,8 @@ def build_dr(instance: Instance, model: DemandModel,
              budget: int | None = None,
              with_cuts: bool = True) -> MilpModel:
     """Decision-independent specialization: all dependency weights zeroed."""
-    zero = np.zeros_like(model.lambda_mu)
-    flat = model.replace(lambda_mu=zero, lambda_sigma=zero.copy())
-    m = build_dddr(instance, flat, bounds=bounds, budget=budget, with_cuts=with_cuts)
+    m = build_dddr(instance, decision_independent(model), bounds=bounds,
+                   budget=budget, with_cuts=with_cuts)
     m.name = "dr"
     return m
 

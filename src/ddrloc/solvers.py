@@ -2,9 +2,10 @@
 
 The tableau simplex is self-contained, deterministic, and reports dual
 values; it is the workhorse for the small moment and transportation LPs and
-the reference LP path in tests.  Branch-and-bound solves the MILPs, using
-either scipy's HiGHS backend (default, fast on the large robust models) or
-the in-house simplex for LP relaxations.
+the reference LP path in tests.  Branch-and-bound solves the MILPs with
+scipy's HiGHS backend for the LP relaxations.  :func:`solve_robust` picks
+between enumeration and the exact MILP for a robust plan, and
+:func:`parse_lp_text` reads back an exported model.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ __all__ = [
     "branch_and_bound",
     "enumerate_oracle",
     "exact_solve",
-    "solve_lp_file",
+    "solve_robust",
+    "parse_lp_text",
 ]
 
 PIVOT_TOL = 1e-9
@@ -53,7 +55,7 @@ class LpSolution:
 
 @dataclass
 class MipSolution:
-    status: str                       # optimal | infeasible
+    status: str                       # optimal | infeasible | node_limit
     x: dict[str, float] | None
     objective: float
     bound: float
@@ -292,9 +294,9 @@ def _scipy_arrays(m: MilpModel):
     c = np.zeros(n)
     for name, a in m.objective.coeffs.items():
         c[idx[name]] += a
-    rows_ub, b_ub, rows_eq, b_eq = [], [], [], []
+    b_ub, b_eq = [], []
     data_ub, data_eq = ([], [], []), ([], [], [])
-    for ci, con in enumerate(m.constraints):
+    for con in m.constraints:
         if con.sense == "=":
             r = len(b_eq)
             b_eq.append(con.rhs)
@@ -315,20 +317,29 @@ def _scipy_arrays(m: MilpModel):
     return c, A_ub, np.array(b_ub), A_eq, np.array(b_eq)
 
 
-class _HighsRelaxation:
-    def __init__(self, m: MilpModel):
-        self.m = m
-        self.c, self.A_ub, self.b_ub, self.A_eq, self.b_eq = _scipy_arrays(m)
-        self.base_bounds = [(v.lower if v.lower != -math.inf else -np.inf,
-                             v.upper if v.upper != math.inf else np.inf)
-                            for v in m.variables]
+def branch_and_bound(m: MilpModel, abs_gap: float = 1e-6, int_tol: float = 1e-6,
+                     node_limit: int = 200_000,
+                     incumbent: tuple[dict[str, float], float] | None = None) -> MipSolution:
+    """Best-bound branch-and-bound on the binary variables, HiGHS relaxations.
 
-    def solve(self, fixings: dict[int, float]):
-        bounds = list(self.base_bounds)
+    Branches on the most fractional binary (ties to the lowest index);
+    deterministic node ordering.  An optional warm incumbent ``(assignment,
+    objective)`` primes pruning.  A search stopped by ``node_limit`` with
+    open nodes left reports ``"node_limit"``, the incumbent (None when there
+    is none yet) and the lowest bound among the open nodes.
+    """
+    bin_idx = [m.var_index(nm) for nm in m.binary_names()]
+    names = [v.name for v in m.variables]
+    c, A_ub, b_ub, A_eq, b_eq = _scipy_arrays(m)
+    base_bounds = [(v.lower if v.lower != -math.inf else -np.inf,
+                    v.upper if v.upper != math.inf else np.inf) for v in m.variables]
+
+    def relax(fixings: dict[int, float]):
+        bounds = list(base_bounds)
         for i, val in fixings.items():
             bounds[i] = (val, val)
-        res = linprog(self.c, A_ub=self.A_ub, b_ub=self.b_ub if len(self.b_ub) else None,
-                      A_eq=self.A_eq, b_eq=self.b_eq if len(self.b_eq) else None,
+        res = linprog(c, A_ub=A_ub, b_ub=b_ub if len(b_ub) else None,
+                      A_eq=A_eq, b_eq=b_eq if len(b_eq) else None,
                       bounds=bounds, method="highs")
         if res.status == 2:
             return "infeasible", None, math.inf
@@ -336,34 +347,7 @@ class _HighsRelaxation:
             return "unbounded", None, -math.inf
         if not res.success:
             raise RuntimeError(f"LP backend failure: {res.message}")
-        return "optimal", res.x, float(res.fun + self.m.objective.constant)
-
-
-class _SimplexRelaxation:
-    def __init__(self, m: MilpModel):
-        self.m = m.with_bounds({}, relax_binaries=True)
-
-    def solve(self, fixings: dict[int, float]):
-        over = {self.m.variables[i].name: (v, v) for i, v in fixings.items()}
-        sol = simplex_solve(self.m.with_bounds(over))
-        if sol.status != "optimal":
-            return sol.status, None, math.inf if sol.status == "infeasible" else -math.inf
-        return "optimal", sol.x, sol.objective
-
-
-def branch_and_bound(m: MilpModel, lp_backend: str = "highs",
-                     abs_gap: float = 1e-6, int_tol: float = 1e-6,
-                     node_limit: int = 200_000,
-                     incumbent: tuple[dict[str, float], float] | None = None) -> MipSolution:
-    """Best-bound branch-and-bound on the binary variables.
-
-    Branches on the most fractional binary (ties to the lowest index);
-    deterministic node ordering.  An optional warm incumbent ``(assignment,
-    objective)`` primes pruning.
-    """
-    bin_idx = [m.var_index(nm) for nm in m.binary_names()]
-    relax = _HighsRelaxation(m) if lp_backend == "highs" else _SimplexRelaxation(m)
-    names = [v.name for v in m.variables]
+        return "optimal", res.x, float(res.fun + m.objective.constant)
 
     inc_x, inc_obj = None, math.inf
     if incumbent is not None:
@@ -371,14 +355,10 @@ def branch_and_bound(m: MilpModel, lp_backend: str = "highs",
     nodes = 0
     tick = itertools.count()
     heap = [(-math.inf, next(tick), {})]
-    best_open = -math.inf
-    while heap and nodes < node_limit:
-        bound, _, fixings = heapq.heappop(heap)
-        if bound >= inc_obj - abs_gap:
-            best_open = bound
-            break
+    while heap and heap[0][0] < inc_obj - abs_gap and nodes < node_limit:
+        _, _, fixings = heapq.heappop(heap)
         nodes += 1
-        status, x, obj = relax.solve(fixings)
+        status, x, obj = relax(fixings)
         if status != "optimal" or obj >= inc_obj - abs_gap:
             continue
         fracs = np.array([abs(x[i] - round(x[i])) for i in bin_idx])
@@ -393,13 +373,12 @@ def branch_and_bound(m: MilpModel, lp_backend: str = "highs",
             child = dict(fixings)
             child[j] = val
             heapq.heappush(heap, (obj, next(tick), child))
+    bound = float(min(heap[0][0], inc_obj)) if heap else inc_obj
+    if heap and heap[0][0] < inc_obj - abs_gap:
+        return MipSolution("node_limit", inc_x, inc_obj, bound, nodes)
     if inc_x is None:
         return MipSolution("infeasible", None, math.inf, math.inf, nodes)
-    open_bounds = [h[0] for h in heap]
-    if best_open > -math.inf:
-        open_bounds.append(best_open)
-    bound = min(open_bounds) if open_bounds else inc_obj
-    return MipSolution("optimal", inc_x, inc_obj, float(min(bound, inc_obj)), nodes)
+    return MipSolution("optimal", inc_x, inc_obj, bound, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +419,7 @@ def enumerate_oracle(instance, model, budget: int | None = None,
 
 def exact_solve(instance, model, bounds: DualBounds | None = None,
                 budget: int | None = None, with_cuts: bool = True,
-                lp_backend: str = "highs", max_doublings: int = 20):
+                max_doublings: int = 20):
     """Build and solve the robust MILP, enlarging dual bounds while binding.
 
     Returns ``(MipSolution, y, bounds_used)``.  The dual upper bounds truncate
@@ -459,7 +438,7 @@ def exact_solve(instance, model, bounds: DualBounds | None = None,
     for _ in range(max_doublings + 1):
         m = build_dddr(instance, model, bounds=bounds, budget=budget,
                        with_cuts=with_cuts)
-        sol = branch_and_bound(m, lp_backend=lp_backend)
+        sol = branch_and_bound(m)
         if sol.status != "optimal":
             return sol, None, bounds
         if not binding_dual_bounds(m, sol.x):
@@ -469,29 +448,28 @@ def exact_solve(instance, model, bounds: DualBounds | None = None,
     raise RuntimeError("dual bounds still binding after repeated doubling")
 
 
-# ---------------------------------------------------------------------------
-# LP-file escape hatch
-# ---------------------------------------------------------------------------
+def solve_robust(instance, model, budget: int | None = None, solver: str = "auto",
+                 with_cuts: bool = True):
+    """Robust plan by enumeration or by the exact MILP.
 
-def solve_lp_file(path: str, solver_cmd: list[str] | None = None):
-    """Solve an exported LP text file through an external or bundled route.
-
-    With ``solver_cmd`` a subprocess is invoked as ``cmd + [path]`` and its
-    last line parsed as the objective.  Without it, the file is parsed back
-    and handed to the HiGHS backend.  Returns ``(objective, assignment)``.
+    ``solver`` is ``enumerate``, ``milp``, or ``auto`` (enumeration up to 12
+    facilities, the MILP beyond).  Returns ``(y, objective, info)``, where
+    ``info`` names the solver and, for the MILP, its node count and bound.
+    Raises RuntimeError when the MILP does not end optimal.
     """
-    if solver_cmd is not None:
-        import subprocess
-        out = subprocess.run(solver_cmd + [path], capture_output=True, text=True,
-                             check=True)
-        return float(out.stdout.strip().splitlines()[-1]), {}
-    m = parse_lp_text(open(path).read())
-    sol = branch_and_bound(m) if m.binary_names() else None
-    if sol is not None:
-        return sol.objective, sol.x
-    lp = simplex_solve(m)
-    return lp.objective, lp.assignment()
+    if solver == "enumerate" or (solver == "auto" and instance.n_facilities <= 12):
+        y, obj = enumerate_oracle(instance, model, budget=budget)
+        return np.asarray(y, dtype=int), obj, {"solver": "enumerate"}
+    sol, y, _ = exact_solve(instance, model, budget=budget, with_cuts=with_cuts)
+    if sol.status != "optimal":
+        raise RuntimeError(f"robust MILP ended {sol.status}")
+    return y, sol.objective, {"solver": "milp", "nodes": sol.node_count,
+                              "bound": sol.bound}
 
+
+# ---------------------------------------------------------------------------
+# LP text import
+# ---------------------------------------------------------------------------
 
 def parse_lp_text(text: str) -> MilpModel:
     """Minimal reader for the LP text emitted by :func:`export_lp_text`."""

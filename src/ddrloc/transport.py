@@ -40,19 +40,23 @@ class Allocation:
     value: float
 
 
-def _candidate_terms(instance: Instance, y, jj: int):
-    """Affine pieces of the closed form at customer column ``jj``.
+def _candidate_gaps(instance: Instance, jj: int):
+    """Candidate marginal sources of the closed form at customer column ``jj``.
 
-    Returns (costs, consts) over candidates i* = 0..|I| where costs[0] = p_j
-    and consts[i*] = sum_{i: c_ij < c_{i*j}} C_i y_i (c_ij - c_{i*j}).
+    Returns ``(cand, gaps)``: ``cand`` holds the candidates' unit costs over
+    i* = 0..|I|, penalty ``p_j`` first, then ``c_ij``; ``gaps[i*, i] =
+    min(c_ij - cand[i*], 0)`` is what a unit of facility ``i``'s capacity
+    saves against candidate ``i*``.
     """
-    yv = _as_y(y)
     c = instance.cost[:, jj]
     cand = np.concatenate(([instance.penalty[jj]], c))
-    cy = instance.capacity * yv
-    lower = c[None, :] < cand[:, None]          # (|I|+1, |I|)
-    consts = np.where(lower, cy[None, :] * (c[None, :] - cand[:, None]), 0.0).sum(axis=1)
-    return cand, consts
+    return cand, np.minimum(c[None, :] - cand[:, None], 0.0)
+
+
+def _candidate_terms(instance: Instance, y, jj: int):
+    """Slopes and intercepts of the closed form's affine pieces under plan ``y``."""
+    cand, gaps = _candidate_gaps(instance, jj)
+    return cand, (instance.capacity * _as_y(y) * gaps).sum(axis=1)
 
 
 def h_j_closed_form(instance: Instance, y, j: int, d: float):
@@ -170,12 +174,8 @@ def theta_affine(instance: Instance, model, j: int, k: int):
         raise IndexError(f"support index {k} out of range")
     jj = instance.customer_index(j)
     d_k = float(support[k])
-    c = instance.cost[:, jj]
-    cand = np.concatenate(([instance.penalty[jj]], c))
-    out = []
-    for t, c_star in enumerate(cand):
-        coeff = np.where(c < c_star, instance.capacity * (c - c_star), 0.0)
-        const = (c_star - instance.revenue[jj]) * d_k
-        i_star = PENALTY if t == 0 else instance.facility_ids[t - 1]
-        out.append((i_star, float(const), coeff))
-    return out
+    cand, gaps = _candidate_gaps(instance, jj)
+    return [(PENALTY if t == 0 else instance.facility_ids[t - 1],
+             float((c_star - instance.revenue[jj]) * d_k),
+             instance.capacity * gaps[t])
+            for t, c_star in enumerate(cand)]

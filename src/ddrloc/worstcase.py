@@ -19,7 +19,7 @@ import numpy as np
 from .instance import (DemandModel, Instance, mean_of, means_vector,
                        variance_of, variances_vector)
 from .milp import LinearExpr, MilpModel
-from .transport import _candidate_terms
+from .transport import _candidate_gaps, _candidate_terms
 
 __all__ = [
     "WorstCaseDistribution",
@@ -72,6 +72,10 @@ class AmbiguityInfeasibleError(ValueError):
 
     def __init__(self, report: FeasibilityReport):
         self.report = report
+        if not report.violations:
+            super().__init__("empty ambiguity set: a moment LP is infeasible "
+                             "although no ray inequality is violated")
+            return
         worst = min(report.violations, key=lambda v: v[2])
         super().__init__(
             f"empty ambiguity set: customer {worst[0]}, ray {worst[1]} "
@@ -107,17 +111,14 @@ def extreme_rays(support) -> list[tuple[float, float, float, float, float]]:
     ]
 
 
-def _ray_slacks(model: DemandModel, mu: float, var: float, jj: int) -> np.ndarray:
+def _ray_slacks(model: DemandModel, y, jj: int) -> np.ndarray:
     d = model.support
     d1, d2, dk1, dk = float(d[0]), float(d[1]), float(d[-2]), float(d[-1])
-    eps = float(model.eps_mu[jj])
-    s = var + mu * mu
-    lo = s * float(model.eps_sigma_lo[jj])
-    hi = s * float(model.eps_sigma_hi[jj])
+    _, m_lo, m_hi, s_lo, s_hi = _moment_windows(model, y, jj)
     return np.array([
-        d1 * d2 - (d1 + d2) * (mu - eps) + hi,
-        dk1 * dk - (dk1 + dk) * (mu - eps) + hi,
-        -d1 * dk + (d1 + dk) * (mu + eps) - lo,
+        d1 * d2 - (d1 + d2) * m_lo + s_hi,
+        dk1 * dk - (dk1 + dk) * m_lo + s_hi,
+        -d1 * dk + (d1 + dk) * m_hi - s_lo,
     ])
 
 
@@ -125,9 +126,7 @@ def ambiguity_feasible(instance: Instance, model: DemandModel, y) -> Feasibility
     """Nonemptiness certificate: all three ray inequalities for every customer."""
     violations = []
     for jj, cid in enumerate(instance.customer_ids):
-        mu = mean_of(model, y, cid)
-        var = variance_of(model, y, cid)
-        slacks = _ray_slacks(model, mu, var, jj)
+        slacks = _ray_slacks(model, y, jj)
         for r in np.flatnonzero(slacks < -RAY_TOL):
             violations.append((cid, int(r) + 1, float(slacks[r])))
     return FeasibilityReport(not violations, tuple(violations))
@@ -174,9 +173,8 @@ def worst_case_expectation(instance: Instance, model: DemandModel, y):
         theta = theta_values(instance, model, y, jj)
         sol = simplex_solve(_primal_lp(model, theta, y, jj))
         if sol.status != "optimal":
-            raise RuntimeError(
-                f"moment LP for customer {model.customer_ids[jj]} is {sol.status} "
-                "despite a feasible ray certificate")
+            # The three rays do not cover every chord of the moment set.
+            raise AmbiguityInfeasibleError(FeasibilityReport(False, ()))
         pi[jj] = sol.x
         total -= sol.objective
     return total, WorstCaseDistribution(pi=pi, value=total)
@@ -207,7 +205,8 @@ def worst_case_dual(instance: Instance, model: DemandModel, y):
         m.set_objective(LinearExpr({a: 1.0, d1: m_hi, d2: -m_lo, g1: s_hi, g2: -s_lo}))
         sol = simplex_solve(m.seal())
         if sol.status == "unbounded":
-            raise AmbiguityInfeasibleError(ambiguity_feasible(instance, model, y))
+            report = ambiguity_feasible(instance, model, y)
+            raise AmbiguityInfeasibleError(FeasibilityReport(False, report.violations))
         if sol.status != "optimal":
             raise RuntimeError(f"dual moment LP is {sol.status}")
         for nm in cert:
@@ -272,10 +271,10 @@ def worst_case_values(instance: Instance, model: DemandModel, ys,
         return _vertex_enumeration_values(instance, model, ys_arr)
     out = np.empty(len(ys_arr))
     for n, y in enumerate(ys_arr):
-        if not ambiguity_feasible(instance, model, y):
+        try:
+            out[n] = worst_case_expectation(instance, model, y)[0]
+        except AmbiguityInfeasibleError:
             out[n] = math.inf
-            continue
-        out[n] = worst_case_expectation(instance, model, y)[0]
     return out
 
 
@@ -293,10 +292,8 @@ def _vertex_enumeration_values(instance, model, ys: np.ndarray) -> np.ndarray:
     feasible = np.ones(n, dtype=bool)
     cy_all = ys * instance.capacity[None, :]                            # (N, I)
     for jj in range(instance.n_customers):
-        c = instance.cost[:, jj]
-        cand = np.concatenate(([instance.penalty[jj]], c))
-        w = np.where(c[None, :] < cand[:, None], c[None, :] - cand[:, None], 0.0)
-        consts = cy_all @ w.T                                           # (N, |I|+1)
+        cand, gaps = _candidate_gaps(instance, jj)
+        consts = cy_all @ gaps.T                                        # (N, |I|+1)
         theta = (d[None, None, :] * cand[None, :, None] + consts[:, :, None]).max(axis=1)
         theta -= instance.revenue[jj] * d[None, :]                      # (N, K)
 

@@ -7,6 +7,7 @@ at module level so later criteria reuse them.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -344,5 +345,13 @@ def test_criterion_11_compare_determinism(tmp_path):
     b = run(cfg("b"))
     csv_a = open(f"{a}/compare.csv", "rb").read()
     csv_b = open(f"{b}/compare.csv", "rb").read()
-    report(11, csv_a == csv_b and len(csv_a) > 0,
-           "two compare runs with the same config produced byte-identical CSVs")
+    # and every artifact matches the files committed for this config
+    golden = Path(__file__).parent / "data" / "compare_seed17"
+    names = sorted(str(p.relative_to(golden)) for p in golden.rglob("*") if p.is_file())
+    fresh = sorted(str(p.relative_to(a)) for p in Path(a).rglob("*")
+                   if p.is_file() and p.name != "manifest.json")
+    changed = [n for n in names if (golden / n).read_bytes() != (Path(a) / n).read_bytes()]
+    report(11, csv_a == csv_b and len(csv_a) > 0 and names == fresh and not changed,
+           "two compare runs with the same config produced byte-identical CSVs; "
+           f"{len(names)} artifacts vs tests/data/compare_seed17, "
+           f"differing: {changed or 'none'}")

@@ -7,7 +7,7 @@ from conftest import random_problem, toy_instance
 from ddrloc.milp import (DualBounds, LinearExpr, MilpModel, build_dddr,
                          export_lp_text)
 from ddrloc.solvers import (branch_and_bound, enumerate_oracle, exact_solve,
-                            parse_lp_text, simplex_solve, solve_lp_file)
+                            parse_lp_text, simplex_solve)
 from ddrloc.transport import h_j_closed_form
 
 
@@ -107,14 +107,6 @@ def test_bnb_on_fully_fixed_model_equals_simplex():
     assert mip.bound <= mip.objective + 1e-6
 
 
-def test_bnb_backends_agree():
-    inst, model = random_problem(25, 4, 4, support_size=6)
-    m = build_dddr(inst, model)
-    a = branch_and_bound(m, lp_backend="highs")
-    b = branch_and_bound(m, lp_backend="simplex")
-    assert a.objective == pytest.approx(b.objective, rel=1e-7)
-
-
 def test_bnb_infeasible_status():
     m = MilpModel("no")
     y = m.add_variable("y", kind="binary")
@@ -122,6 +114,24 @@ def test_bnb_infeasible_status():
     m.add_constraint("b", {y: 1.0}, "<=", 0.4)
     m.set_objective(LinearExpr({y: 1.0}))
     assert branch_and_bound(m.seal()).status == "infeasible"
+
+
+def test_bnb_node_limit_status():
+    inst, model = random_problem(0, 4, 6, support_size=10)
+    m = build_dddr(inst, model)
+    full = branch_and_bound(m)
+    assert full.status == "optimal" and full.bound == full.objective
+    # stopped before any incumbent: no plan, but a real open bound
+    early = branch_and_bound(m, node_limit=5)
+    assert early.status == "node_limit" and early.node_count == 5
+    assert early.x is None and early.objective == math.inf
+    assert -math.inf < early.bound <= full.objective
+    # stopped with an incumbent: it is kept, and the gap stays open
+    mid = branch_and_bound(m, node_limit=16)
+    assert mid.status == "node_limit" and mid.x is not None
+    assert mid.objective == pytest.approx(7308.821171961966, rel=1e-6)
+    assert mid.bound == pytest.approx(-59731.06586734592, rel=1e-6)
+    assert mid.bound <= full.objective < mid.objective
 
 
 def test_enumerate_single_facility_and_guard():
@@ -157,7 +167,7 @@ def test_lp_text_round_trip_preserves_optimum(tmp_path):
     m = build_dddr(inst, model)
     path = tmp_path / "model.lp"
     path.write_text(export_lp_text(m))
-    obj, assignment = solve_lp_file(str(path))
+    obj = branch_and_bound(parse_lp_text(path.read_text())).objective
     ref = branch_and_bound(m)
     assert obj == pytest.approx(ref.objective, rel=1e-7)
     # round trip is stable apart from the problem-name comment line

@@ -162,3 +162,16 @@ def test_bulk_values_flag_infeasible_plans():
     vals = worst_case_values(inst, model, [[0], [1]])
     assert not np.isfinite(vals[0])
     assert np.isfinite(vals[1])
+
+
+def test_empty_set_missed_by_rays_is_reported_by_every_route():
+    # The three rays pass, but the moment LP of customer 8 is infeasible:
+    # the chord through two interior support points is violated.
+    inst, model = random_problem(0, 6, 10, support_size=12, lambda_row_sum=0.99)
+    y = np.array([1, 0, 1, 1, 1, 1])
+    assert ambiguity_feasible(inst, model, y)
+    assert np.array_equal(worst_case_values(inst, model, [y]), [np.inf])
+    assert np.array_equal(worst_case_values(inst, model, [y], basis_limit=0), [np.inf])
+    for route in (worst_case_expectation, worst_case_dual):
+        with pytest.raises(AmbiguityInfeasibleError, match="moment LP"):
+            route(inst, model, y)
