@@ -11,11 +11,11 @@ deterministic LP/MILP solvers, and out-of-sample benchmarking utilities.
 __version__ = "0.1.0"
 
 from .instance import (DemandModel, Instance, apply_robustness_level,
-                       arithmetic_support, big_lambda, big_lambda_matrix,
-                       decision_independent, lambda_from_distance,
-                       lambda_rho_means, load_problem, mean_of, means_vector,
-                       save_problem, second_moment_window, validate,
-                       variance_of, variances_vector)
+                       arithmetic_support, big_lambda_matrix, chord_slacks,
+                       chords, decision_independent, lambda_from_distance,
+                       lambda_rho_means, load_problem, means_vector,
+                       moment_windows, save_problem, validate,
+                       variances_vector)
 from .transport import (PENALTY, Allocation, h_closed_form, h_j_closed_form,
                         recover_allocation, second_stage_costs, theta_affine,
                         transport_lp_oracle, unmet_by_customer)

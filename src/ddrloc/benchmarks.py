@@ -10,14 +10,13 @@ and evaluates each on its own seed-controlled test set.
 from __future__ import annotations
 
 import io
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .instance import (DemandModel, Instance, _as_y, decision_independent,
-                       means_vector, variances_vector)
+                       means_vector, plans_under_budget, variances_vector)
 from .transport import second_stage_costs, unmet_by_customer
 
 __all__ = [
@@ -30,6 +29,7 @@ __all__ = [
     "gen_scenarios",
     "evaluate_plan",
     "order_statistic",
+    "stat_lines",
     "ComparisonConfig",
     "ComparisonResult",
     "compare_methods",
@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 PERCENTILE_LEVELS = (95, 90, 75, 50)
+# gen_perturbed resamples the moments this many times, in equal blocks.
+PERTURBED_REPS = 10
 
 
 @dataclass(frozen=True)
@@ -113,15 +115,19 @@ def gen_gamma(model: DemandModel, y_hat, n: int = 1000, seed: int = 0) -> Scenar
     return ScenarioSet(draws, _uniform(n), seed, "gamma")
 
 
-def gen_perturbed(model: DemandModel, y_hat, reps: int = 10, per_rep: int = 100,
-                  seed: int = 0) -> ScenarioSet:
+def gen_perturbed(model: DemandModel, y_hat, n: int = 1000, seed: int = 0) -> ScenarioSet:
     """Normal draws whose moments are themselves resampled once per rep.
 
-    Each rep draws a mean uniformly inside the relative mean window and a
-    standard deviation uniformly inside the second-moment window factors,
-    then generates ``per_rep`` clamped Normal scenarios.  At a robustness
-    level of zero this reduces to plain Normal generation.
+    The ``n`` scenarios come in :data:`PERTURBED_REPS` equal blocks, so ``n``
+    must be a multiple of it.  Each rep draws a mean uniformly inside the
+    relative mean window and a standard deviation uniformly inside the
+    second-moment window factors, then generates its block of clamped Normal
+    scenarios.  At a robustness level of zero this reduces to plain Normal
+    generation.
     """
+    if n % PERTURBED_REPS:
+        raise ValueError(f"perturbed scenarios come in {PERTURBED_REPS} equal "
+                         f"blocks; n={n} is not a multiple of {PERTURBED_REPS}")
     mu, sigma = _plan_moments(model, y_hat)
     rel = np.divide(model.eps_mu, model.bar_mu,
                     out=np.zeros_like(model.eps_mu), where=model.bar_mu > 0)
@@ -129,7 +135,7 @@ def gen_perturbed(model: DemandModel, y_hat, reps: int = 10, per_rep: int = 100,
                   and np.all(model.eps_sigma_hi == 1.0))
     rng = np.random.default_rng(seed)
     blocks = []
-    for _ in range(reps):
+    for _ in range(PERTURBED_REPS):
         if degenerate:
             # Windows collapse to a point; skip the draws so the stream (and
             # hence the scenarios) match plain Normal generation exactly.
@@ -138,19 +144,16 @@ def gen_perturbed(model: DemandModel, y_hat, reps: int = 10, per_rep: int = 100,
             rep_mu = rng.uniform((1.0 - rel) * mu, (1.0 + rel) * mu)
             rep_sigma = rng.uniform(model.eps_sigma_lo * sigma,
                                     model.eps_sigma_hi * sigma)
-        blocks.append(rng.normal(rep_mu, rep_sigma, size=(per_rep, len(mu))))
+        blocks.append(rng.normal(rep_mu, rep_sigma,
+                                 size=(n // PERTURBED_REPS, len(mu))))
     draws = np.maximum(np.vstack(blocks), 0.0)
-    return ScenarioSet(draws, _uniform(reps * per_rep), seed, "perturbed")
+    return ScenarioSet(draws, _uniform(n), seed, "perturbed")
 
 
 def gen_scenarios(model: DemandModel, y_hat, dist: str, n: int, seed: int) -> ScenarioSet:
-    """Test scenarios from the generator named by ``dist``.
-
-    ``perturbed`` always draws its default 10 reps of 100 and ignores ``n``.
-    """
-    if dist == "perturbed":
-        return gen_perturbed(model, y_hat, seed=seed)
-    return {"normal": gen_normal, "gamma": gen_gamma}[dist](model, y_hat, n=n, seed=seed)
+    """``n`` test scenarios from the generator named by ``dist``."""
+    return {"normal": gen_normal, "gamma": gen_gamma,
+            "perturbed": gen_perturbed}[dist](model, y_hat, n=n, seed=seed)
 
 
 def order_statistic(values: np.ndarray, level: int) -> float:
@@ -158,6 +161,34 @@ def order_statistic(values: np.ndarray, level: int) -> float:
     n = len(values)
     rank = max(1, int(-((-(100 - level) * n) // 100)))   # integer ceil, no fp error
     return float(np.sort(values)[::-1][rank - 1])
+
+
+# Statistics of an evaluation report in table order: (CSV key, text label).
+_STATS = (("mean_objective", "average objective"),
+          ("std_objective", "std objective"),
+          ("obj_p95", "95% objective"),
+          ("obj_p90", "90% objective"),
+          ("obj_p75", "75% objective"),
+          ("obj_p50", "50% objective"),
+          ("mean_unmet", "average unmet demand"),
+          ("std_unmet", "std unmet demand"),
+          ("unmet_p95", "95% unmet demand"),
+          ("unmet_p90", "90% unmet demand"),
+          ("unmet_p75", "75% unmet demand"),
+          ("unmet_p50", "50% unmet demand"))
+
+
+def _stat(report: EvaluationReport, key: str) -> float:
+    if key.startswith("obj_p"):
+        return report.objective_percentiles[int(key[5:])]
+    if key.startswith("unmet_p"):
+        return report.unmet_percentiles[int(key[7:])]
+    return getattr(report, key)
+
+
+def stat_lines(report: EvaluationReport) -> list[str]:
+    """``key,value`` CSV lines of every statistic, in table order."""
+    return [f"{key},{_stat(report, key):.10g}" for key, _ in _STATS]
 
 
 def evaluate_plan(instance: Instance, y_hat, scenarios: ScenarioSet) -> EvaluationReport:
@@ -183,11 +214,6 @@ def evaluate_plan(instance: Instance, y_hat, scenarios: ScenarioSet) -> Evaluati
 # Training routes for the comparison
 # ---------------------------------------------------------------------------
 
-def _feasible_plans(n: int, budget):
-    return [np.array(y) for y in itertools.product((0, 1), repeat=n)
-            if budget is None or sum(y) <= budget]
-
-
 def sp_sample(model: DemandModel, n_scen: int, seed: int) -> np.ndarray:
     """SP training demands: clamped Normal draws at the baseline moments (y = 0)."""
     rng = np.random.default_rng(seed)
@@ -212,7 +238,7 @@ def train_sp(instance: Instance, model: DemandModel, n_scen: int, seed: int,
     draws = sp_sample(model, n_scen, seed)
     if instance.n_facilities <= 14:
         best_y, best = None, math.inf
-        for y in _feasible_plans(instance.n_facilities, budget):
+        for y in map(np.array, plans_under_budget(instance.n_facilities, budget)):
             obj = sp_objective(instance, y, draws)
             if obj < best - 1e-12:
                 best_y, best = y, obj
@@ -249,32 +275,10 @@ class ComparisonResult:
     plans: dict
     reports: dict
 
-    _STATS = (("mean_objective", "average objective"),
-              ("std_objective", "std objective"),
-              ("obj_p95", "95% objective"),
-              ("obj_p90", "90% objective"),
-              ("obj_p75", "75% objective"),
-              ("obj_p50", "50% objective"),
-              ("mean_unmet", "average unmet demand"),
-              ("std_unmet", "std unmet demand"),
-              ("unmet_p95", "95% unmet demand"),
-              ("unmet_p90", "90% unmet demand"),
-              ("unmet_p75", "75% unmet demand"),
-              ("unmet_p50", "50% unmet demand"))
-
-    def _stat(self, method: str, key: str) -> float:
-        r = self.reports[method]
-        if key.startswith("obj_p"):
-            return r.objective_percentiles[int(key[5:])]
-        if key.startswith("unmet_p"):
-            return r.unmet_percentiles[int(key[7:])]
-        return getattr(r, key)
-
     def to_csv(self) -> str:
         lines = ["method,statistic,value"]
         for method in self.methods:
-            for key, _ in self._STATS:
-                lines.append(f"{method},{key},{self._stat(method, key):.10g}")
+            lines += [f"{method},{line}" for line in stat_lines(self.reports[method])]
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -283,10 +287,10 @@ class ComparisonResult:
         header = f"{'statistic':<24}" + "".join(f"{m:>{max(width, 14)}}"
                                                 for m in self.methods)
         out.write(header + "\n" + "-" * len(header) + "\n")
-        for key, label in self._STATS:
+        for key, label in _STATS:
             row = f"{label:<24}"
             for m in self.methods:
-                row += f"{self._stat(m, key):>{max(width, 14)}.2f}"
+                row += f"{_stat(self.reports[m], key):>{max(width, 14)}.2f}"
             out.write(row + "\n")
         out.write("\nopen facilities\n")
         for m in self.methods:

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from .benchmarks import (evaluate_plan, gen_scenarios, sp_objective, sp_sample,
-                         train_sp)
+                         stat_lines, train_sp)
 from .experiments import (ExperimentConfig, fixture_figure2, generate_instance,
                           run)
 from .instance import (decision_independent, load_problem, save_problem,
@@ -116,14 +116,7 @@ def cmd_evaluate(args) -> int:
     for q, v in rep.unmet_percentiles.items():
         print(f"  {q}% unmet: {v:.4f}")
     if args.out:
-        lines = ["statistic,value",
-                 f"mean_objective,{rep.mean_objective:.10g}",
-                 f"std_objective,{rep.std_objective:.10g}"]
-        lines += [f"obj_p{q},{v:.10g}" for q, v in rep.objective_percentiles.items()]
-        lines += [f"mean_unmet,{rep.mean_unmet:.10g}",
-                  f"std_unmet,{rep.std_unmet:.10g}"]
-        lines += [f"unmet_p{q},{v:.10g}" for q, v in rep.unmet_percentiles.items()]
-        write_atomic(args.out, "\n".join(lines) + "\n")
+        write_atomic(args.out, "\n".join(["statistic,value"] + stat_lines(rep)) + "\n")
     return 0
 
 

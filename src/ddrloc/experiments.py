@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .benchmarks import ComparisonConfig, compare_methods
+from .benchmarks import PERTURBED_REPS, ComparisonConfig, compare_methods
 from .instance import (DemandModel, Instance, apply_robustness_level,
                        arithmetic_support, lambda_from_distance,
                        lambda_rho_means, save_problem, validate,
@@ -70,6 +70,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown lambda recipe {self.lambda_recipe!r}")
         if self.dist not in ("normal", "gamma", "perturbed"):
             raise ValueError(f"unknown test distribution {self.dist!r}")
+        if self.dist == "perturbed" and self.n_test % PERTURBED_REPS:
+            raise ValueError(f"perturbed test sets come in {PERTURBED_REPS} equal "
+                             f"blocks; n_test={self.n_test} is not a multiple")
         if self.cv2 < 0:
             raise ValueError("squared coefficient of variation must be >= 0")
 

@@ -16,6 +16,7 @@ with ``sum_i lambda_sigma[j, i] < 1`` so the variance stays positive.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -27,10 +28,11 @@ __all__ = [
     "Instance",
     "DemandModel",
     "arithmetic_support",
-    "mean_of",
-    "variance_of",
-    "second_moment_window",
-    "big_lambda",
+    "plans_under_budget",
+    "moment_windows",
+    "big_lambda_matrix",
+    "chords",
+    "chord_slacks",
     "lambda_from_distance",
     "lambda_rho_means",
     "apply_robustness_level",
@@ -88,12 +90,6 @@ class Instance:
     @property
     def n_customers(self) -> int:
         return len(self.customer_ids)
-
-    def facility_index(self, fid: int) -> int:
-        try:
-            return self.facility_ids.index(fid)
-        except ValueError:
-            raise KeyError(f"unknown facility id {fid!r}") from None
 
     def customer_index(self, cid: int) -> int:
         try:
@@ -163,12 +159,6 @@ class DemandModel:
     def support_size(self) -> int:
         return len(self.support)
 
-    def customer_index(self, cid: int) -> int:
-        try:
-            return self.customer_ids.index(cid)
-        except ValueError:
-            raise KeyError(f"unknown customer id {cid!r}") from None
-
     def replace(self, **changes) -> "DemandModel":
         fields = {
             "bar_mu": self.bar_mu, "bar_sigma": self.bar_sigma,
@@ -199,21 +189,15 @@ def arithmetic_support(lo: float, hi: float, k: int) -> np.ndarray:
     return d
 
 
+def plans_under_budget(n: int, budget: int | None) -> list[tuple[int, ...]]:
+    """Every 0/1 plan over ``n`` facilities with at most ``budget`` open."""
+    return [y for y in itertools.product((0, 1), repeat=n)
+            if budget is None or sum(y) <= budget]
+
+
 # ---------------------------------------------------------------------------
 # Decision-dependent moments
 # ---------------------------------------------------------------------------
-
-def mean_of(model: DemandModel, y, j: int) -> float:
-    """Mean demand mu_j(y) at customer id ``j`` under plan ``y``."""
-    jj = model.customer_index(j)
-    return float(model.bar_mu[jj] * (1.0 + model.lambda_mu[jj] @ _as_y(y)))
-
-
-def variance_of(model: DemandModel, y, j: int) -> float:
-    """Variance sigma_j^2(y) at customer id ``j`` under plan ``y``."""
-    jj = model.customer_index(j)
-    return float(model.bar_sigma[jj] ** 2 * (1.0 - model.lambda_sigma[jj] @ _as_y(y)))
-
 
 def means_vector(model: DemandModel, y) -> np.ndarray:
     """mu_j(y) for every customer, in customer order."""
@@ -225,36 +209,64 @@ def variances_vector(model: DemandModel, y) -> np.ndarray:
     return model.bar_sigma ** 2 * (1.0 - model.lambda_sigma @ _as_y(y))
 
 
-def second_moment_window(model: DemandModel, y, j: int) -> tuple[float, float]:
-    """Admissible range for E[d_j^2]: ``(sigma^2 + mu^2)`` scaled by the radii."""
-    jj = model.customer_index(j)
-    s = variance_of(model, y, j) + mean_of(model, y, j) ** 2
-    return (s * float(model.eps_sigma_lo[jj]), s * float(model.eps_sigma_hi[jj]))
+def moment_windows(model: DemandModel, ys):
+    """Mean and second-moment windows of every customer under each plan.
 
-
-def big_lambda(model: DemandModel, j: int, i: int) -> float:
-    """Combined moment coefficient of facility ``i`` at customer ``j``.
-
-    This is the per-facility slope of ``sigma_j^2(y) + mu_j(y)^2`` once the
-    square of the affine mean is expanded over binary ``y``:
-
-        -bar_sigma_j^2 * ls + bar_mu_j^2 * (2*lm + lm**2)
+    ``ys`` is a plan matrix of shape (N, |I|) (a single plan counts as one
+    row).  Returns ``(m_lo, m_hi, s_lo, s_hi)``, each of shape (N, |J|):
+    ``mu -/+ eps_mu`` and ``s * eps_sigma_lo/hi`` with ``s = sigma^2 + mu^2``.
     """
-    jj = model.customer_index(j)
-    if not 0 <= i < model.n_facilities:
-        raise KeyError(f"unknown facility index {i!r}")
-    lm = model.lambda_mu[jj, i]
-    ls = model.lambda_sigma[jj, i]
-    return float(-model.bar_sigma[jj] ** 2 * ls
-                 + model.bar_mu[jj] ** 2 * (2.0 * lm + lm ** 2))
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    mu = model.bar_mu * (1.0 + ys @ model.lambda_mu.T)
+    s = model.bar_sigma ** 2 * (1.0 - ys @ model.lambda_sigma.T) + mu * mu
+    return (mu - model.eps_mu, mu + model.eps_mu,
+            s * model.eps_sigma_lo, s * model.eps_sigma_hi)
 
 
 def big_lambda_matrix(model: DemandModel) -> np.ndarray:
-    """All combined moment coefficients, shape (|J|, |I|)."""
+    """Per-facility slopes of ``sigma_j^2(y) + mu_j(y)^2``, shape (|J|, |I|).
+
+    The square of the affine mean, expanded over binary ``y``, gives each
+    facility the slope ``-bar_sigma_j^2 * ls + bar_mu_j^2 * (2*lm + lm**2)``.
+    """
     lm = model.lambda_mu
     ls = model.lambda_sigma
     return (-(model.bar_sigma ** 2)[:, None] * ls
             + (model.bar_mu ** 2)[:, None] * (2.0 * lm + lm ** 2))
+
+
+# ---------------------------------------------------------------------------
+# Chords of the moment set
+# ---------------------------------------------------------------------------
+
+def chords(support) -> list[tuple[float, float, float]]:
+    """The chords of conv{(d_k, d_k^2)} that the emptiness test checks.
+
+    Each ``(a, b, sign)`` stands for the parabola ``sign * (d - a) * (d - b)``,
+    which is nonnegative on the support, so every distribution on it has
+    ``sign * (E[d^2] - (a + b) E[d] + a b) >= 0``: the chords through the two
+    lowest and the two highest points (opening up) and through the extreme
+    points (opening down).
+    """
+    d = np.asarray(support, dtype=float)
+    d1, d2, dk1, dk = float(d[0]), float(d[1]), float(d[-2]), float(d[-1])
+    return [(d1, d2, 1.0), (dk1, dk, 1.0), (d1, dk, -1.0)]
+
+
+def chord_slacks(support, windows, one) -> np.ndarray:
+    """Each chord inequality at the most favourable corner of the windows.
+
+    ``windows`` is ``(m_lo, m_hi, s_lo, s_hi)`` and ``one`` is 1.0; a
+    negative slack proves the moment set empty.  The result stacks one slack
+    per chord on a new last axis.  The slack is affine in the windows, so
+    passing their affine forms in the plan, with ``one`` the form of the
+    constant 1, gives its form.
+    """
+    m_lo, m_hi, s_lo, s_hi = windows
+    return np.stack([sign * a * b * one
+                     - sign * (a + b) * (m_lo if sign > 0 else m_hi)
+                     + sign * (s_hi if sign > 0 else s_lo)
+                     for a, b, sign in chords(support)], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import (Instance, DemandModel, big_lambda_matrix,
-                       decision_independent)
+                       chord_slacks, decision_independent)
 from .transport import theta_affine
 
 __all__ = [
@@ -248,6 +248,32 @@ def _add_all(m: MilpModel, rows: list[Constraint]):
 # Robust model builder
 # ---------------------------------------------------------------------------
 
+def _window_forms(model: DemandModel, pairs: list[tuple[int, int]]):
+    """The moment windows as affine forms in the plan, one row per customer.
+
+    Returns ``(m_lo, m_hi, s_lo, s_hi)``, each of shape (|J|, 1 + |I| + P):
+    the constant, one coefficient per facility ``y_i`` and one per plan
+    product ``Y_lm`` in ``pairs`` (``y_l**2 = y_l`` folds the squares into
+    the facility slopes of :func:`~ddrloc.instance.big_lambda_matrix`).
+    """
+    mu, sg = model.bar_mu, model.bar_sigma
+    lm = model.lambda_mu
+    pl, pm = np.array(pairs, dtype=int).reshape(-1, 2).T
+    mean = np.hstack([mu[:, None], mu[:, None] * lm, np.zeros((len(mu), len(pairs)))])
+    second = np.hstack([(sg ** 2 + mu ** 2)[:, None], big_lambda_matrix(model),
+                        (2.0 * mu ** 2)[:, None] * (lm[:, pl] * lm[:, pm])])
+    eps = np.zeros_like(mean)
+    eps[:, 0] = model.eps_mu
+    return (mean - eps, mean + eps,
+            second * model.eps_sigma_lo[:, None], second * model.eps_sigma_hi[:, None])
+
+
+# Dual objective: alpha + delta1 m_hi - delta2 m_lo + gamma1 s_hi - gamma2 s_lo,
+# as (dual, sign, window index in _window_forms, envelope prefix).
+_DUAL_TERMS = (("delta1", 1.0, 1, "D_1"), ("delta2", -1.0, 0, "D_2"),
+               ("gamma1", 1.0, 3, "G_1"), ("gamma2", -1.0, 2, "G_2"))
+
+
 def build_dddr(instance: Instance, model: DemandModel,
                bounds: DualBounds | None = None,
                budget: int | None = None,
@@ -258,7 +284,7 @@ def build_dddr(instance: Instance, model: DemandModel,
     the plan are carried by Delta/Gamma (bilinear) and Psi (trilinear)
     envelope variables, products of plan entries by Y variables.  ``budget``
     caps the number of open facilities; ``with_cuts`` adds the
-    feasibility-certifying valid inequalities.
+    feasibility-certifying chord inequalities.
     """
     from .instance import validate
 
@@ -273,10 +299,12 @@ def build_dddr(instance: Instance, model: DemandModel,
             raise ValueError("dual bounds dimension does not match the customer count")
 
     d = model.support
-    lam = big_lambda_matrix(model)
     m = MilpModel("dddr")
     fids = instance.facility_ids
     cids = instance.customer_ids
+    pairs = [(l, mm) for l in range(n_i) for mm in range(l)]
+    forms = _window_forms(model, pairs)
+    windows = [f.tolist() for f in forms]
 
     y = [m.add_variable(f"y_{fid}", kind="binary") for fid in fids]
     obj = LinearExpr()
@@ -285,9 +313,6 @@ def build_dddr(instance: Instance, model: DemandModel,
 
     dual_ub: dict[str, float] = {}
     for jj, cid in enumerate(cids):
-        mu, sg = float(model.bar_mu[jj]), float(model.bar_sigma[jj])
-        eps = float(model.eps_mu[jj])
-        e_lo, e_hi = float(model.eps_sigma_lo[jj]), float(model.eps_sigma_hi[jj])
         ubs = {"delta1": float(bounds.ub_delta1[jj]), "delta2": float(bounds.ub_delta2[jj]),
                "gamma1": float(bounds.ub_gamma1[jj]), "gamma2": float(bounds.ub_gamma2[jj])}
 
@@ -295,32 +320,23 @@ def build_dddr(instance: Instance, model: DemandModel,
         dv = {h: m.add_variable(f"{h}_{cid}", upper=ubs[h]) for h in ubs}
         dual_ub.update({dv[h]: ubs[h] for h in ubs})
 
-        s_base = sg ** 2 + mu ** 2
+        terms = [(h, sign, windows[w][jj], prefix) for h, sign, w, prefix in _DUAL_TERMS]
         obj.add(alpha, 1.0)
-        obj.add(dv["delta1"], mu + eps)
-        obj.add(dv["delta2"], -(mu - eps))
-        obj.add(dv["gamma1"], s_base * e_hi)
-        obj.add(dv["gamma2"], -s_base * e_lo)
+        for h, sign, form, _ in terms:
+            obj.add(dv[h], sign * form[0])
 
         # Envelope variables for dual * plan products.
         for i, fid in enumerate(fids):
-            lmu = float(model.lambda_mu[jj, i])
-            for h, sign in (("delta1", 1.0), ("delta2", -1.0)):
-                w = m.add_variable(f"D_{h[-1]}_{cid}_{fid}", upper=ubs[h])
+            for h, sign, form, prefix in terms:
+                w = m.add_variable(f"{prefix}_{cid}_{fid}", upper=ubs[h])
                 _add_all(m, mccormick_bilinear(w, dv[h], y[i], 0.0, ubs[h]))
-                obj.add(w, sign * mu * lmu)
-            for h, sign, scale in (("gamma1", 1.0, e_hi), ("gamma2", -1.0, e_lo)):
-                w = m.add_variable(f"G_{h[-1]}_{cid}_{fid}", upper=ubs[h])
-                _add_all(m, mccormick_bilinear(w, dv[h], y[i], 0.0, ubs[h]))
-                obj.add(w, sign * scale * float(lam[jj, i]))
-        for l in range(n_i):
-            for mm in range(l):
-                pair = 2.0 * mu ** 2 * float(model.lambda_mu[jj, l] * model.lambda_mu[jj, mm])
-                for h, sign, scale in (("gamma1", 1.0, e_hi), ("gamma2", -1.0, e_lo)):
-                    w = m.add_variable(f"P_{h[-1]}_{cid}_{fids[l]}_{fids[mm]}",
-                                       upper=ubs[h])
-                    _add_all(m, mccormick_trilinear(w, dv[h], y[l], y[mm], 0.0, ubs[h]))
-                    obj.add(w, sign * scale * pair)
+                obj.add(w, sign * form[1 + i])
+        for p, (l, mm) in enumerate(pairs):
+            for h, sign, form, _ in terms[2:]:
+                w = m.add_variable(f"P_{h[-1]}_{cid}_{fids[l]}_{fids[mm]}",
+                                   upper=ubs[h])
+                _add_all(m, mccormick_trilinear(w, dv[h], y[l], y[mm], 0.0, ubs[h]))
+                obj.add(w, sign * form[1 + n_i + p])
 
         # Support constraints of the dualized inner problem: one row per
         # support point and candidate marginal source.
@@ -335,38 +351,22 @@ def build_dddr(instance: Instance, model: DemandModel,
                 m.add_constraint(f"dual_{cid}_{k}_{i_star}", row, ">=", const)
 
     # Plan products, shared by the valid inequalities.
-    Y = {}
-    for l in range(n_i):
-        for mm in range(l):
-            w = m.add_variable(f"Y_{fids[l]}_{fids[mm]}", upper=1.0)
-            Y[(l, mm)] = w
-            _add_all(m, mccormick_bilinear(w, y[l], y[mm], 0.0, 1.0))
+    Y = []
+    for l, mm in pairs:
+        w = m.add_variable(f"Y_{fids[l]}_{fids[mm]}", upper=1.0)
+        Y.append(w)
+        _add_all(m, mccormick_bilinear(w, y[l], y[mm], 0.0, 1.0))
 
     if with_cuts:
-        d1, d2 = float(d[0]), float(d[1])
-        dk1, dk = float(d[-2]), float(d[-1])
+        one = np.zeros(forms[0].shape[1])
+        one[0] = 1.0
+        cuts = np.moveaxis(chord_slacks(d, forms, one), -1, 1).tolist()   # (J, chords, cols)
         for jj, cid in enumerate(cids):
-            mu, sg = float(model.bar_mu[jj]), float(model.bar_sigma[jj])
-            eps = float(model.eps_mu[jj])
-            e_lo, e_hi = float(model.eps_sigma_lo[jj]), float(model.eps_sigma_hi[jj])
-            s_base = sg ** 2 + mu ** 2
-            for tag, (a, b) in (("ray1", (d1, d2)), ("ray2", (dk1, dk))):
-                row = LinearExpr(constant=a * b - (a + b) * (mu - eps) + e_hi * s_base)
-                for i in range(n_i):
-                    row.add(y[i], -(a + b) * mu * float(model.lambda_mu[jj, i])
-                            + e_hi * float(lam[jj, i]))
-                for (l, mm), w in Y.items():
-                    row.add(w, e_hi * 2.0 * mu ** 2
-                            * float(model.lambda_mu[jj, l] * model.lambda_mu[jj, mm]))
-                m.add_constraint(f"cut_{tag}_{cid}", row, ">=", 0.0)
-            row = LinearExpr(constant=-d1 * dk + (d1 + dk) * (mu + eps) - e_lo * s_base)
-            for i in range(n_i):
-                row.add(y[i], (d1 + dk) * mu * float(model.lambda_mu[jj, i])
-                        - e_lo * float(lam[jj, i]))
-            for (l, mm), w in Y.items():
-                row.add(w, -e_lo * 2.0 * mu ** 2
-                        * float(model.lambda_mu[jj, l] * model.lambda_mu[jj, mm]))
-            m.add_constraint(f"cut_ray3_{cid}", row, ">=", 0.0)
+            for r, form in enumerate(cuts[jj], start=1):
+                row = LinearExpr(constant=form[0])
+                for v, c in zip(y + Y, form[1:]):
+                    row.add(v, c)
+                m.add_constraint(f"cut_ray{r}_{cid}", row, ">=", 0.0)
 
     if budget is not None:
         m.add_constraint("budget", {v: 1.0 for v in y}, "<=", float(budget))

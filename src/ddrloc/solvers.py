@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from .instance import plans_under_budget
 from .milp import (LinearExpr, MilpModel, DualBounds, binding_dual_bounds,
                    build_dddr)
 
@@ -35,6 +36,12 @@ __all__ = [
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-8
+# Branch-and-bound prunes nodes within ABS_GAP of the best plan found; a
+# binary within INT_TOL of 0 or 1 counts as integral.
+ABS_GAP = 1e-6
+INT_TOL = 1e-6
+# exact_solve doubles binding dual bounds at most this many times.
+MAX_DOUBLINGS = 20
 
 
 @dataclass
@@ -139,7 +146,7 @@ class _StandardForm:
         return x
 
 
-def simplex_solve(m: MilpModel, max_iter: int | None = None) -> LpSolution:
+def simplex_solve(m: MilpModel) -> LpSolution:
     """Two-phase primal simplex with Bland anti-cycling and dual recovery.
 
     Deterministic: Dantzig pricing with lowest-index tie-breaks, switching
@@ -189,8 +196,7 @@ def simplex_solve(m: MilpModel, max_iter: int | None = None) -> LpSolution:
 
     b = b0.copy()
     pivots: list = []
-    if max_iter is None:
-        max_iter = 50 * (n_rows + n_total) + 1000
+    iter_limit = 50 * (n_rows + n_total) + 1000
 
     def run(c_vec, blocked):
         """Pivot to optimality of c_vec over the current (T, b, basis)."""
@@ -198,7 +204,7 @@ def simplex_solve(m: MilpModel, max_iter: int | None = None) -> LpSolution:
         zrow = c_vec[basis] @ T - c_vec
         stall, bland = 0, False
         last_obj = c_vec[basis] @ b
-        for _ in range(max_iter):
+        for _ in range(iter_limit):
             cand = np.where(~blocked & (zrow > PIVOT_TOL))[0]
             if cand.size == 0:
                 return "optimal", zrow
@@ -317,16 +323,13 @@ def _scipy_arrays(m: MilpModel):
     return c, A_ub, np.array(b_ub), A_eq, np.array(b_eq)
 
 
-def branch_and_bound(m: MilpModel, abs_gap: float = 1e-6, int_tol: float = 1e-6,
-                     node_limit: int = 200_000,
-                     incumbent: tuple[dict[str, float], float] | None = None) -> MipSolution:
+def branch_and_bound(m: MilpModel, node_limit: int = 200_000) -> MipSolution:
     """Best-bound branch-and-bound on the binary variables, HiGHS relaxations.
 
     Branches on the most fractional binary (ties to the lowest index);
-    deterministic node ordering.  An optional warm incumbent ``(assignment,
-    objective)`` primes pruning.  A search stopped by ``node_limit`` with
-    open nodes left reports ``"node_limit"``, the incumbent (None when there
-    is none yet) and the lowest bound among the open nodes.
+    deterministic node ordering.  A search stopped by ``node_limit`` with
+    open nodes left reports ``"node_limit"``, the best plan found (None when
+    there is none yet) and the lowest bound among the open nodes.
     """
     bin_idx = [m.var_index(nm) for nm in m.binary_names()]
     names = [v.name for v in m.variables]
@@ -350,19 +353,17 @@ def branch_and_bound(m: MilpModel, abs_gap: float = 1e-6, int_tol: float = 1e-6,
         return "optimal", res.x, float(res.fun + m.objective.constant)
 
     inc_x, inc_obj = None, math.inf
-    if incumbent is not None:
-        inc_x, inc_obj = dict(incumbent[0]), float(incumbent[1])
     nodes = 0
     tick = itertools.count()
     heap = [(-math.inf, next(tick), {})]
-    while heap and heap[0][0] < inc_obj - abs_gap and nodes < node_limit:
+    while heap and heap[0][0] < inc_obj - ABS_GAP and nodes < node_limit:
         _, _, fixings = heapq.heappop(heap)
         nodes += 1
         status, x, obj = relax(fixings)
-        if status != "optimal" or obj >= inc_obj - abs_gap:
+        if status != "optimal" or obj >= inc_obj - ABS_GAP:
             continue
         fracs = np.array([abs(x[i] - round(x[i])) for i in bin_idx])
-        if np.all(fracs <= int_tol):
+        if np.all(fracs <= INT_TOL):
             inc_obj = obj
             inc_x = {nm: float(v) for nm, v in zip(names, x)}
             for i in bin_idx:
@@ -374,7 +375,7 @@ def branch_and_bound(m: MilpModel, abs_gap: float = 1e-6, int_tol: float = 1e-6,
             child[j] = val
             heapq.heappush(heap, (obj, next(tick), child))
     bound = float(min(heap[0][0], inc_obj)) if heap else inc_obj
-    if heap and heap[0][0] < inc_obj - abs_gap:
+    if heap and heap[0][0] < inc_obj - ABS_GAP:
         return MipSolution("node_limit", inc_x, inc_obj, bound, nodes)
     if inc_x is None:
         return MipSolution("infeasible", None, math.inf, math.inf, nodes)
@@ -398,8 +399,7 @@ def enumerate_oracle(instance, model, budget: int | None = None,
     n = instance.n_facilities
     if n > 20:
         raise ValueError("enumeration limited to 20 facilities")
-    ys = [y for y in itertools.product((0, 1), repeat=n)
-          if budget is None or sum(y) <= budget]
+    ys = plans_under_budget(n, budget)
     vals = worst_case_values(instance, model, ys)
     best_y, best_v = None, math.inf
     table = []
@@ -418,8 +418,7 @@ def enumerate_oracle(instance, model, budget: int | None = None,
 
 
 def exact_solve(instance, model, bounds: DualBounds | None = None,
-                budget: int | None = None, with_cuts: bool = True,
-                max_doublings: int = 20):
+                budget: int | None = None, with_cuts: bool = True):
     """Build and solve the robust MILP, enlarging dual bounds while binding.
 
     Returns ``(MipSolution, y, bounds_used)``.  The dual upper bounds truncate
@@ -428,14 +427,14 @@ def exact_solve(instance, model, bounds: DualBounds | None = None,
 
     Caveat: the binding check only inspects the returned plan.  A bound that
     is far too small can inflate the value of a *different* plan past the
-    incumbent without leaving a trace at the incumbent itself, so start from
+    returned one without leaving a trace at the returned plan, so start from
     bounds of a plausible magnitude (the default 100 suits unit costs up to a
     few hundred; scale with penalty times support range otherwise).
     """
     n_j = instance.n_customers
     if bounds is None:
         bounds = DualBounds.uniform(n_j)
-    for _ in range(max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         m = build_dddr(instance, model, bounds=bounds, budget=budget,
                        with_cuts=with_cuts)
         sol = branch_and_bound(m)

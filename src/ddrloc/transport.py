@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, _as_y
+from .instance import DemandModel, Instance, _as_y
 
 __all__ = [
     "PENALTY",
@@ -162,18 +162,17 @@ def transport_lp_oracle(instance: Instance, y, d) -> float:
     return sol.objective
 
 
-def theta_affine(instance: Instance, model, j: int, k: int):
+def theta_affine(instance: Instance, model: DemandModel, j: int, k: int):
     """Affine family whose pointwise maximum over candidates is theta_jk(y).
 
     One entry per candidate ``i*`` in penalty-then-facility order:
     ``(i_star, const, coeff)`` with value ``const + coeff @ y`` equal to
     ``(c_{i*j} - r_j) d_k + sum_{i: c_ij < c_{i*j}} C_i (c_ij - c_{i*j}) y_i``.
     """
-    support = model.support if hasattr(model, "support") else np.asarray(model, float)
-    if not 0 <= k < len(support):
+    if not 0 <= k < model.support_size:
         raise IndexError(f"support index {k} out of range")
     jj = instance.customer_index(j)
-    d_k = float(support[k])
+    d_k = float(model.support[k])
     cand, gaps = _candidate_gaps(instance, jj)
     return [(PENALTY if t == 0 else instance.facility_ids[t - 1],
              float((c_star - instance.revenue[jj]) * d_k),

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import (DemandModel, Instance, mean_of, means_vector,
-                       variance_of, variances_vector)
+from .instance import (DemandModel, Instance, chord_slacks, chords,
+                       moment_windows)
 from .milp import LinearExpr, MilpModel
 from .transport import _candidate_gaps, _candidate_terms
 
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 RAY_TOL = 1e-9
+# Largest support on which pinned moments take the vertex path.
+BASIS_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -95,88 +97,71 @@ def theta_values(instance: Instance, model: DemandModel, y, jj: int) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 def extreme_rays(support) -> list[tuple[float, float, float, float, float]]:
-    """The three recession directions (alpha, delta1, delta2, gamma1, gamma2).
+    """The recession directions (alpha, delta1, delta2, gamma1, gamma2).
 
-    Derived from the dual constraint rows: a parabola through two support
-    points that stays nonnegative on the rest must pass through the two
-    lowest or two highest points (opening up), or the extreme points
-    (opening down).
+    One per chord of :func:`~ddrloc.instance.chords`: the coefficients of its
+    parabola ``sign * (d - a) * (d - b)`` in the dual constraint rows.
     """
-    d = np.asarray(support, dtype=float)
-    d1, d2, dk1, dk = float(d[0]), float(d[1]), float(d[-2]), float(d[-1])
-    return [
-        (d1 * d2, 0.0, d1 + d2, 1.0, 0.0),
-        (dk1 * dk, 0.0, dk1 + dk, 1.0, 0.0),
-        (-d1 * dk, d1 + dk, 0.0, 0.0, 1.0),
-    ]
-
-
-def _ray_slacks(model: DemandModel, y, jj: int) -> np.ndarray:
-    d = model.support
-    d1, d2, dk1, dk = float(d[0]), float(d[1]), float(d[-2]), float(d[-1])
-    _, m_lo, m_hi, s_lo, s_hi = _moment_windows(model, y, jj)
-    return np.array([
-        d1 * d2 - (d1 + d2) * m_lo + s_hi,
-        dk1 * dk - (dk1 + dk) * m_lo + s_hi,
-        -d1 * dk + (d1 + dk) * m_hi - s_lo,
-    ])
+    return [(a * b, 0.0, a + b, 1.0, 0.0) if sign > 0 else (-a * b, a + b, 0.0, 0.0, 1.0)
+            for a, b, sign in chords(support)]
 
 
 def ambiguity_feasible(instance: Instance, model: DemandModel, y) -> FeasibilityReport:
-    """Nonemptiness certificate: all three ray inequalities for every customer."""
-    violations = []
-    for jj, cid in enumerate(instance.customer_ids):
-        slacks = _ray_slacks(model, y, jj)
-        for r in np.flatnonzero(slacks < -RAY_TOL):
-            violations.append((cid, int(r) + 1, float(slacks[r])))
-    return FeasibilityReport(not violations, tuple(violations))
+    """Nonemptiness certificate: every chord inequality for every customer."""
+    slacks = chord_slacks(model.support, moment_windows(model, y), 1.0)[0]   # (J, chords)
+    violations = tuple((instance.customer_ids[jj], int(r) + 1, float(slacks[jj, r]))
+                       for jj, r in zip(*np.nonzero(slacks < -RAY_TOL)))
+    return FeasibilityReport(not violations, violations)
 
 
 # ---------------------------------------------------------------------------
 # Primal and dual LPs
 # ---------------------------------------------------------------------------
 
-def _moment_windows(model: DemandModel, y, jj: int):
-    cid = model.customer_ids[jj]
-    mu = mean_of(model, y, cid)
-    s = variance_of(model, y, cid) + mu * mu
-    eps = float(model.eps_mu[jj])
-    return (mu, mu - eps, mu + eps,
-            s * float(model.eps_sigma_lo[jj]), s * float(model.eps_sigma_hi[jj]))
+def _plan_windows(windows, n: int) -> list[list[float]]:
+    """Plan ``n``'s ``[m_lo, m_hi, s_lo, s_hi]``, one list per customer."""
+    return np.stack([w[n] for w in windows], axis=1).tolist()
 
 
-def _primal_lp(model: DemandModel, theta: np.ndarray, y, jj: int) -> MilpModel:
-    d = model.support
-    _, m_lo, m_hi, s_lo, s_hi = _moment_windows(model, y, jj)
-    m = MilpModel(f"moment_primal_{jj}")
+def _primal_lp(support, theta: np.ndarray, window) -> MilpModel:
+    """Moment LP of one customer over the support probabilities."""
+    m_lo, m_hi, s_lo, s_hi = window
+    d = [float(dk) for dk in support]
+    m = MilpModel("moment_primal")
     pis = [m.add_variable(f"pi_{k}") for k in range(len(d))]
     m.add_constraint("mass", {p: 1.0 for p in pis}, "=", 1.0)
-    m.add_constraint("mean_hi", {p: float(dk) for p, dk in zip(pis, d)}, "<=", m_hi)
-    m.add_constraint("mean_lo", {p: float(dk) for p, dk in zip(pis, d)}, ">=", m_lo)
-    m.add_constraint("sec_hi", {p: float(dk) ** 2 for p, dk in zip(pis, d)}, "<=", s_hi)
-    m.add_constraint("sec_lo", {p: float(dk) ** 2 for p, dk in zip(pis, d)}, ">=", s_lo)
+    m.add_constraint("mean_hi", dict(zip(pis, d)), "<=", m_hi)
+    m.add_constraint("mean_lo", dict(zip(pis, d)), ">=", m_lo)
+    m.add_constraint("sec_hi", {p: dk ** 2 for p, dk in zip(pis, d)}, "<=", s_hi)
+    m.add_constraint("sec_lo", {p: dk ** 2 for p, dk in zip(pis, d)}, ">=", s_lo)
     m.set_objective(LinearExpr({p: -float(t) for p, t in zip(pis, theta)}))
     return m.seal()
 
 
-def worst_case_expectation(instance: Instance, model: DemandModel, y):
-    """Adversarial expected cost and the attaining distribution, per LP solve."""
+def _plan_worst_case(instance: Instance, model: DemandModel, y, windows):
+    """One plan's moment LPs, given its per-customer windows: (value, pi)."""
     from .solvers import simplex_solve
 
-    report = ambiguity_feasible(instance, model, y)
-    if not report:
-        raise AmbiguityInfeasibleError(report)
-    n_j, k = instance.n_customers, model.support_size
-    pi = np.zeros((n_j, k))
+    pi = np.zeros((instance.n_customers, model.support_size))
     total = 0.0
-    for jj in range(n_j):
+    for jj, window in enumerate(windows):
         theta = theta_values(instance, model, y, jj)
-        sol = simplex_solve(_primal_lp(model, theta, y, jj))
+        sol = simplex_solve(_primal_lp(model.support, theta, window))
         if sol.status != "optimal":
-            # The three rays do not cover every chord of the moment set.
+            # The checked chords do not cover every chord of the moment set.
             raise AmbiguityInfeasibleError(FeasibilityReport(False, ()))
         pi[jj] = sol.x
         total -= sol.objective
+    return total, pi
+
+
+def worst_case_expectation(instance: Instance, model: DemandModel, y):
+    """Adversarial expected cost and the attaining distribution, per LP solve."""
+    report = ambiguity_feasible(instance, model, y)
+    if not report:
+        raise AmbiguityInfeasibleError(report)
+    total, pi = _plan_worst_case(instance, model, y,
+                                 _plan_windows(moment_windows(model, y), 0))
     return total, WorstCaseDistribution(pi=pi, value=total)
 
 
@@ -188,9 +173,9 @@ def worst_case_dual(instance: Instance, model: DemandModel, y):
     d = model.support
     cert = {nm: np.zeros(n_j) for nm in ("alpha", "delta1", "delta2", "gamma1", "gamma2")}
     total = 0.0
-    for jj in range(n_j):
+    for jj, (m_lo, m_hi, s_lo, s_hi) in enumerate(
+            _plan_windows(moment_windows(model, y), 0)):
         theta = theta_values(instance, model, y, jj)
-        _, m_lo, m_hi, s_lo, s_hi = _moment_windows(model, y, jj)
         m = MilpModel(f"moment_dual_{jj}")
         a = m.add_variable("alpha", lower=-math.inf)
         d1 = m.add_variable("delta1")
@@ -217,14 +202,9 @@ def worst_case_dual(instance: Instance, model: DemandModel, y):
 
 def dual_value(model: DemandModel, y, cert: DualCertificate) -> float:
     """Dual objective at a given certificate; an upper bound when feasible."""
-    mus = means_vector(model, y)
-    s = variances_vector(model, y) + mus ** 2
-    return float(np.sum(
-        cert.alpha
-        + cert.delta1 * (mus + model.eps_mu)
-        - cert.delta2 * (mus - model.eps_mu)
-        + cert.gamma1 * s * model.eps_sigma_hi
-        - cert.gamma2 * s * model.eps_sigma_lo))
+    m_lo, m_hi, s_lo, s_hi = (w[0] for w in moment_windows(model, y))
+    return float(np.sum(cert.alpha + cert.delta1 * m_hi - cert.delta2 * m_lo
+                        + cert.gamma1 * s_hi - cert.gamma2 * s_lo))
 
 
 def check_certificate(instance: Instance, model: DemandModel, y,
@@ -257,28 +237,32 @@ def _pinned_moments(model: DemandModel) -> bool:
             and np.all(model.eps_sigma_hi == 1.0))
 
 
-def worst_case_values(instance: Instance, model: DemandModel, ys,
-                      basis_limit: int = 40) -> np.ndarray:
+def worst_case_values(instance: Instance, model: DemandModel, ys) -> np.ndarray:
     """Worst-case value for a batch of plans; inf where the set is empty.
 
-    With pinned moments (zero mean radius, unit second-moment window) the
-    per-customer LP reduces to three equality rows, so every vertex is a
-    distribution on at most three support points; enumerating the
-    precomputed bases is much faster than one simplex call per plan.
+    The windows are computed once for the whole batch.  With pinned moments
+    (zero mean radius, unit second-moment window) the per-customer LP
+    reduces to three equality rows, so every vertex is a distribution on at
+    most three support points; enumerating the precomputed bases is much
+    faster than one simplex call per plan.  Otherwise plans that fail the
+    chord test are inf, and the rest solve their moment LPs.
     """
     ys_arr = np.atleast_2d(np.asarray(ys, dtype=float))
-    if _pinned_moments(model) and model.support_size <= basis_limit:
-        return _vertex_enumeration_values(instance, model, ys_arr)
-    out = np.empty(len(ys_arr))
-    for n, y in enumerate(ys_arr):
+    windows = moment_windows(model, ys_arr)
+    if _pinned_moments(model) and model.support_size <= BASIS_LIMIT:
+        return _vertex_enumeration_values(instance, model, ys_arr, windows)
+    feasible = np.all(chord_slacks(model.support, windows, 1.0) >= -RAY_TOL, axis=(1, 2))
+    out = np.full(len(ys_arr), math.inf)
+    for n in np.flatnonzero(feasible):
         try:
-            out[n] = worst_case_expectation(instance, model, y)[0]
+            out[n] = _plan_worst_case(instance, model, ys_arr[n],
+                                      _plan_windows(windows, n))[0]
         except AmbiguityInfeasibleError:
-            out[n] = math.inf
+            pass
     return out
 
 
-def _vertex_enumeration_values(instance, model, ys: np.ndarray) -> np.ndarray:
+def _vertex_enumeration_values(instance, model, ys: np.ndarray, windows) -> np.ndarray:
     d = model.support
     k = len(d)
     triples = np.array(list(itertools.combinations(range(k), 3)))
@@ -286,8 +270,7 @@ def _vertex_enumeration_values(instance, model, ys: np.ndarray) -> np.ndarray:
     inv = np.linalg.inv(mats)
 
     n = ys.shape[0]
-    mus = model.bar_mu[None, :] * (1.0 + ys @ model.lambda_mu.T)        # (N, J)
-    variances = model.bar_sigma[None, :] ** 2 * (1.0 - ys @ model.lambda_sigma.T)
+    mus, _, second, _ = windows               # pinned: each window is a point
     total = np.zeros(n)
     feasible = np.ones(n, dtype=bool)
     cy_all = ys * instance.capacity[None, :]                            # (N, I)
@@ -297,8 +280,7 @@ def _vertex_enumeration_values(instance, model, ys: np.ndarray) -> np.ndarray:
         theta = (d[None, None, :] * cand[None, :, None] + consts[:, :, None]).max(axis=1)
         theta -= instance.revenue[jj] * d[None, :]                      # (N, K)
 
-        rhs = np.stack([np.ones(n), mus[:, jj],
-                        variances[:, jj] + mus[:, jj] ** 2])            # (3, N)
+        rhs = np.stack([np.ones(n), mus[:, jj], second[:, jj]])         # (3, N)
         pi = np.einsum("tab,bn->tan", inv, rhs)                         # (T, 3, N)
         ok = np.all(pi >= -1e-9, axis=1)                                # (T, N)
         theta_b = theta[:, triples]                                     # (N, T, 3)

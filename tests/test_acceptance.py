@@ -10,9 +10,11 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import random_problem, toy_instance, toy_model
 from ddrloc.benchmarks import evaluate_plan, gen_normal, train_sp
+from ddrloc.instance import moment_windows
 from ddrloc.milp import DualBounds, build_dddr, build_dr, build_sp_saa
 from ddrloc.solvers import branch_and_bound, enumerate_oracle, simplex_solve
 from ddrloc.transport import h_closed_form, second_stage_costs, transport_lp_oracle
@@ -82,6 +84,7 @@ def _reformulation_suite():
     return rows
 
 
+@pytest.mark.slow
 def test_criterion_2_reformulation_exactness():
     start = time.time()
     rows = _reformulation_suite()
@@ -95,6 +98,7 @@ def test_criterion_2_reformulation_exactness():
            f"plan value gap = {ach:.2e}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_cut_validity_and_feasibility_agreement():
     rows = _reformulation_suite()
     rel = max(abs(r["obj_milp"] - r["obj_nocuts"]) / max(1.0, abs(r["obj_milp"]))
@@ -113,7 +117,8 @@ def test_criterion_5_cut_validity_and_feasibility_agreement():
                           support=(1.0, 100.0, 8))
         ray_ok = ambiguity_feasible(inst, model, [0]).feasible
         theta = theta_values(inst, model, np.array([0]), 0)
-        lp_ok = simplex_solve(_primal_lp(model, theta, np.array([0]), 0)).status == "optimal"
+        window = [w[0, 0] for w in moment_windows(model, [0])]
+        lp_ok = simplex_solve(_primal_lp(model.support, theta, window)).status == "optimal"
         agree += ray_ok == lp_ok
         n_infeasible += not lp_ok
     report(5, rel < 1e-6 and agree == total and n_infeasible > 10,
@@ -255,6 +260,7 @@ def _bench_cell(seed, penalty):
     return _BENCH[key]
 
 
+@pytest.mark.slow
 def test_criterion_7_directional_benchmark():
     start = time.time()
     means = {m: [] for m in ("SP(20)", "SP(100)", "DR", "DDDR")}
@@ -278,6 +284,7 @@ def test_criterion_7_directional_benchmark():
     report(7, ok, f"10 instances ({elapsed:.0f}s); " + "; ".join(lines))
 
 
+@pytest.mark.slow
 def test_criterion_8_penalty_monotonicity():
     ok = True
     worst = -math.inf
@@ -292,6 +299,7 @@ def test_criterion_8_penalty_monotonicity():
     report(8, ok, f"p 150 -> 300: max unmet increase across methods = {worst:.3g}")
 
 
+@pytest.mark.slow
 def test_criterion_9_budget_monotonicity():
     ok = True
     for seed in BENCH_SEEDS:

@@ -5,7 +5,7 @@ from conftest import random_problem, toy_instance, toy_model
 from ddrloc.benchmarks import (ComparisonConfig, PERCENTILE_LEVELS,
                                ScenarioSet, compare_methods, evaluate_plan,
                                gen_gamma, gen_normal, gen_perturbed,
-                               order_statistic, train_sp)
+                               gen_scenarios, order_statistic, train_sp)
 from ddrloc.instance import apply_robustness_level, means_vector
 from ddrloc.milp import build_sp_saa
 from ddrloc.solvers import branch_and_bound, simplex_solve
@@ -70,6 +70,17 @@ def test_gen_perturbed_defaults_and_reduction():
     base = apply_robustness_level(model, 0.0)
     assert np.array_equal(gen_perturbed(base, y, seed=9).demands,
                           gen_normal(base, y, n=1000, seed=9).demands)
+
+
+def test_gen_perturbed_honours_n():
+    inst, model = random_problem(4, 3, 4)
+    y = np.array([0, 1, 1])
+    robust = apply_robustness_level(model, 0.3)
+    assert gen_perturbed(robust, y, n=40, seed=9).n_scenarios == 40
+    scen = gen_scenarios(robust, y, "perturbed", 40, 9)
+    assert scen.n_scenarios == 40 and scen.generator == "perturbed"
+    with pytest.raises(ValueError, match="multiple"):
+        gen_perturbed(robust, y, n=45, seed=9)
 
 
 def test_generators_reproducible():

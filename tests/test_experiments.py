@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +50,9 @@ def test_config_validation_and_round_trip():
         ExperimentConfig(n_facilities=0).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(lambda_recipe="nope").validate()
+    with pytest.raises(ValueError, match="multiple"):
+        ExperimentConfig(dist="perturbed", n_test=45).validate()
+    ExperimentConfig(dist="perturbed", n_test=40).validate()
     cfg = ExperimentConfig(n_facilities=3, rho=2, lambda_recipe="rho-means")
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
     assert cfg.digest() == ExperimentConfig.from_dict(cfg.to_dict()).digest()
@@ -114,6 +118,34 @@ def test_cli_gen_solve_evaluate_export(tmp_path, capsys):
     assert main(["fixture", "--out", str(tmp_path / "fix.json")]) == 0
     fix = json.loads(open(tmp_path / "fix.json").read())
     assert len(fix["facilities"]) == 10 and len(fix["customers"]) == 20
+    capsys.readouterr()
+
+
+def _evaluate_setup(tmp_path):
+    prob = str(tmp_path / "p.json")
+    assert main(["gen", "--size", "3,5", "--seed", "2", "--support", "1,100,8",
+                 "--kappa", "0.2", "--out", prob]) == 0
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"open_facilities": [1, 3]}))
+    return prob, str(plan)
+
+
+def test_cli_evaluate_perturbed_honours_n(tmp_path, capsys):
+    prob, plan = _evaluate_setup(tmp_path)
+    assert main(["evaluate", "--problem", prob, "--plan", plan,
+                 "--dist", "perturbed", "--n", "40"]) == 0
+    assert "scenarios: 40 (perturbed)" in capsys.readouterr().out
+
+
+def test_cli_evaluate_csv_matches_pinned_file(tmp_path, capsys):
+    # 1000 perturbed scenarios (10 blocks of 100) and the twelve statistics
+    # in table order, byte for byte
+    prob, plan = _evaluate_setup(tmp_path)
+    out = tmp_path / "eval.csv"
+    assert main(["evaluate", "--problem", prob, "--plan", plan,
+                 "--dist", "perturbed", "--seed", "4", "--out", str(out)]) == 0
+    golden = Path(__file__).parent / "data" / "evaluate_perturbed.csv"
+    assert out.read_bytes() == golden.read_bytes()
     capsys.readouterr()
 
 

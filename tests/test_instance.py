@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import random_problem, toy_instance, toy_model
 from ddrloc.instance import (apply_robustness_level, arithmetic_support,
-                             big_lambda, big_lambda_matrix,
-                             lambda_from_distance, lambda_rho_means,
-                             load_problem, mean_of, save_problem,
-                             second_moment_window, validate, variance_of)
+                             big_lambda_matrix, lambda_from_distance,
+                             lambda_rho_means, load_problem, moment_windows,
+                             save_problem, validate)
+from ddrloc.transport import h_j_closed_form
 
 
 def two_facility_model():
@@ -20,25 +20,34 @@ def two_facility_model():
                            lambda_mu=[[0.3, 0.2]], lambda_sigma=[[0.3, 0.2]])
 
 
+def mean_and_variance(model, ys):
+    """mu and sigma^2 per (plan, customer), read off the windows of a model
+    whose windows are pinned (eps_mu = 0, unit second-moment factors)."""
+    mu, _, s, _ = moment_windows(model, ys)
+    return mu, s - mu * mu
+
+
 def test_mean_of_substitution():
     _, model = two_facility_model()
-    assert mean_of(model, [0, 0], 1) == 10.0
-    assert mean_of(model, [1, 0], 1) == pytest.approx(13.0)
-    assert mean_of(model, [1, 1], 1) == pytest.approx(15.0)
+    mu, _ = mean_and_variance(model, [[0, 0], [1, 0], [1, 1]])
+    assert mu[0, 0] == 10.0
+    assert mu[1, 0] == pytest.approx(13.0)
+    assert mu[2, 0] == pytest.approx(15.0)
 
 
 def test_variance_of_substitution():
     _, model = two_facility_model()
-    assert variance_of(model, [0, 0], 1) == 100.0
-    assert variance_of(model, [1, 1], 1) == pytest.approx(50.0)
+    _, var = mean_and_variance(model, [[0, 0], [1, 1]])
+    assert var[0, 0] == 100.0
+    assert var[1, 0] == pytest.approx(50.0)
 
 
 def test_variance_constant_without_dependence():
     inst = toy_instance(cost=[[1.0], [2.0]], capacity=[10, 10],
                         penalty=[30.0], revenue=[0.0])
     model = toy_model(inst, bar_mu=[10.0], bar_sigma=[10.0])
-    for y in ([0, 0], [1, 0], [0, 1], [1, 1]):
-        assert variance_of(model, y, 1) == 100.0
+    _, var = mean_and_variance(model, [[0, 0], [1, 0], [0, 1], [1, 1]])
+    assert var[:, 0].tolist() == [100.0] * 4
 
 
 def test_second_moment_window_hand_value():
@@ -47,40 +56,46 @@ def test_second_moment_window_hand_value():
     model = toy_model(inst, bar_mu=[10.0], bar_sigma=[10.0],
                       lambda_mu=[[0.3, 0.0]], lambda_sigma=[[0.3, 0.2]],
                       eps_lo=[0.8], eps_hi=[1.2])
-    lo, hi = second_moment_window(model, [1, 1], 1)
-    assert lo == pytest.approx(175.2)
-    assert hi == pytest.approx(262.8)
+    _, _, lo, hi = moment_windows(model, [1, 1])
+    assert lo[0, 0] == pytest.approx(175.2)
+    assert hi[0, 0] == pytest.approx(262.8)
 
 
 def test_second_moment_window_degenerate_and_zero():
     inst, model = two_facility_model()
-    lo, hi = second_moment_window(model, [0, 0], 1)
-    assert lo == hi == pytest.approx(200.0)   # sigma^2 + mu^2 at the base point
+    _, _, lo, hi = moment_windows(model, [0, 0])
+    assert lo[0, 0] == hi[0, 0] == pytest.approx(200.0)   # sigma^2 + mu^2 at the base point
     model0 = model.replace(eps_sigma_lo=np.array([0.0]))
-    assert second_moment_window(model0, [0, 0], 1)[0] == 0.0
+    assert moment_windows(model0, [0, 0])[2][0, 0] == 0.0
+
+
+def test_moment_windows_mean_radius_and_shapes():
+    inst, model = two_facility_model()
+    wide = model.replace(eps_mu=np.array([2.5]))
+    m_lo, m_hi, s_lo, s_hi = moment_windows(wide, [[0, 0], [1, 0], [1, 1]])
+    assert all(w.shape == (3, 1) for w in (m_lo, m_hi, s_lo, s_hi))
+    np.testing.assert_allclose(m_lo[:, 0], [7.5, 10.5, 12.5])
+    np.testing.assert_allclose(m_hi[:, 0], [12.5, 15.5, 17.5])
+    np.testing.assert_array_equal(s_lo, s_hi)       # unit second-moment factors
 
 
 def test_big_lambda_hand_values():
     inst, model = two_facility_model()
     # -100*0.3 + 100*(2*0.3 + 0.09) = 39
-    assert big_lambda(model, 1, 0) == pytest.approx(39.0)
+    assert big_lambda_matrix(model)[0, 0] == pytest.approx(39.0)
     m0 = toy_model(inst, bar_mu=[10.0], bar_sigma=[10.0])
-    assert big_lambda(m0, 1, 0) == 0.0
+    assert big_lambda_matrix(m0)[0, 0] == 0.0
     m2 = toy_model(inst, bar_mu=[3.0], bar_sigma=[2.0],
                    lambda_sigma=[[0.5, 0.0]])
-    assert big_lambda(m2, 1, 0) == pytest.approx(-2.0)
+    assert big_lambda_matrix(m2)[0, 0] == pytest.approx(-2.0)
 
 
 def test_big_lambda_matches_unit_vector_expansion():
     _, model = random_problem(5, 4, 6)
     lam = big_lambda_matrix(model)
-    for jj, cid in enumerate(model.customer_ids):
-        base = variance_of(model, np.zeros(4), cid) + mean_of(model, np.zeros(4), cid) ** 2
-        for i in range(4):
-            e = np.zeros(4)
-            e[i] = 1
-            bumped = variance_of(model, e, cid) + mean_of(model, e, cid) ** 2
-            assert lam[jj, i] == pytest.approx(bumped - base, abs=1e-9)
+    s = moment_windows(model, np.vstack([np.zeros(4), np.eye(4)]))[3]
+    for i in range(4):
+        np.testing.assert_allclose(lam[:, i], s[1 + i] - s[0], rtol=0, atol=1e-9)
 
 
 def test_lambda_from_distance_hand_values():
@@ -146,9 +161,9 @@ def test_moment_monotonicity(seed):
             continue
         y2 = y.copy()
         y2[i] = 1
-        for cid in model.customer_ids:
-            assert mean_of(model, y2, cid) >= mean_of(model, y, cid) - 1e-12
-            assert variance_of(model, y2, cid) <= variance_of(model, y, cid) + 1e-12
+        mu, var = mean_and_variance(model, [y, y2])
+        assert np.all(mu[1] >= mu[0] - 1e-12)
+        assert np.all(var[1] <= var[0] + 1e-12)
 
 
 def test_validate_clean_default():
@@ -167,9 +182,9 @@ def test_validate_flags_penalty_and_row_sum():
 
 
 def test_unknown_customer_id():
-    _, model = two_facility_model()
+    inst, _ = two_facility_model()
     with pytest.raises(KeyError):
-        mean_of(model, [0, 0], 99)
+        h_j_closed_form(inst, [0, 0], 99, 1.0)
 
 
 def test_serialization_round_trip(tmp_path):

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from conftest import random_problem, toy_instance, toy_model
-from ddrloc.instance import mean_of, variance_of
+from ddrloc.instance import decision_independent
 from ddrloc.milp import (DualBounds, LinearExpr, MilpModel,
                          binding_dual_bounds, build_dddr, build_dr,
                          build_sp_saa, export_lp_text, mccormick_bilinear,
                          mccormick_trilinear, model_stats)
 from ddrloc.solvers import branch_and_bound, simplex_solve
 from ddrloc.transport import second_stage_costs
-from ddrloc.worstcase import worst_case_expectation
+from ddrloc.worstcase import (DualCertificate, dual_value, extreme_rays,
+                              worst_case_expectation)
 
 
 def _holds(rows, assignment):
@@ -119,6 +120,42 @@ def test_cut_rows_present_and_value_neutral():
     a = branch_and_bound(with_cuts)
     b = branch_and_bound(without)
     assert a.objective == pytest.approx(b.objective, rel=1e-6)
+
+
+def _ray_slack(model, y, jj, ray):
+    """Dual objective of customer ``jj`` along one extreme ray: the chord slack."""
+    zero = np.zeros(model.n_customers)
+    parts = {}
+    for name, value in zip(("alpha", "delta1", "delta2", "gamma1", "gamma2"), ray):
+        parts[name] = zero.copy()
+        parts[name][jj] = value
+    return dual_value(model, y, DualCertificate(**parts))
+
+
+@pytest.mark.parametrize("recipe", ["distance", "rho-means"])
+@pytest.mark.parametrize("kappa", [0.0, 0.1])
+def test_cut_rows_are_the_oracle_certificate(recipe, kappa):
+    # Every cut row, evaluated at (y, Y_lm = y_l * y_m), is the slack of the
+    # matching extreme ray of the value oracle's dual, customer by customer.
+    for seed, n_i in ((60, 1), (61, 3), (62, 4)):
+        inst, model = random_problem(seed, n_i, 4, support_size=7, kappa=kappa,
+                                     lambda_recipe=recipe, rho=min(2, n_i))
+        fids = inst.facility_ids
+        for build, dem in ((build_dddr, model), (build_dr, decision_independent(model))):
+            m = build(inst, model)
+            cuts = {c.name: c for c in m.constraints if c.name.startswith("cut_")}
+            assert len(cuts) == 3 * inst.n_customers
+            rays = extreme_rays(model.support)
+            for y in itertools.product((0, 1), repeat=n_i):
+                point = {f"y_{f}": float(v) for f, v in zip(fids, y)}
+                point.update({f"Y_{fids[l]}_{fids[k]}": float(y[l] * y[k])
+                              for l in range(n_i) for k in range(l)})
+                for jj, cid in enumerate(inst.customer_ids):
+                    for r, ray in enumerate(rays, start=1):
+                        c = cuts[f"cut_ray{r}_{cid}"]
+                        got = sum(a * point[v] for v, a in c.coeffs.items()) - c.rhs
+                        want = _ray_slack(dem, y, jj, ray)
+                        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_budget_row():

@@ -1,8 +1,14 @@
+import itertools
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import random_problem, toy_instance, toy_model
-from ddrloc.instance import apply_robustness_level
+from ddrloc.experiments import ExperimentConfig, generate_instance
+from ddrloc.instance import apply_robustness_level, moment_windows
 from ddrloc.milp import MilpModel
 from ddrloc.solvers import simplex_solve
 from ddrloc.worstcase import (AmbiguityInfeasibleError, ambiguity_feasible,
@@ -68,16 +74,13 @@ def test_distribution_respects_moment_windows():
     y = np.array([1, 1, 0, 0])
     _, dist = worst_case_expectation(inst, model, y)
     d = model.support
-    from ddrloc.instance import mean_of, second_moment_window
-    for jj, cid in enumerate(inst.customer_ids):
+    m_lo, m_hi, s_lo, s_hi = (w[0] for w in moment_windows(model, y))
+    for jj in range(inst.n_customers):
         pi = dist.pi[jj]
         assert pi.sum() == pytest.approx(1.0, abs=1e-8)
         assert np.all(pi >= -1e-9)
-        mu = mean_of(model, y, cid)
-        eps = model.eps_mu[jj]
-        assert mu - eps - 1e-7 <= pi @ d <= mu + eps + 1e-7
-        lo, hi = second_moment_window(model, y, cid)
-        assert lo - 1e-6 <= pi @ d ** 2 <= hi + 1e-6
+        assert m_lo[jj] - 1e-7 <= pi @ d <= m_hi[jj] + 1e-7
+        assert s_lo[jj] - 1e-6 <= pi @ d ** 2 <= s_hi[jj] + 1e-6
 
 
 def test_extreme_rays_frozen_values():
@@ -137,20 +140,27 @@ def test_feasibility_agrees_with_direct_lp():
                           support=(1.0, 100.0, 8))
         report = ambiguity_feasible(inst, model, [0])
         theta = theta_values(inst, model, np.array([0]), 0)
-        sol = simplex_solve(_primal_lp(model, theta, np.array([0]), 0))
+        window = [w[0, 0] for w in moment_windows(model, [0])]
+        sol = simplex_solve(_primal_lp(model.support, theta, window))
         assert report.feasible == (sol.status == "optimal")
 
 
 def test_bulk_values_match_lp_route():
-    inst, model = random_problem(31, 4, 5, support_size=12)
     ys = [np.array(list(np.binary_repr(t, 4)), dtype=int) for t in range(16)]
+    # vertex path (pinned moments, K <= 40) against the primal LPs
+    inst, model = random_problem(31, 4, 5, support_size=12)
     bulk = worst_case_values(inst, model, ys)
     for y, v in zip(ys, bulk):
         direct, _ = worst_case_expectation(inst, model, y)
         assert v == pytest.approx(direct, rel=1e-8, abs=1e-6)
-    # force the simplex fallback and compare again
-    slow = worst_case_values(inst, model, ys, basis_limit=0)
-    np.testing.assert_allclose(slow, bulk, rtol=1e-8)
+    # the simplex fallback, reached through windows (kappa > 0) and through a
+    # support above the vertex path's limit, against the dual LPs
+    for kappa, k in ((0.1, 12), (0.0, 41)):
+        inst, model = random_problem(31, 4, 5, support_size=k, kappa=kappa)
+        slow = worst_case_values(inst, model, ys)
+        for y, v in zip(ys, slow):
+            dual, _ = worst_case_dual(inst, model, y)
+            assert v == pytest.approx(dual, rel=1e-8, abs=1e-6)
 
 
 def test_bulk_values_flag_infeasible_plans():
@@ -164,6 +174,20 @@ def test_bulk_values_flag_infeasible_plans():
     assert np.isfinite(vals[1])
 
 
+def test_bulk_values_flag_infeasible_plans_with_windows():
+    # the same model with moment windows takes the simplex fallback, whose
+    # chord screen must map the empty set to inf as well
+    inst = toy_instance(cost=[[1.0]], capacity=[10.0], penalty=[300.0], revenue=[1.0])
+    model = toy_model(inst, bar_mu=[0.6], bar_sigma=[0.6],
+                      lambda_mu=[[0.9]], lambda_sigma=[[0.1]],
+                      support=(1.0, 10.0, 10), eps_mu=[0.05],
+                      eps_lo=[0.9], eps_hi=[1.1])
+    vals = worst_case_values(inst, model, [[0], [1]])
+    assert not np.isfinite(vals[0])
+    assert np.isfinite(vals[1])
+    assert not ambiguity_feasible(inst, model, [0])
+
+
 def test_empty_set_missed_by_rays_is_reported_by_every_route():
     # The three rays pass, but the moment LP of customer 8 is infeasible:
     # the chord through two interior support points is violated.
@@ -171,7 +195,24 @@ def test_empty_set_missed_by_rays_is_reported_by_every_route():
     y = np.array([1, 0, 1, 1, 1, 1])
     assert ambiguity_feasible(inst, model, y)
     assert np.array_equal(worst_case_values(inst, model, [y]), [np.inf])
-    assert np.array_equal(worst_case_values(inst, model, [y], basis_limit=0), [np.inf])
+    # a tiny robustness level keeps the set empty but sends the batch to the
+    # simplex fallback, which must map the infeasible moment LP to inf
+    wide = apply_robustness_level(model, 1e-9)
+    assert ambiguity_feasible(inst, wide, y)
+    assert np.array_equal(worst_case_values(inst, wide, [y]), [np.inf])
     for route in (worst_case_expectation, worst_case_dual):
         with pytest.raises(AmbiguityInfeasibleError, match="moment LP"):
             route(inst, model, y)
+
+
+def test_bulk_values_match_pinned_file():
+    # Exact values over every plan, written for two configs: one takes the
+    # simplex fallback (kappa > 0), the other the vertex path, with four
+    # empty ambiguity sets among its plans, [1, 0, 1, 1, 1, 1] included.
+    pinned = json.loads((Path(__file__).parent / "data" / "oracle_values.json").read_text())
+    for case in pinned:
+        inst, model = generate_instance(ExperimentConfig(**case["config"]))
+        ys = list(itertools.product((0, 1), repeat=inst.n_facilities))
+        want = [math.inf if v == "inf" else float.fromhex(v) for v in case["values"]]
+        assert worst_case_values(inst, model, ys).tolist() == want
+    assert pinned[1]["values"][0b101111] == "inf"
