@@ -24,7 +24,7 @@ import numpy as np
 
 from .instance import (Instance, DemandModel, big_lambda_matrix,
                        chord_slacks, decision_independent)
-from .transport import theta_affine
+from .transport import _theta_pieces
 
 __all__ = [
     "LinearExpr",
@@ -339,16 +339,19 @@ def build_dddr(instance: Instance, model: DemandModel,
                 obj.add(w, sign * form[1 + n_i + p])
 
         # Support constraints of the dualized inner problem: one row per
-        # support point and candidate marginal source.
+        # support point and candidate marginal source (theta_affine's pieces).
+        pieces = [(i_star, slope, [-float(v) for v in coeff])
+                  for i_star, slope, coeff in _theta_pieces(instance, jj)]
         for k in range(len(d)):
             dk, dk2 = float(d[k]), float(d[k]) ** 2
-            for i_star, const, coeff in theta_affine(instance, model, cid, k):
+            for i_star, slope, neg_coeff in pieces:
                 row = LinearExpr({alpha: 1.0,
                                   dv["delta1"]: dk, dv["delta2"]: -dk,
                                   dv["gamma1"]: dk2, dv["gamma2"]: -dk2})
-                for i in range(n_i):
-                    row.add(y[i], -float(coeff[i]))
-                m.add_constraint(f"dual_{cid}_{k}_{i_star}", row, ">=", const)
+                for v, a in zip(y, neg_coeff):
+                    row.add(v, a)
+                m.add_constraint(f"dual_{cid}_{k}_{i_star}", row, ">=",
+                                 float(slope * dk))
 
     # Plan products, shared by the valid inequalities.
     Y = []

@@ -1,11 +1,16 @@
 """Numerical kernels: primal simplex, branch-and-bound, enumeration oracle.
 
-The tableau simplex is self-contained, deterministic, and reports dual
-values; it is the workhorse for the small moment and transportation LPs and
-the reference LP path in tests.  Branch-and-bound solves the MILPs with
-scipy's HiGHS backend for the LP relaxations.  :func:`solve_robust` picks
-between enumeration and the exact MILP for a robust plan, and
-:func:`parse_lp_text` reads back an exported model.
+The tableau simplex is self-contained and deterministic.  Its core steps a
+batch of same-shaped tableaux in lockstep under the same pivot rules, so a
+block's pivots do not depend on its batch.  :func:`simplex_solve` runs it
+on one model and reports dual values; it serves the transportation and dual
+moment LPs and is the reference LP path in tests.  The value oracle's
+moment LPs go through the batch entry, many blocks at a time.
+
+Branch-and-bound solves the MILPs with scipy's HiGHS backend for the LP
+relaxations.  :func:`solve_robust` picks between enumeration and the exact
+MILP for a robust plan, and :func:`parse_lp_text` reads back an exported
+model.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ class LpSolution:
     x: np.ndarray | None              # aligned with model.variables
     duals: np.ndarray | None          # aligned with model.constraints
     objective: float
-    pivots: list = field(default_factory=list)   # (phase, entering, leaving) history
+    pivots: list = field(default_factory=list)   # (leaving, entering) column history
     _names: tuple = ()
 
     def value(self, name: str) -> float:
@@ -150,144 +155,208 @@ def simplex_solve(m: MilpModel) -> LpSolution:
     """Two-phase primal simplex with Bland anti-cycling and dual recovery.
 
     Deterministic: Dantzig pricing with lowest-index tie-breaks, switching
-    permanently to Bland's rule after a degenerate stall.
+    permanently to Bland's rule after a degenerate stall.  The pivoting is
+    :func:`_lockstep_simplex` on a batch of one tableau.
     """
     sf = _StandardForm(m)
-    A0, b0, senses = sf.A, sf.b.copy(), list(sf.senses)
-    n_rows, n_struct = A0.shape
-
-    # Normalize to b >= 0, then append slack/surplus and artificial columns.
-    flip = np.ones(n_rows)
-    A = A0.copy()
-    for r in range(n_rows):
-        if b0[r] < 0:
-            flip[r] = -1.0
-            A[r] *= -1.0
-            b0[r] *= -1.0
-            senses[r] = {"<=": ">=", ">=": "<=", "=": "="}[senses[r]]
-
-    slack_col, art_col = {}, {}
-    extra = []
-    for r, s in enumerate(senses):
-        if s == "<=":
-            e = np.zeros(n_rows)
-            e[r] = 1.0
-            slack_col[r] = n_struct + len(extra)
-            extra.append(e)
-        elif s == ">=":
-            e = np.zeros(n_rows)
-            e[r] = -1.0
-            slack_col[r] = n_struct + len(extra)
-            extra.append(e)
-    for r, s in enumerate(senses):
-        if s != "<=":
-            e = np.zeros(n_rows)
-            e[r] = 1.0
-            art_col[r] = n_struct + len(extra)
-            extra.append(e)
-    T = np.hstack([A] + [np.array(extra).T]) if extra else A.copy()
-    n_total = T.shape[1]
-    basis = np.empty(n_rows, dtype=int)
-    for r, s in enumerate(senses):
-        basis[r] = slack_col[r] if s == "<=" else art_col[r]
-    artificial = np.zeros(n_total, dtype=bool)
-    for col in art_col.values():
-        artificial[col] = True
-
-    b = b0.copy()
-    pivots: list = []
-    iter_limit = 50 * (n_rows + n_total) + 1000
-
-    def run(c_vec, blocked):
-        """Pivot to optimality of c_vec over the current (T, b, basis)."""
-        nonlocal T, b
-        zrow = c_vec[basis] @ T - c_vec
-        stall, bland = 0, False
-        last_obj = c_vec[basis] @ b
-        for _ in range(iter_limit):
-            cand = np.where(~blocked & (zrow > PIVOT_TOL))[0]
-            if cand.size == 0:
-                return "optimal", zrow
-            if bland:
-                j = int(cand[0])
-            else:
-                j = int(cand[np.argmax(zrow[cand])])
-            col = T[:, j]
-            pos = np.where(col > PIVOT_TOL)[0]
-            if pos.size == 0:
-                return "unbounded", zrow
-            ratios = b[pos] / col[pos]
-            best = ratios.min()
-            tied = pos[ratios <= best + 1e-12]
-            r = int(tied[np.argmin(basis[tied])])
-            piv = T[r, j]
-            T[r] /= piv
-            b[r] /= piv
-            fac = T[:, j].copy()
-            fac[r] = 0.0
-            T -= np.outer(fac, T[r])
-            b -= fac * b[r]
-            zrow = zrow - zrow[j] * T[r]
-            pivots.append((int(basis[r]), j))
-            basis[r] = j
-            obj = c_vec[basis] @ b
-            if obj < last_obj - 1e-12:
-                stall = 0
-                last_obj = obj
-            else:
-                stall += 1
-                if stall > n_rows + 10:
-                    bland = True
-        raise RuntimeError("simplex iteration limit exceeded")
-
-    blocked = np.zeros(n_total, dtype=bool)
-    if art_col:
-        c1 = artificial.astype(float)
-        status, _ = run(c1, blocked)
-        if status != "optimal" or c1[basis] @ b > FEAS_TOL:
-            return LpSolution("infeasible", None, None, math.inf, pivots,
-                              tuple(v.name for v in m.variables))
-        # Drive leftover artificials out of the basis where possible.
-        for r in range(n_rows):
-            if artificial[basis[r]]:
-                row = T[r]
-                nz = np.where(~artificial & (np.abs(row) > PIVOT_TOL))[0]
-                if nz.size:
-                    j = int(nz[0])
-                    piv = T[r, j]
-                    T[r] /= piv
-                    b[r] /= piv
-                    fac = T[:, j].copy()
-                    fac[r] = 0.0
-                    T -= np.outer(fac, T[r])
-                    b -= fac * b[r]
-                    pivots.append((int(basis[r]), j))
-                    basis[r] = j
-        blocked = artificial.copy()
-
-    c2 = np.zeros(n_total)
-    c2[:n_struct] = sf.c
-    status, _ = run(c2, blocked)
-    if status == "unbounded":
-        return LpSolution("unbounded", None, None, -math.inf, pivots,
-                          tuple(v.name for v in m.variables))
-
-    u = np.zeros(n_total)
-    u[basis] = b
-    x = sf.recover_x(u[:n_struct])
-    obj = float(sf.c @ u[:n_struct] + sf.const)
+    names = tuple(v.name for v in m.variables)
+    T0, b, basis, artificial, flip = _initial_tableau(sf.A, sf.b[None], sf.senses)
+    status, u, obj, steps = _lockstep_simplex(T0.copy(), b, basis, artificial, sf.c[None])
+    pivots = [(int(leaving[0]), int(entering[0])) for _, leaving, entering in steps]
+    if status[0] == INFEASIBLE:
+        return LpSolution("infeasible", None, None, math.inf, pivots, names)
+    if status[0] == UNBOUNDED:
+        return LpSolution("unbounded", None, None, -math.inf, pivots, names)
 
     # Duals from the optimal basis: solve B^T ypi = c_B on the pre-pivot data,
     # then undo the row sign flips.  Bound rows are dropped from the report.
-    full0 = np.hstack([A] + [np.array(extra).T]) if extra else A.copy()
-    B = full0[:, basis]
+    basis = basis[0]
+    c_basis = np.concatenate([sf.c, np.zeros(T0.shape[2] - len(sf.c))])[basis]
+    B = T0[0][:, basis]
     try:
-        ypi = np.linalg.solve(B.T, c2[basis])
+        ypi = np.linalg.solve(B.T, c_basis)
     except np.linalg.LinAlgError:
-        ypi, *_ = np.linalg.lstsq(B.T, c2[basis], rcond=None)
+        ypi, *_ = np.linalg.lstsq(B.T, c_basis, rcond=None)
     duals = (ypi * flip)[: sf.n_model_rows]
-    return LpSolution("optimal", x, duals, obj, pivots,
-                      tuple(v.name for v in m.variables))
+    return LpSolution("optimal", sf.recover_x(u[0]), duals, float(obj[0] + sf.const),
+                      pivots, names)
+
+
+# ---------------------------------------------------------------------------
+# Lockstep tableau simplex
+# ---------------------------------------------------------------------------
+
+OPTIMAL, INFEASIBLE, UNBOUNDED = 0, 1, 2
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
+
+
+def _simplex_batch(A, b, senses, c):
+    """Solve ``min c.u  s.t.  A u (senses) b,  u >= 0`` for a batch of blocks.
+
+    ``A`` (m, n) and the row senses are shared, ``b`` is (B, m) and ``c``
+    is (B, n).  Blocks with the same rows of negative right-hand side share
+    a tableau shape and are stepped together by :func:`_lockstep_simplex`,
+    so each block gets exactly the pivots, values and status that
+    :func:`simplex_solve` gives it alone.  Returns
+    ``(status, u, objective)`` with codes OPTIMAL, INFEASIBLE, UNBOUNDED;
+    ``u`` and ``objective`` are meaningful only where the status is OPTIMAL.
+    """
+    status = np.empty(len(b), dtype=int)
+    u = np.empty(c.shape)
+    obj = np.empty(len(b))
+    patterns, group = np.unique(b < 0, axis=0, return_inverse=True)
+    for g in range(len(patterns)):
+        sel = np.flatnonzero(group.ravel() == g)
+        tableau = _initial_tableau(A, b[sel], senses)[:4]
+        status[sel], u[sel], obj[sel], _ = _lockstep_simplex(*tableau, c[sel])
+    return status, u, obj
+
+
+def _initial_tableau(A, b, senses):
+    """Phase-1 tableaux ``[A | slack/surplus | artificial]`` of a batch.
+
+    ``A`` (m, n) is shared and ``b`` is (B, m), with the same rows of
+    negative right-hand side in every block.  Those rows are negated to
+    make b >= 0 and their senses flipped.  Then comes one slack (+1,
+    ``<=``) or surplus (-1, ``>=``) column per inequality row and one
+    artificial column per row that is not ``<=``, each in row order.
+    Returns ``(T, b, basis, artificial, flip)``: the basis starts at each
+    ``<=`` row's slack and at every other row's artificial, ``artificial``
+    masks the artificial columns, and ``flip`` holds the row signs.
+    """
+    n_blocks, (n_rows, n_struct) = len(b), A.shape
+    flip = np.where(b[0] < 0, -1.0, 1.0)
+    senses = [_FLIPPED[s] if f < 0 else s for s, f in zip(senses, flip)]
+    ineq = [r for r, s in enumerate(senses) if s != "="]
+    arts = [r for r, s in enumerate(senses) if s != "<="]
+    extra = np.zeros((n_rows, len(ineq) + len(arts)))
+    for i, r in enumerate(ineq):
+        extra[r, i] = 1.0 if senses[r] == "<=" else -1.0
+    for i, r in enumerate(arts):
+        extra[r, len(ineq) + i] = 1.0
+    T = np.concatenate([np.broadcast_to(A * flip[:, None], (n_blocks, n_rows, n_struct)),
+                        np.broadcast_to(extra, (n_blocks,) + extra.shape)], axis=2)
+    slack = {r: n_struct + i for i, r in enumerate(ineq)}
+    art = {r: n_struct + len(ineq) + i for i, r in enumerate(arts)}
+    start = [slack[r] if s == "<=" else art[r] for r, s in enumerate(senses)]
+    artificial = np.zeros(T.shape[2], dtype=bool)
+    artificial[list(art.values())] = True
+    return T, b * flip, np.tile(np.array(start, dtype=int), (n_blocks, 1)), artificial, flip
+
+
+def _lockstep_simplex(T, b, basis, artificial, c):
+    """Two-phase primal simplex on a batch of same-shaped tableaux, in lockstep.
+
+    Every block follows the rules of :func:`simplex_solve` on its own:
+    phase 1 on the artificials, then artificials driven out of the basis
+    where a nonzero non-artificial entry allows, then phase 2 on the cost
+    ``c`` (B, n_struct) with the artificials blocked.  Each reduction over
+    rows is a stacked ``matmul``, which rounds exactly as one block's
+    vector-matrix product does, so a block's pivots do not depend on its
+    batch.  ``T``, ``b`` and ``basis`` are updated in place.  Returns
+    ``(status, u, objective, steps)``: the status codes, the structural
+    values, ``c . u`` per block, and one ``(blocks, leaving, entering)``
+    entry per pivot step.
+    """
+    n_blocks, n_rows, n_total = T.shape
+    status = np.full(n_blocks, OPTIMAL)
+    steps: list = []
+    live = np.arange(n_blocks)
+    if artificial.any():
+        c1 = np.broadcast_to(artificial.astype(float), (n_blocks, n_total))
+        _run(T, b, basis, c1, np.zeros(n_total, dtype=bool), live, status, steps)
+        left = (artificial[basis].astype(float)[:, None, :] @ b[:, :, None])[:, 0, 0]
+        status[(status != OPTIMAL) | (left > FEAS_TOL)] = INFEASIBLE
+        live = np.flatnonzero(status == OPTIMAL)
+        # A pivot on row r changes only row r's basic column, so the rows to
+        # visit are known up front.
+        for r in np.flatnonzero(artificial[basis[live]].any(axis=0)):
+            nz = ~artificial & (np.abs(T[live, r]) > PIVOT_TOL)
+            go = artificial[basis[live, r]] & nz.any(axis=1)
+            k = live[go]
+            if k.size:
+                Tk, bk, j = T[k], b[k], nz[go].argmax(axis=1)
+                steps.append((k, basis[k, r], j))
+                _pivot(Tk, bk, np.arange(k.size), np.full(k.size, r), j)
+                T[k], b[k] = Tk, bk
+                basis[k, r] = j
+
+    n_struct = c.shape[1]
+    c2 = np.zeros((n_blocks, n_total))
+    c2[:, :n_struct] = c
+    _run(T, b, basis, c2, artificial, live, status, steps)
+    u = np.zeros((n_blocks, n_total))
+    np.put_along_axis(u, basis, b, axis=1)
+    u = np.ascontiguousarray(u[:, :n_struct])
+    return status, u, (c[:, None, :] @ u[:, :, None])[:, 0, 0], steps
+
+
+def _pivot(T, b, n, r, j):
+    """Pivot block n[i] of (T, b) on row r[i], column j[i]; returns the pivot rows."""
+    piv = T[n, r, j]
+    prow = T[n, r] / piv[:, None]
+    T[n, r] = prow
+    b_r = b[n, r] / piv
+    b[n, r] = b_r
+    fac = T[n, :, j]
+    fac[n, r] = 0.0
+    T -= fac[:, :, None] * prow[:, None, :]
+    b -= fac * b_r[:, None]
+    return T[n, r]
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _run(T, b, basis, c, blocked, live, status, steps):
+    """Pivot blocks ``live`` to optimality of ``c`` over their (T, b, basis).
+
+    Dantzig pricing (lowest index among ties) over the unblocked columns,
+    ratio ties to the lowest basis index, and Bland's rule for good once the
+    objective has stalled for more than m + 10 pivots.  A block leaves the
+    batch when it is optimal or unbounded; its state and status are written
+    back then.
+    """
+    if not live.size:
+        return
+    n_rows, n_total = T.shape[1:]
+    free = ~blocked
+    Tw, bw, bas, cw = T[live], b[live], basis[live], c[live]
+    n = np.arange(len(live))
+    c_basis = cw[n[:, None], bas][:, None, :]
+    zrow = (c_basis @ Tw)[:, 0] - cw
+    last = (c_basis @ bw[:, :, None])[:, 0, 0]
+    stall = np.zeros(len(live), dtype=int)
+    bland = np.zeros(len(live), dtype=bool)
+    for _ in range(50 * (n_rows + n_total) + 1000):
+        elig = free & (zrow > PIVOT_TOL)
+        j = np.where(elig, zrow, -np.inf).argmax(axis=1)
+        if bland.any():
+            j = np.where(bland, elig.argmax(axis=1), j)
+        col = Tw[n, :, j]
+        pos = col > PIVOT_TOL
+        done = ~(elig[n, j] & pos.any(axis=1))
+        if done.any():
+            out = live[done]
+            status[out] = np.where(elig[n, j][done], UNBOUNDED, OPTIMAL)
+            T[out], b[out], basis[out] = Tw[done], bw[done], bas[done]
+            keep = ~done
+            if not keep.any():
+                return
+            live, Tw, bw, bas, cw, zrow, last, stall, bland, j, col, pos = (
+                a[keep] for a in (live, Tw, bw, bas, cw, zrow, last, stall, bland,
+                                  j, col, pos))
+            n = np.arange(len(live))
+        ratios = np.where(pos, bw / col, np.inf)
+        tied = ratios <= ratios.min(axis=1, keepdims=True) + 1e-12
+        r = np.where(tied, bas, n_total).argmin(axis=1)
+        steps.append((live, bas[n, r], j))
+        zrow -= zrow[n, j][:, None] * _pivot(Tw, bw, n, r, j)
+        bas[n, r] = j
+        obj = (cw[n[:, None], bas][:, None, :] @ bw[:, :, None])[:, 0, 0]
+        better = obj < last - 1e-12
+        last = np.where(better, obj, last)
+        stall = np.where(better, 0, stall + 1)
+        bland |= stall > n_rows + 10
+    raise RuntimeError("simplex iteration limit exceeded")
 
 
 # ---------------------------------------------------------------------------

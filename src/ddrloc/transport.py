@@ -171,10 +171,18 @@ def theta_affine(instance: Instance, model: DemandModel, j: int, k: int):
     """
     if not 0 <= k < model.support_size:
         raise IndexError(f"support index {k} out of range")
-    jj = instance.customer_index(j)
     d_k = float(model.support[k])
+    return [(i_star, float(slope * d_k), coeff)
+            for i_star, slope, coeff in _theta_pieces(instance, instance.customer_index(j))]
+
+
+def _theta_pieces(instance: Instance, jj: int):
+    """The support-point-free part of :func:`theta_affine` at column ``jj``.
+
+    One ``(i_star, slope, coeff)`` per candidate: the piece's constant at
+    support point ``d_k`` is ``slope * d_k``.
+    """
     cand, gaps = _candidate_gaps(instance, jj)
     return [(PENALTY if t == 0 else instance.facility_ids[t - 1],
-             float((c_star - instance.revenue[jj]) * d_k),
-             instance.capacity * gaps[t])
+             c_star - instance.revenue[jj], instance.capacity * gaps[t])
             for t, c_star in enumerate(cand)]

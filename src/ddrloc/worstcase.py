@@ -6,6 +6,13 @@ decision-dependent windows.  Each customer therefore contributes a small LP
 over the support probabilities; the total worst case is the sum.  The dual
 of that LP, its extreme rays, and the resulting closed-form feasibility
 certificate live here as well.
+
+The value oracle :func:`worst_case_values` takes one of two paths.  With
+pinned moments on a support of at most ``BASIS_LIMIT`` points it enumerates
+the three-point bases of every plan at once.  Everywhere else it builds the
+tableau of every (plan, customer) moment LP from arrays and solves them
+``LP_CHUNK`` at a time in one lockstep tableau simplex;
+:func:`worst_case_expectation` takes that route with its one plan.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import numpy as np
 from .instance import (DemandModel, Instance, chord_slacks, chords,
                        moment_windows)
 from .milp import LinearExpr, MilpModel
+from .solvers import OPTIMAL, _simplex_batch
 from .transport import _candidate_gaps, _candidate_terms
 
 __all__ = [
@@ -138,21 +146,54 @@ def _primal_lp(support, theta: np.ndarray, window) -> MilpModel:
     return m.seal()
 
 
-def _plan_worst_case(instance: Instance, model: DemandModel, y, windows):
-    """One plan's moment LPs, given its per-customer windows: (value, pi)."""
-    from .solvers import simplex_solve
+# Moment LPs stepped together per lockstep batch; bounds the tableau memory.
+LP_CHUNK = 128
+# Rows of one customer's moment LP: mass, mean_hi, mean_lo, sec_hi, sec_lo.
+_MOMENT_SENSES = ("=", "<=", ">=", "<=", ">=")
 
-    pi = np.zeros((instance.n_customers, model.support_size))
-    total = 0.0
-    for jj, window in enumerate(windows):
-        theta = theta_values(instance, model, y, jj)
-        sol = simplex_solve(_primal_lp(model.support, theta, window))
-        if sol.status != "optimal":
-            # The checked chords do not cover every chord of the moment set.
-            raise AmbiguityInfeasibleError(FeasibilityReport(False, ()))
-        pi[jj] = sol.x
-        total -= sol.objective
-    return total, pi
+
+def _moment_lps(instance: Instance, model: DemandModel, ys: np.ndarray, windows,
+                with_pi: bool = False):
+    """Every (plan, customer) moment LP of a batch, given the plans' windows.
+
+    Builds the tableau of :func:`_primal_lp` for each block straight from
+    arrays and solves the blocks ``LP_CHUNK`` at a time through
+    :func:`~ddrloc.solvers._simplex_batch`, which gives each block the
+    pivots of a lone :func:`~ddrloc.solvers.simplex_solve` call.  Returns
+    ``(values, pi)``: each plan's worst case (inf when one of its LPs is
+    infeasible) and, with ``with_pi``, the (N, |J|, K) adversarial
+    probabilities (nan for an infeasible LP).
+    """
+    d = model.support
+    n_plans, n_j = len(ys), instance.n_customers
+    sq = [dk ** 2 for dk in d.tolist()]      # float ** 2, as in _primal_lp, not x * x
+    rows = np.array([np.ones(len(d)), d, d, sq, sq])
+    cand, gaps = (np.array(a) for a in zip(*(_candidate_gaps(instance, jj)
+                                             for jj in range(n_j))))
+    m_lo, m_hi, s_lo, s_hi = windows
+    rhs = np.stack([np.ones_like(m_lo), m_hi, m_lo, s_hi, s_lo], axis=-1).reshape(-1, 5)
+    neg_value = np.empty(n_plans * n_j)
+    pi = np.empty((n_plans * n_j, len(d))) if with_pi else None
+    for start in range(0, n_plans * n_j, LP_CHUNK):
+        blocks = np.arange(start, min(start + LP_CHUNK, n_plans * n_j))
+        n, jj = np.divmod(blocks, n_j)
+        # theta_values' arithmetic, broadcast over the blocks.
+        consts = (instance.capacity * ys[n][:, None, :] * gaps[jj]).sum(axis=2)
+        pieces = d[None, :, None] * cand[jj][:, None, :]
+        pieces += consts[:, None, :]
+        theta = pieces.max(axis=2) - instance.revenue[jj][:, None] * d
+        # The standard form adds each cost to 0.0, which turns -0.0 into 0.0.
+        status, u, obj = _simplex_batch(rows, rhs[blocks], _MOMENT_SENSES, 0.0 - theta)
+        ok = status == OPTIMAL
+        neg_value[blocks] = np.where(ok, obj, np.inf)
+        if with_pi:
+            pi[blocks] = np.where(ok[:, None], 0.0 + u, np.nan)   # as recover_x adds
+    neg_value = neg_value.reshape(n_plans, n_j)
+    values = np.zeros(n_plans)
+    for col in neg_value.T:            # in customer order: the sum's bits depend on it
+        values -= col
+    values[np.isinf(neg_value).any(axis=1)] = math.inf
+    return values, None if pi is None else pi.reshape(n_plans, n_j, len(d))
 
 
 def worst_case_expectation(instance: Instance, model: DemandModel, y):
@@ -160,9 +201,13 @@ def worst_case_expectation(instance: Instance, model: DemandModel, y):
     report = ambiguity_feasible(instance, model, y)
     if not report:
         raise AmbiguityInfeasibleError(report)
-    total, pi = _plan_worst_case(instance, model, y,
-                                 _plan_windows(moment_windows(model, y), 0))
-    return total, WorstCaseDistribution(pi=pi, value=total)
+    ys = np.atleast_2d(np.asarray(y, dtype=float))
+    values, pi = _moment_lps(instance, model, ys, moment_windows(model, ys), with_pi=True)
+    if values[0] == math.inf:
+        # The checked chords do not cover every chord of the moment set.
+        raise AmbiguityInfeasibleError(FeasibilityReport(False, ()))
+    total = float(values[0])
+    return total, WorstCaseDistribution(pi=pi[0], value=total)
 
 
 def worst_case_dual(instance: Instance, model: DemandModel, y):
@@ -241,11 +286,13 @@ def worst_case_values(instance: Instance, model: DemandModel, ys) -> np.ndarray:
     """Worst-case value for a batch of plans; inf where the set is empty.
 
     The windows are computed once for the whole batch.  With pinned moments
-    (zero mean radius, unit second-moment window) the per-customer LP
-    reduces to three equality rows, so every vertex is a distribution on at
-    most three support points; enumerating the precomputed bases is much
-    faster than one simplex call per plan.  Otherwise plans that fail the
-    chord test are inf, and the rest solve their moment LPs.
+    (zero mean radius, unit second-moment window) on at most ``BASIS_LIMIT``
+    support points, the per-customer LP reduces to three equality rows, so
+    every vertex is a distribution on at most three support points, and the
+    precomputed bases are enumerated for all plans at once.  Otherwise plans
+    that fail the chord test are inf, and the moment LPs of the rest are
+    solved in lockstep batches (:func:`_moment_lps`); a plan with an
+    infeasible LP is inf as well.
     """
     ys_arr = np.atleast_2d(np.asarray(ys, dtype=float))
     windows = moment_windows(model, ys_arr)
@@ -253,12 +300,8 @@ def worst_case_values(instance: Instance, model: DemandModel, ys) -> np.ndarray:
         return _vertex_enumeration_values(instance, model, ys_arr, windows)
     feasible = np.all(chord_slacks(model.support, windows, 1.0) >= -RAY_TOL, axis=(1, 2))
     out = np.full(len(ys_arr), math.inf)
-    for n in np.flatnonzero(feasible):
-        try:
-            out[n] = _plan_worst_case(instance, model, ys_arr[n],
-                                      _plan_windows(windows, n))[0]
-        except AmbiguityInfeasibleError:
-            pass
+    out[feasible] = _moment_lps(instance, model, ys_arr[feasible],
+                                tuple(w[feasible] for w in windows))[0]
     return out
 
 

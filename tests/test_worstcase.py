@@ -14,7 +14,8 @@ from ddrloc.solvers import simplex_solve
 from ddrloc.worstcase import (AmbiguityInfeasibleError, ambiguity_feasible,
                               check_certificate, dual_value, extreme_rays,
                               worst_case_dual, worst_case_expectation,
-                              worst_case_values, _primal_lp, theta_values)
+                              worst_case_values, _moment_lps, _primal_lp,
+                              theta_values)
 
 
 def test_two_point_support_forces_half_half():
@@ -205,10 +206,73 @@ def test_empty_set_missed_by_rays_is_reported_by_every_route():
             route(inst, model, y)
 
 
+def _per_block_reference(inst, model, ys, windows):
+    """One simplex_solve(_primal_lp) per (plan, customer): values and pi."""
+    values = np.zeros(len(ys))
+    pi = np.zeros((len(ys), inst.n_customers, model.support_size))
+    for n, y in enumerate(ys):
+        for jj in range(inst.n_customers):
+            sol = simplex_solve(_primal_lp(model.support, theta_values(inst, model, y, jj),
+                                           [w[n, jj] for w in windows]))
+            if sol.status == "optimal":
+                values[n] -= sol.objective
+                pi[n, jj] = sol.x
+            else:
+                assert sol.status == "infeasible"
+                values[n] = math.inf
+                pi[n, jj] = np.nan
+    return values, pi
+
+
+def _lockstep_cases():
+    for kappa, k in itertools.product((0.0, 0.1, 0.25), (5, 12, 41, 100)):
+        for recipe, row_sum in (("distance", 0.5), ("distance", 0.99), ("rho-means", 0.5)):
+            yield random_problem(7 + k, 3, 3, support_size=k, kappa=kappa,
+                                 lambda_recipe=recipe, lambda_row_sum=row_sum)
+    # the empty set that passes the chord screen (customer 8's LP is infeasible)
+    inst, model = random_problem(0, 6, 10, support_size=12, lambda_row_sum=0.99)
+    yield inst, apply_robustness_level(model, 1e-9)
+    # mean windows reaching below zero flip rows of some blocks' tableaux
+    inst = toy_instance(cost=[[1.0, 2.0]], capacity=[10.0], penalty=[300.0, 250.0],
+                        revenue=[1.0, 3.0])
+    yield inst, toy_model(inst, bar_mu=[4.0, 30.0], bar_sigma=[2.0, 20.0],
+                          lambda_mu=[[0.5], [-0.2]], support=(0.0, 100.0, 8),
+                          eps_mu=[6.0, 5.0], eps_lo=[0.5, 0.9], eps_hi=[1.5, 1.1])
+
+
+def test_lockstep_moment_lps_match_simplex_solve(monkeypatch):
+    # The batched route agrees bit for bit with one simplex_solve per block:
+    # status (inf value and nan pi where an LP is infeasible), value and pi.
+    flipped = infeasible = 0
+    for inst, model in _lockstep_cases():
+        ys = np.array(list(itertools.product((0.0, 1.0), repeat=inst.n_facilities)))
+        if inst.n_facilities == 6:
+            ys = ys[[0b101111, 0b111111]]
+        windows = moment_windows(model, ys)
+        values, pi = _moment_lps(inst, model, ys, windows, with_pi=True)
+        want, want_pi = _per_block_reference(inst, model, ys, windows)
+        assert values.tobytes() == want.tobytes()
+        assert pi.tobytes() == want_pi.tobytes()
+        flipped += int(np.sum(windows[0] < 0))
+        infeasible += int(np.sum(np.isnan(pi[:, :, 0])))
+        # Batch independence of the LP stage: the same windows give the same
+        # bits alone, in the batch, and with plans straddling chunk boundaries.
+        for n in range(len(ys)):
+            one = tuple(w[n:n + 1] for w in windows)
+            alone = _moment_lps(inst, model, ys[n:n + 1], one)[0]
+            assert alone.tobytes() == values[n:n + 1].tobytes()
+        with monkeypatch.context() as m:
+            m.setattr("ddrloc.worstcase.LP_CHUNK", 2 * inst.n_customers - 1)
+            assert _moment_lps(inst, model, ys, windows)[0].tobytes() == values.tobytes()
+    assert flipped and infeasible
+
+
 def test_bulk_values_match_pinned_file():
-    # Exact values over every plan, written for two configs: one takes the
-    # simplex fallback (kappa > 0), the other the vertex path, with four
-    # empty ambiguity sets among its plans, [1, 0, 1, 1, 1, 1] included.
+    # Exact values over every plan, written for four configs.  The first
+    # takes the simplex fallback through kappa > 0, the second the vertex
+    # path, with four empty ambiguity sets among its plans, [1, 0, 1, 1, 1, 1]
+    # included; the third (oracle-windows) and the fourth (pinned moments on
+    # K = 100) take the fallback on the default support.
     pinned = json.loads((Path(__file__).parent / "data" / "oracle_values.json").read_text())
     for case in pinned:
         inst, model = generate_instance(ExperimentConfig(**case["config"]))
