@@ -540,7 +540,12 @@ def solve_robust(instance, model, budget: int | None = None, solver: str = "auto
 # ---------------------------------------------------------------------------
 
 def parse_lp_text(text: str) -> MilpModel:
-    """Minimal reader for the LP text emitted by :func:`export_lp_text`."""
+    """Minimal reader for the LP text emitted by :func:`export_lp_text`.
+
+    It is the only route by which the tests check that an exported model
+    keeps its optimum: scipy ships no LP-format reader, and the HiGHS reader
+    (``highspy``) is not a dependency.
+    """
     import re as _re
 
     m = MilpModel("imported")

@@ -53,6 +53,18 @@ def _candidate_gaps(instance: Instance, jj: int):
     return cand, np.minimum(c[None, :] - cand[:, None], 0.0)
 
 
+def _theta(d, cand, consts, revenue):
+    """Closed-form cost at demands ``d``: the largest piece ``d * cand + consts``
+    less ``revenue * d``.
+
+    ``d`` holds demands on its last axis, ``cand`` and ``consts`` the
+    candidates' slopes and intercepts on theirs; their leading axes, like
+    ``revenue``, broadcast against ``d``.
+    """
+    vals = d[..., None] * cand[..., None, :] + consts[..., None, :]
+    return vals.max(axis=-1) - revenue * d
+
+
 def _candidate_terms(instance: Instance, y, jj: int):
     """Slopes and intercepts of the closed form's affine pieces under plan ``y``."""
     cand, gaps = _candidate_gaps(instance, jj)
@@ -90,8 +102,7 @@ def second_stage_costs(instance: Instance, y, demands: np.ndarray) -> np.ndarray
     out = np.zeros(demands.shape[0])
     for jj in range(instance.n_customers):
         cand, consts = _candidate_terms(instance, y, jj)
-        vals = demands[:, jj, None] * cand[None, :] + consts[None, :]
-        out += vals.max(axis=1) - instance.revenue[jj] * demands[:, jj]
+        out += _theta(demands[:, jj], cand, consts, instance.revenue[jj])
     return out
 
 

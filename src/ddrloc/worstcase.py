@@ -7,17 +7,14 @@ over the support probabilities; the total worst case is the sum.  The dual
 of that LP, its extreme rays, and the resulting closed-form feasibility
 certificate live here as well.
 
-The value oracle :func:`worst_case_values` takes one of two paths.  With
-pinned moments on a support of at most ``BASIS_LIMIT`` points it enumerates
-the three-point bases of every plan at once.  Everywhere else it builds the
-tableau of every (plan, customer) moment LP from arrays and solves them
-``LP_CHUNK`` at a time in one lockstep tableau simplex;
+The value oracle :func:`worst_case_values` screens the plans with the chord
+test, builds the tableau of every remaining (plan, customer) moment LP from
+arrays and solves them a chunk at a time in one lockstep tableau simplex;
 :func:`worst_case_expectation` takes that route with its one plan.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +24,7 @@ from .instance import (DemandModel, Instance, chord_slacks, chords,
                        moment_windows)
 from .milp import LinearExpr, MilpModel
 from .solvers import OPTIMAL, _simplex_batch
-from .transport import _candidate_gaps, _candidate_terms
+from .transport import _candidate_gaps, _candidate_terms, _theta
 
 __all__ = [
     "WorstCaseDistribution",
@@ -45,8 +42,6 @@ __all__ = [
 ]
 
 RAY_TOL = 1e-9
-# Largest support on which pinned moments take the vertex path.
-BASIS_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -95,9 +90,7 @@ class AmbiguityInfeasibleError(ValueError):
 def theta_values(instance: Instance, model: DemandModel, y, jj: int) -> np.ndarray:
     """Second-stage cost at customer column ``jj`` for every support point."""
     cand, consts = _candidate_terms(instance, y, jj)
-    d = model.support
-    vals = d[:, None] * cand[None, :] + consts[None, :]
-    return vals.max(axis=1) - instance.revenue[jj] * d
+    return _theta(model.support, cand, consts, instance.revenue[jj])
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +139,9 @@ def _primal_lp(support, theta: np.ndarray, window) -> MilpModel:
     return m.seal()
 
 
-# Moment LPs stepped together per lockstep batch; bounds the tableau memory.
-LP_CHUNK = 128
+# Support points (blocks x K) stepped together per lockstep batch; bounds the
+# tableau memory.  A chunk holds max(1, LP_CHUNK_POINTS // K) blocks.
+LP_CHUNK_POINTS = 12_800
 # Rows of one customer's moment LP: mass, mean_hi, mean_lo, sec_hi, sec_lo.
 _MOMENT_SENSES = ("=", "<=", ">=", "<=", ">=")
 
@@ -157,7 +151,7 @@ def _moment_lps(instance: Instance, model: DemandModel, ys: np.ndarray, windows,
     """Every (plan, customer) moment LP of a batch, given the plans' windows.
 
     Builds the tableau of :func:`_primal_lp` for each block straight from
-    arrays and solves the blocks ``LP_CHUNK`` at a time through
+    arrays and solves them ``LP_CHUNK_POINTS // K`` blocks at a time through
     :func:`~ddrloc.solvers._simplex_batch`, which gives each block the
     pivots of a lone :func:`~ddrloc.solvers.simplex_solve` call.  Returns
     ``(values, pi)``: each plan's worst case (inf when one of its LPs is
@@ -174,14 +168,12 @@ def _moment_lps(instance: Instance, model: DemandModel, ys: np.ndarray, windows,
     rhs = np.stack([np.ones_like(m_lo), m_hi, m_lo, s_hi, s_lo], axis=-1).reshape(-1, 5)
     neg_value = np.empty(n_plans * n_j)
     pi = np.empty((n_plans * n_j, len(d))) if with_pi else None
-    for start in range(0, n_plans * n_j, LP_CHUNK):
-        blocks = np.arange(start, min(start + LP_CHUNK, n_plans * n_j))
+    chunk = max(1, LP_CHUNK_POINTS // len(d))
+    for start in range(0, n_plans * n_j, chunk):
+        blocks = np.arange(start, min(start + chunk, n_plans * n_j))
         n, jj = np.divmod(blocks, n_j)
-        # theta_values' arithmetic, broadcast over the blocks.
         consts = (instance.capacity * ys[n][:, None, :] * gaps[jj]).sum(axis=2)
-        pieces = d[None, :, None] * cand[jj][:, None, :]
-        pieces += consts[:, None, :]
-        theta = pieces.max(axis=2) - instance.revenue[jj][:, None] * d
+        theta = _theta(d, cand[jj], consts, instance.revenue[jj][:, None])
         # The standard form adds each cost to 0.0, which turns -0.0 into 0.0.
         status, u, obj = _simplex_batch(rows, rhs[blocks], _MOMENT_SENSES, 0.0 - theta)
         ok = status == OPTIMAL
@@ -276,61 +268,17 @@ def check_certificate(instance: Instance, model: DemandModel, y,
 # Bulk evaluation over many plans
 # ---------------------------------------------------------------------------
 
-def _pinned_moments(model: DemandModel) -> bool:
-    return (np.all(model.eps_mu == 0.0)
-            and np.all(model.eps_sigma_lo == 1.0)
-            and np.all(model.eps_sigma_hi == 1.0))
-
-
 def worst_case_values(instance: Instance, model: DemandModel, ys) -> np.ndarray:
     """Worst-case value for a batch of plans; inf where the set is empty.
 
-    The windows are computed once for the whole batch.  With pinned moments
-    (zero mean radius, unit second-moment window) on at most ``BASIS_LIMIT``
-    support points, the per-customer LP reduces to three equality rows, so
-    every vertex is a distribution on at most three support points, and the
-    precomputed bases are enumerated for all plans at once.  Otherwise plans
-    that fail the chord test are inf, and the moment LPs of the rest are
-    solved in lockstep batches (:func:`_moment_lps`); a plan with an
-    infeasible LP is inf as well.
+    The windows are computed once for the whole batch.  Plans that fail the
+    chord test are inf, and the moment LPs of the rest are solved in lockstep
+    batches (:func:`_moment_lps`); a plan with an infeasible LP is inf as well.
     """
     ys_arr = np.atleast_2d(np.asarray(ys, dtype=float))
     windows = moment_windows(model, ys_arr)
-    if _pinned_moments(model) and model.support_size <= BASIS_LIMIT:
-        return _vertex_enumeration_values(instance, model, ys_arr, windows)
     feasible = np.all(chord_slacks(model.support, windows, 1.0) >= -RAY_TOL, axis=(1, 2))
     out = np.full(len(ys_arr), math.inf)
     out[feasible] = _moment_lps(instance, model, ys_arr[feasible],
                                 tuple(w[feasible] for w in windows))[0]
     return out
-
-
-def _vertex_enumeration_values(instance, model, ys: np.ndarray, windows) -> np.ndarray:
-    d = model.support
-    k = len(d)
-    triples = np.array(list(itertools.combinations(range(k), 3)))
-    mats = np.stack([[np.ones(3), d[t], d[t] ** 2] for t in triples])   # (T, 3, 3)
-    inv = np.linalg.inv(mats)
-
-    n = ys.shape[0]
-    mus, _, second, _ = windows               # pinned: each window is a point
-    total = np.zeros(n)
-    feasible = np.ones(n, dtype=bool)
-    cy_all = ys * instance.capacity[None, :]                            # (N, I)
-    for jj in range(instance.n_customers):
-        cand, gaps = _candidate_gaps(instance, jj)
-        consts = cy_all @ gaps.T                                        # (N, |I|+1)
-        theta = (d[None, None, :] * cand[None, :, None] + consts[:, :, None]).max(axis=1)
-        theta -= instance.revenue[jj] * d[None, :]                      # (N, K)
-
-        rhs = np.stack([np.ones(n), mus[:, jj], second[:, jj]])         # (3, N)
-        pi = np.einsum("tab,bn->tan", inv, rhs)                         # (T, 3, N)
-        ok = np.all(pi >= -1e-9, axis=1)                                # (T, N)
-        theta_b = theta[:, triples]                                     # (N, T, 3)
-        obj = np.einsum("tan,nta->tn", pi, theta_b)
-        obj = np.where(ok, obj, -np.inf)
-        best = obj.max(axis=0)                                          # (N,)
-        feasible &= np.isfinite(best)
-        total += np.where(np.isfinite(best), best, 0.0)
-    total[~feasible] = math.inf
-    return total
