@@ -41,6 +41,9 @@ __all__ = [
 PERCENTILE_LEVELS = (95, 90, 75, 50)
 # gen_perturbed resamples the moments this many times, in equal blocks.
 PERTURBED_REPS = 10
+# train_sp ranks its plans in chunks whose (plans, |I|+1, scenarios)
+# closed-form temporary holds at most this many elements.
+SP_CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -222,26 +225,43 @@ def sp_sample(model: DemandModel, n_scen: int, seed: int) -> np.ndarray:
                    size=(n_scen, len(model.bar_mu))), 0.0)
 
 
-def sp_objective(instance: Instance, y, draws: np.ndarray) -> float:
-    """Opening cost plus the sample-average recourse of plan ``y``."""
-    return float(instance.open_cost @ y + second_stage_costs(instance, y, draws).mean())
+def sp_objective(instance: Instance, y, draws: np.ndarray):
+    """Opening cost plus the sample-average recourse of plan ``y``.
+
+    One plan of shape (|I|,) gives a float; a plan matrix of shape (P, |I|)
+    gives one objective per row, each with the bits of its plan alone.  That
+    is why every plan keeps its own ``open_cost @ y``: a matrix-vector
+    product rounds differently, and plan ties are decided within 1e-12.
+    """
+    ys = np.asarray(y)
+    fixed = np.array([instance.open_cost @ row for row in np.atleast_2d(ys)])
+    objectives = fixed + second_stage_costs(instance, ys, draws).mean(axis=-1)
+    return float(objectives[0]) if ys.ndim == 1 else objectives
 
 
 def train_sp(instance: Instance, model: DemandModel, n_scen: int, seed: int,
              budget=None) -> np.ndarray:
     """Sample-average plan on :func:`sp_sample` draws.
 
-    Training scenarios ignore the decision dependence (moments at y = 0);
-    for up to 14 facilities the plans are enumerated against the vectorized
-    closed form, otherwise the scenario MILP is solved by branch and bound.
+    Training scenarios ignore the decision dependence (moments at y = 0).
+    For up to 14 facilities every plan under the budget is ranked by
+    :func:`sp_objective`, a chunk of plan-matrix rows per call, with at most
+    :data:`SP_CHUNK_ELEMENTS` elements in the chunk's (plans, |I|+1,
+    scenarios) closed-form temporary.  Ties go to the earliest plan in
+    :func:`plans_under_budget` order: a later plan must beat the best by
+    more than 1e-12.  Beyond 14 facilities the scenario MILP is solved by
+    branch and bound.
     """
     draws = sp_sample(model, n_scen, seed)
     if instance.n_facilities <= 14:
+        plans = np.array(plans_under_budget(instance.n_facilities, budget))
+        chunk = max(1, SP_CHUNK_ELEMENTS // (n_scen * (instance.n_facilities + 1)))
         best_y, best = None, math.inf
-        for y in map(np.array, plans_under_budget(instance.n_facilities, budget)):
-            obj = sp_objective(instance, y, draws)
-            if obj < best - 1e-12:
-                best_y, best = y, obj
+        for start in range(0, len(plans), chunk):
+            ys = plans[start:start + chunk]
+            for y, obj in zip(ys, sp_objective(instance, ys, draws)):
+                if obj < best - 1e-12:
+                    best_y, best = y, obj
         return best_y
     from .milp import build_sp_saa
     from .solvers import branch_and_bound

@@ -13,7 +13,7 @@ from .benchmarks import (evaluate_plan, gen_scenarios, sp_objective, sp_sample,
 from .experiments import (ExperimentConfig, fixture_figure2, generate_instance,
                           run)
 from .instance import (decision_independent, load_problem, save_problem,
-                       write_atomic)
+                       sites_to_dict, write_atomic)
 from .milp import DualBounds, build_dddr, export_lp_text
 
 
@@ -147,17 +147,7 @@ def cmd_export_lp(args) -> int:
 
 
 def cmd_fixture(args) -> int:
-    instance = fixture_figure2()
-    doc = {
-        "facilities": [{"id": instance.facility_ids[i],
-                        "x": float(instance.facility_coords[i, 0]),
-                        "y": float(instance.facility_coords[i, 1])}
-                       for i in range(instance.n_facilities)],
-        "customers": [{"id": instance.customer_ids[j],
-                       "x": float(instance.customer_coords[j, 0]),
-                       "y": float(instance.customer_coords[j, 1])}
-                      for j in range(instance.n_customers)],
-    }
+    doc = sites_to_dict(fixture_figure2())
     if args.out:
         write_atomic(args.out, json.dumps(doc, indent=1) + "\n")
         print(f"wrote {args.out}")

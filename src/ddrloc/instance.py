@@ -42,6 +42,7 @@ __all__ = [
     "save_problem",
     "load_problem",
     "problem_to_dict",
+    "sites_to_dict",
     "problem_from_dict",
 ]
 
@@ -395,24 +396,23 @@ def _support_from_fields(d: dict) -> np.ndarray:
     return arithmetic_support(d["min"], d["max"], k)
 
 
+def sites_to_dict(instance: Instance) -> dict:
+    """The site lists of a problem file: every facility's and customer's id
+    and coordinates, in instance order."""
+    def sites(ids, coords):
+        return [{"id": i, "x": float(x), "y": float(y)} for i, (x, y) in zip(ids, coords)]
+    return {"facilities": sites(instance.facility_ids, instance.facility_coords),
+            "customers": sites(instance.customer_ids, instance.customer_coords)}
+
+
 def problem_to_dict(instance: Instance, model: DemandModel) -> dict:
+    doc = sites_to_dict(instance)
+    for site, f, cap in zip(doc["facilities"], instance.open_cost, instance.capacity):
+        site.update(f=float(f), C=float(cap))
+    for site, p, r in zip(doc["customers"], instance.penalty, instance.revenue):
+        site.update(p=float(p), r=float(r))
     return {
-        "facilities": [
-            {"id": instance.facility_ids[i],
-             "x": float(instance.facility_coords[i, 0]),
-             "y": float(instance.facility_coords[i, 1]),
-             "f": float(instance.open_cost[i]),
-             "C": float(instance.capacity[i])}
-            for i in range(instance.n_facilities)
-        ],
-        "customers": [
-            {"id": instance.customer_ids[j],
-             "x": float(instance.customer_coords[j, 0]),
-             "y": float(instance.customer_coords[j, 1]),
-             "p": float(instance.penalty[j]),
-             "r": float(instance.revenue[j])}
-            for j in range(instance.n_customers)
-        ],
+        **doc,
         "cost": instance.cost.tolist(),
         "demand": {
             "bar_mu": model.bar_mu.tolist(),

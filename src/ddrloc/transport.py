@@ -59,16 +59,23 @@ def _theta(d, cand, consts, revenue):
 
     ``d`` holds demands on its last axis, ``cand`` and ``consts`` the
     candidates' slopes and intercepts on theirs; their leading axes, like
-    ``revenue``, broadcast against ``d``.
+    ``revenue``, broadcast against ``d``.  The pieces are laid out with the
+    candidates before the demands, so the maximum is an elementwise one over
+    contiguous rows rather than a reduction along a short strided axis; a
+    maximum is exact, so the layout does not change the bits.
     """
-    vals = d[..., None] * cand[..., None, :] + consts[..., None, :]
-    return vals.max(axis=-1) - revenue * d
+    vals = cand[..., :, None] * d[..., None, :] + consts[..., :, None]
+    return vals.max(axis=-2) - revenue * d
 
 
 def _candidate_terms(instance: Instance, y, jj: int):
-    """Slopes and intercepts of the closed form's affine pieces under plan ``y``."""
+    """Slopes and intercepts of the closed form's affine pieces under plan ``y``.
+
+    A plan matrix ``y`` of shape (P, |I|) gives intercepts of shape (P, |I|+1),
+    each row with the bits of its plan alone.
+    """
     cand, gaps = _candidate_gaps(instance, jj)
-    return cand, (instance.capacity * _as_y(y) * gaps).sum(axis=1)
+    return cand, (instance.capacity * _as_y(y)[..., None, :] * gaps).sum(axis=-1)
 
 
 def h_j_closed_form(instance: Instance, y, j: int, d: float):
@@ -97,9 +104,15 @@ def h_closed_form(instance: Instance, y, d) -> float:
 
 
 def second_stage_costs(instance: Instance, y, demands: np.ndarray) -> np.ndarray:
-    """Vectorized closed form over a scenario matrix of shape (n, |J|)."""
+    """Vectorized closed form over a scenario matrix of shape (n, |J|).
+
+    ``y`` is one plan of shape (|I|,), giving costs of shape (n,), or a plan
+    matrix of shape (P, |I|), giving (P, n) with every row bit-identical to
+    that plan's own call.  Each customer makes a (P, |I|+1, n) temporary, so
+    callers with many plans pass them in chunks.
+    """
     demands = np.atleast_2d(np.asarray(demands, dtype=float))
-    out = np.zeros(demands.shape[0])
+    out = np.zeros(np.shape(y)[:-1] + demands.shape[:1])
     for jj in range(instance.n_customers):
         cand, consts = _candidate_terms(instance, y, jj)
         out += _theta(demands[:, jj], cand, consts, instance.revenue[jj])

@@ -1,5 +1,8 @@
 from pathlib import Path
 
+import ddrloc.benchmarks
+from conftest import random_problem
+
 
 def test_tracer_lookup_names_resolve_and_restore(monkeypatch):
     # bench/tracing.py wraps ddrloc functions under the names their callers
@@ -18,3 +21,22 @@ def test_tracer_lookup_names_resolve_and_restore(monkeypatch):
         tracer.remove()
     for module, attr, original in before:
         assert getattr(module, attr) is original
+
+
+def test_traced_train_sp_opens_second_stage_costs_spans(monkeypatch):
+    # transport.second_stage_costs_calls and _s measure the batched kernel
+    # only while train_sp reaches it through the wrapped lookup name.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import tracing
+
+    inst, model = random_problem(5, 4, 5)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        ddrloc.benchmarks.train_sp(inst, model, 10, seed=1)
+    finally:
+        tracer.remove()
+    names = [rec[3] for rec in tracer.spans]
+    assert names[0] == "benchmarks.train_sp"
+    assert names.count("transport.second_stage_costs") >= 1
+    assert all(rec[1] == 0 for rec in tracer.spans[1:])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,11 @@ from conftest import random_problem, toy_instance, toy_model
 from ddrloc.benchmarks import (ComparisonConfig, PERCENTILE_LEVELS,
                                ScenarioSet, compare_methods, evaluate_plan,
                                gen_gamma, gen_normal, gen_perturbed,
-                               gen_scenarios, order_statistic, train_sp)
-from ddrloc.instance import apply_robustness_level, means_vector
+                               gen_scenarios, order_statistic, sp_objective,
+                               sp_sample, train_sp)
+from ddrloc.experiments import ExperimentConfig, generate_instance
+from ddrloc.instance import (apply_robustness_level, means_vector,
+                             plans_under_budget)
 from ddrloc.milp import build_sp_saa
 from ddrloc.solvers import branch_and_bound, simplex_solve
 from ddrloc.transport import second_stage_costs
@@ -151,6 +156,79 @@ def test_train_sp_enumeration_matches_milp():
     obj_enum = float(inst.open_cost @ y_enum
                      + second_stage_costs(inst, y_enum, draws).mean())
     assert obj_enum == pytest.approx(sol.objective, rel=1e-9)
+
+
+def _sp_reference(inst, draws, budget=None):
+    """train_sp's ranking, one sp_objective call per plan."""
+    best_y, best = None, math.inf
+    for y in map(np.array, plans_under_budget(inst.n_facilities, budget)):
+        obj = sp_objective(inst, y, draws)
+        if obj < best - 1e-12:
+            best_y, best = y, obj
+    return best_y
+
+
+def test_sp_objective_plan_matrix_matches_one_plan_calls(monkeypatch):
+    inst, model = random_problem(21, 5, 6)
+    draws = sp_sample(model, 12, seed=3)
+    for budget in (None, 2):
+        ys = np.array(plans_under_budget(inst.n_facilities, budget))
+        one = np.array([sp_objective(inst, y, draws) for y in ys])
+        assert sp_objective(inst, ys, draws).tobytes() == one.tobytes()
+        # Three plans a chunk, so plans straddle chunk boundaries; every plan
+        # under the budget is ranked once, in enumeration order.
+        ranked = []
+
+        def objective(inst, ys, draws):
+            ranked.extend(map(tuple, ys))
+            return sp_objective(inst, ys, draws)
+
+        with monkeypatch.context() as m:
+            m.setattr("ddrloc.benchmarks.SP_CHUNK_ELEMENTS",
+                      3 * len(draws) * (inst.n_facilities + 1))
+            m.setattr("ddrloc.benchmarks.sp_objective", objective)
+            y = train_sp(inst, model, 12, seed=3, budget=budget)
+        assert ranked == plans_under_budget(inst.n_facilities, budget)
+        assert y.tolist() == _sp_reference(inst, draws, budget).tolist()
+
+
+def test_train_sp_tie_rule(monkeypatch):
+    # Facilities 1 and 2 are identical and either one alone is optimal: the
+    # tie goes to the first tied plan in enumeration order, (0, 1, 0).
+    cost = [[10.0, 20.0, 30.0, 15.0], [10.0, 20.0, 30.0, 15.0], [5.0, 5.0, 5.0, 5.0]]
+    inst = toy_instance(cost=cost, capacity=[1000.0] * 3, penalty=[225.0] * 4,
+                        revenue=[150.0] * 4, open_cost=[100.0, 100.0, 1e6])
+    model = toy_model(inst, [30.0] * 4, [30.0] * 4)
+    draws = sp_sample(model, 25, seed=4)
+    assert (sp_objective(inst, np.array([0, 1, 0]), draws)
+            == sp_objective(inst, np.array([1, 0, 0]), draws))
+    for budget in (None, 1):
+        assert train_sp(inst, model, 25, seed=4, budget=budget).tolist() == [0, 1, 0]
+    # A later plan must beat the best so far by more than 1e-12, also when it
+    # sits in a later chunk (three plans a chunk here).
+    objectives = {(0, 0, 0): 1.0, (0, 0, 1): 1.0 - 5e-13, (0, 1, 0): 0.5,
+                  (0, 1, 1): 0.5 - 5e-13, (1, 0, 0): 0.5 - 3e-12,
+                  (1, 0, 1): 0.5 - 3.5e-12, (1, 1, 0): 0.75, (1, 1, 1): 0.5 - 3e-12}
+    monkeypatch.setattr("ddrloc.benchmarks.sp_objective",
+                        lambda inst, ys, draws: np.array([objectives[tuple(y)] for y in ys]))
+    monkeypatch.setattr("ddrloc.benchmarks.SP_CHUNK_ELEMENTS", 3 * 25 * 4)
+    assert train_sp(inst, model, 25, seed=4).tolist() == [1, 0, 0]
+
+
+@pytest.mark.parametrize("seed, plans", [(0, {20: [0, 1, 3, 8, 9], 100: [0, 1, 3, 8, 9]}),
+                                         (3, {20: [0, 1, 5, 9], 100: [1, 3, 5, 9]})])
+def test_train_sp_pinned_on_criterion_7_configs(seed, plans):
+    # Criterion 7's SP(20) and SP(100) at I=10: the batched ranking picks the
+    # plan of one sp_objective call per plan, and the open facilities of that
+    # plan are pinned.
+    inst, model = generate_instance(ExperimentConfig(
+        n_facilities=10, n_customers=20, support_size=20, seed=seed,
+        penalty=225.0, lambda_row_sum=0.99))
+    for n_scen, offset in ((20, 1000), (100, 2000)):
+        y = train_sp(inst, model, n_scen, seed=seed + offset)
+        want = _sp_reference(inst, sp_sample(model, n_scen, seed + offset))
+        assert y.tolist() == want.tolist()
+        assert np.flatnonzero(y).tolist() == plans[n_scen]
 
 
 def test_compare_methods_output_shape():

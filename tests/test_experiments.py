@@ -121,6 +121,18 @@ def test_cli_gen_solve_evaluate_export(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fixture_output_bytes_pinned(tmp_path, capsys):
+    # tests/data/fixture_figure2.json holds the site layout `ddrloc fixture`
+    # wrote before its lists moved to instance.sites_to_dict.
+    golden = (Path(__file__).parent / "data" / "fixture_figure2.json").read_bytes()
+    out = tmp_path / "fix.json"
+    assert main(["fixture", "--out", str(out)]) == 0
+    assert out.read_bytes() == golden
+    capsys.readouterr()
+    assert main(["fixture"]) == 0
+    assert capsys.readouterr().out.encode() == golden
+
+
 def _evaluate_setup(tmp_path):
     prob = str(tmp_path / "p.json")
     assert main(["gen", "--size", "3,5", "--seed", "2", "--support", "1,100,8",

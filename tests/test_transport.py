@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_problem, toy_instance, toy_model
+from ddrloc.instance import plans_under_budget
 from ddrloc.transport import (PENALTY, h_closed_form, h_j_closed_form,
                               recover_allocation, second_stage_costs,
                               theta_affine, transport_lp_oracle,
@@ -112,6 +113,18 @@ def test_second_stage_costs_vectorization():
     vals = second_stage_costs(inst, y, demands)
     for w in range(15):
         assert vals[w] == pytest.approx(h_closed_form(inst, y, demands[w]))
+    # A plan matrix gives each row the bits of that plan's own call, for
+    # every plan with and without a budget, zero demands included.
+    inst, _ = random_problem(19, 6, 5)
+    demands = np.maximum(rng.normal(30.0, 30.0, size=(40, 5)), 0.0)
+    assert np.any(demands == 0.0)
+    for budget in (None, 2):
+        ys = np.array(plans_under_budget(inst.n_facilities, budget))
+        rows = second_stage_costs(inst, ys, demands)
+        assert rows.shape == (len(ys), 40)
+        assert rows.tobytes() == second_stage_costs(inst, ys.astype(float), demands).tobytes()
+        for y, row in zip(ys, rows):
+            assert row.tobytes() == second_stage_costs(inst, y, demands).tobytes()
 
 
 def test_unmet_is_shortfall_against_open_capacity():
