@@ -3,8 +3,9 @@
 The outer problem minimizes over facility plans while the adversary picks
 the worst distribution the plan allows.  Dualizing the inner problem and
 linearizing the decision-dependent products with McCormick envelopes turns
-the whole thing into one mixed-integer LP.  This script builds that MILP,
-solves it by branch and bound, cross-checks against brute-force plan
+the whole thing into one mixed-integer LP.  The envelopes need upper bounds
+on the dual multipliers; this script derives them from the data, solves the
+MILP once by branch and bound, cross-checks against brute-force plan
 enumeration, shows the nonemptiness cuts at work, and exports LP text.
 
 Run:  python3 demos/02_exact_reformulation.py
@@ -12,28 +13,31 @@ Run:  python3 demos/02_exact_reformulation.py
 
 import numpy as np
 
-from ddrloc import (DualBounds, branch_and_bound, build_dddr,
-                    binding_dual_bounds, enumerate_oracle, export_lp_text,
-                    model_stats)
+from ddrloc import (branch_and_bound, build_dddr, derive_dual_bounds,
+                    enumerate_oracle, exact_solve, export_lp_text, model_stats)
 from ddrloc.experiments import ExperimentConfig, generate_instance
 
 cfg = ExperimentConfig(n_facilities=5, n_customers=8, support_size=12,
                        kappa=0.1, seed=42)
 inst, model = generate_instance(cfg)
 
-print("== The single-shot MILP ==")
-m = build_dddr(inst, model, bounds=DualBounds.uniform(inst.n_customers, 1000.0))
-print("  model size:", model_stats(m))
-sol = branch_and_bound(m)
-y = np.array([round(sol.x[nm]) for nm in m.meta["y_vars"]])
-print(f"  optimum {sol.objective:.2f} at open facilities "
-      f"{[fid for fid, v in zip(inst.facility_ids, y) if v]}")
+print("== Dual bounds from the data ==")
+# Every vertex of a customer's inner dual touches the convex recourse cost at
+# one to three support points, so its multipliers are divided differences of
+# that cost: bounded by the candidate slopes (unit cost less revenue) and the
+# support spacing.  No plan's optimum is cut off, so no retry is needed.
+bounds = derive_dual_bounds(inst, model)
+for name in ("ub_delta1", "ub_delta2", "ub_gamma1", "ub_gamma2"):
+    vals = getattr(bounds, name)
+    print(f"  {name:<9} customer 1: {vals[0]:9.4f}   max over customers: {vals.max():9.4f}")
 
-# The dual variables carry explicit upper bounds; if any bound is active at
-# the returned plan the value is only an overestimate and the bounds must
-# be enlarged (exact_solve automates the doubling).
-binding = binding_dual_bounds(m, sol.x)
-print("  binding dual bounds at the optimum:", binding or "none")
+print("\n== The single-shot MILP ==")
+m = build_dddr(inst, model)            # the derived bounds are the default
+print("  model size:", model_stats(m))
+sol, y, _ = exact_solve(inst, model)   # one build, one search, oracle-checked
+print(f"  optimum {sol.objective:.2f} at open facilities "
+      f"{[fid for fid, v in zip(inst.facility_ids, y) if v]} "
+      f"({sol.node_count} nodes)")
 
 print("\n== Cross-check against brute-force enumeration ==")
 y_ref, obj_ref = enumerate_oracle(inst, model)
@@ -42,12 +46,10 @@ print(f"  enumeration optimum {obj_ref:.2f}, plan match: "
       f"objective gap {abs(sol.objective - obj_ref):.2e}")
 
 print("\n== Nonemptiness cuts ==")
-# The three ray cuts per customer exclude plans whose ambiguity set would
-# be empty; without them those plans make the minimization unbounded below
-# in the dual variables, so branch and bound must reject them numerically.
-m_nc = build_dddr(inst, model, bounds=DualBounds.uniform(inst.n_customers, 1000.0),
-                  with_cuts=False)
-sol_nc = branch_and_bound(m_nc)
+# The ray cuts per customer exclude plans whose ambiguity set would be
+# empty; without them those plans are held up only by the dual bounds, so
+# branch and bound must reject them numerically.
+sol_nc = branch_and_bound(build_dddr(inst, model, with_cuts=False))
 n_cuts = sum(1 for c in m.constraints if c.name.startswith("cut_ray"))
 print(f"  {n_cuts} cut rows; objective with vs without cuts: "
       f"{sol.objective:.4f} vs {sol_nc.objective:.4f}")

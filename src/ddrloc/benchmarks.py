@@ -252,6 +252,8 @@ def train_sp(instance: Instance, model: DemandModel, n_scen: int, seed: int,
     more than 1e-12.  Beyond 14 facilities the scenario MILP is solved by
     branch and bound.
     """
+    if n_scen < 1:
+        raise ValueError(f"SP sample size must be at least 1, got {n_scen}")
     draws = sp_sample(model, n_scen, seed)
     if instance.n_facilities <= 14:
         plans = np.array(plans_under_budget(instance.n_facilities, budget))

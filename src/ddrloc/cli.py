@@ -14,7 +14,8 @@ from .experiments import (ExperimentConfig, fixture_figure2, generate_instance,
                           run)
 from .instance import (decision_independent, load_problem, save_problem,
                        sites_to_dict, write_atomic)
-from .milp import DualBounds, build_dddr, export_lp_text
+from .milp import build_dddr, export_lp_text
+from .solvers import SOLVERS, solve_robust
 
 
 def _parse_size(text: str):
@@ -79,22 +80,20 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .solvers import solve_robust
-
     instance, model = load_problem(args.problem)
-    if args.method == "sp":
-        y = train_sp(instance, model, args.scenarios, seed=args.seed,
-                     budget=args.budget)
-        obj = sp_objective(instance, y, sp_sample(model, args.scenarios, args.seed))
-        extra = {"scenarios": args.scenarios}
-    else:
-        m = decision_independent(model) if args.method == "dr" else model
-        try:
+    try:
+        if args.method == "sp":
+            y = train_sp(instance, model, args.scenarios, seed=args.seed,
+                         budget=args.budget)
+            obj = sp_objective(instance, y, sp_sample(model, args.scenarios, args.seed))
+            extra = {"scenarios": args.scenarios}
+        else:
+            m = decision_independent(model) if args.method == "dr" else model
             y, obj, extra = solve_robust(instance, m, args.budget, args.solver,
                                          with_cuts=args.cuts == "on")
-        except RuntimeError as exc:
-            print(f"solve failed: {exc}", file=sys.stderr)
-            return 1
+    except (RuntimeError, ValueError) as exc:    # AmbiguityInfeasibleError included
+        print(f"solve failed: {exc}", file=sys.stderr)
+        return 1
     opens = sorted(int(instance.facility_ids[i]) for i in np.flatnonzero(y))
     print(f"{args.method}: objective {obj:.4f}, open {opens}")
     if args.out:
@@ -137,9 +136,7 @@ def cmd_compare(args) -> int:
 
 def cmd_export_lp(args) -> int:
     instance, model = load_problem(args.problem)
-    bounds = DualBounds.uniform(instance.n_customers, args.dual_bound)
-    m = build_dddr(instance, model, bounds=bounds, budget=args.budget,
-                   with_cuts=args.cuts == "on")
+    m = build_dddr(instance, model, budget=args.budget, with_cuts=args.cuts == "on")
     write_atomic(args.out, export_lp_text(m))
     print(f"wrote {args.out}: {len(m.variables)} variables, "
           f"{len(m.constraints)} constraints")
@@ -178,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="training sample size for the sp method")
     s.add_argument("--budget", type=int, default=None)
     s.add_argument("--cuts", choices=["on", "off"], default="on")
-    s.add_argument("--solver", choices=["auto", "enumerate", "milp"],
-                   default="auto")
+    s.add_argument("--solver", choices=SOLVERS, default="auto")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default=None, help="plan file to write")
     s.set_defaults(func=cmd_solve)
@@ -206,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--out", required=True)
     x.add_argument("--budget", type=int, default=None)
     x.add_argument("--cuts", choices=["on", "off"], default="on")
-    x.add_argument("--dual-bound", dest="dual_bound", type=float, default=100.0)
     x.set_defaults(func=cmd_export_lp)
 
     f = sub.add_parser("fixture", help="emit the fixed 10x20 coordinate layout")

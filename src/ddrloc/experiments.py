@@ -24,6 +24,7 @@ from .instance import (DemandModel, Instance, apply_robustness_level,
                        arithmetic_support, lambda_from_distance,
                        lambda_rho_means, save_problem, validate,
                        write_atomic)
+from .solvers import SOLVERS
 
 __all__ = [
     "ExperimentConfig",
@@ -57,7 +58,6 @@ class ExperimentConfig:
     sp_scenarios: tuple = (20, 100)
     n_test: int = 1000
     dist: str = "normal"
-    dual_bound: float = 100.0
     cuts: bool = True
     solver: str = "auto"
     export_lp: bool = False
@@ -75,6 +75,12 @@ class ExperimentConfig:
                              f"blocks; n_test={self.n_test} is not a multiple")
         if self.cv2 < 0:
             raise ValueError("squared coefficient of variation must be >= 0")
+        if self.solver not in SOLVERS:
+            raise ValueError(f"unknown solver {self.solver!r}")
+        if any(n < 1 for n in self.sp_scenarios):
+            raise ValueError("every SP sample size must be at least 1")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError("budget must be nonnegative")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -161,10 +167,8 @@ def run(config: ExperimentConfig) -> str:
     write_atomic(os.path.join(run_dir, "compare.txt"), result.to_text())
 
     if config.export_lp:
-        from .milp import DualBounds, build_dddr, export_lp_text
-        bounds = DualBounds.uniform(instance.n_customers, config.dual_bound)
-        m = build_dddr(instance, model, bounds=bounds, budget=config.budget,
-                       with_cuts=config.cuts)
+        from .milp import build_dddr, export_lp_text
+        m = build_dddr(instance, model, budget=config.budget, with_cuts=config.cuts)
         write_atomic(os.path.join(run_dir, "model.lp"), export_lp_text(m))
 
     manifest = {

@@ -122,7 +122,7 @@ class DemandModel:
     """Moment information of the random demand and its decision dependency.
 
     ``support`` is the common finite support of demand at every customer,
-    strictly increasing with at least two points.  ``eps_mu`` is the absolute
+    nonnegative and strictly increasing with at least two points.  ``eps_mu`` is the absolute
     half-width of the mean window; ``eps_sigma_lo``/``eps_sigma_hi`` scale the
     second-moment window, with ``0 <= lo <= 1 <= hi``.
     """
@@ -192,6 +192,8 @@ def arithmetic_support(lo: float, hi: float, k: int) -> np.ndarray:
 
 def plans_under_budget(n: int, budget: int | None) -> list[tuple[int, ...]]:
     """Every 0/1 plan over ``n`` facilities with at most ``budget`` open."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     return [y for y in itertools.product((0, 1), repeat=n)
             if budget is None or sum(y) <= budget]
 
@@ -332,22 +334,17 @@ def validate(instance: Instance, model: DemandModel | None = None) -> list[str]:
     """Check every structural invariant; return one message per violation."""
     v = []
     inst = instance
-    if np.any(inst.capacity <= 0):
-        for i in np.flatnonzero(inst.capacity <= 0):
-            v.append(f"facility {inst.facility_ids[i]}: capacity must be positive")
-    if np.any(inst.open_cost < 0):
-        for i in np.flatnonzero(inst.open_cost < 0):
-            v.append(f"facility {inst.facility_ids[i]}: opening cost must be nonnegative")
-    if np.any(inst.revenue < 0):
-        for j in np.flatnonzero(inst.revenue < 0):
-            v.append(f"customer {inst.customer_ids[j]}: revenue must be nonnegative")
+    for i in np.flatnonzero(inst.capacity <= 0):
+        v.append(f"facility {inst.facility_ids[i]}: capacity must be positive")
+    for i in np.flatnonzero(inst.open_cost < 0):
+        v.append(f"facility {inst.facility_ids[i]}: opening cost must be nonnegative")
+    for j in np.flatnonzero(inst.revenue < 0):
+        v.append(f"customer {inst.customer_ids[j]}: revenue must be nonnegative")
     if np.any(inst.cost < 0):
         v.append("transport costs must be nonnegative")
-    bad = inst.penalty[None, :] <= inst.cost
-    if np.any(bad):
-        for i, j in zip(*np.nonzero(bad)):
-            v.append(f"pair ({inst.facility_ids[i]}, {inst.customer_ids[j]}): "
-                     "penalty not strictly greater than transport cost")
+    for i, j in zip(*np.nonzero(inst.penalty[None, :] <= inst.cost)):
+        v.append(f"pair ({inst.facility_ids[i]}, {inst.customer_ids[j]}): "
+                 "penalty not strictly greater than transport cost")
     if model is None:
         return v
 
@@ -368,6 +365,8 @@ def validate(instance: Instance, model: DemandModel | None = None) -> list[str]:
         v.append("support needs at least two points")
     elif np.any(np.diff(d) <= 0):
         v.append("support must be strictly increasing")
+    if np.any(d < 0):
+        v.append("support points must be nonnegative")
     if np.any(model.eps_mu < 0):
         v.append("eps_mu must be nonnegative")
     if np.any(model.eps_sigma_lo < -TOL) or np.any(model.eps_sigma_lo > 1.0 + TOL):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .instance import (Instance, DemandModel, big_lambda_matrix,
                        chord_slacks, decision_independent)
-from .transport import _theta_pieces
+from .transport import _candidate_gaps, _theta_pieces
 
 __all__ = [
     "LinearExpr",
@@ -32,6 +32,7 @@ __all__ = [
     "Constraint",
     "MilpModel",
     "DualBounds",
+    "derive_dual_bounds",
     "mccormick_bilinear",
     "mccormick_trilinear",
     "build_dddr",
@@ -39,7 +40,6 @@ __all__ = [
     "build_sp_saa",
     "export_lp_text",
     "model_stats",
-    "binding_dual_bounds",
 ]
 
 INF = math.inf
@@ -149,8 +149,8 @@ class MilpModel:
     def binary_names(self) -> list[str]:
         return [v.name for v in self.variables if v.kind == "binary"]
 
-    def copy(self, name: str | None = None) -> "MilpModel":
-        m = MilpModel(name or self.name)
+    def copy(self) -> "MilpModel":
+        m = MilpModel(self.name)
         m.variables = list(self.variables)
         m.constraints = list(self.constraints)
         m.objective = LinearExpr(self.objective.coeffs, self.objective.constant)
@@ -188,13 +188,39 @@ class DualBounds:
             object.__setattr__(self, name, arr)
 
     @staticmethod
-    def uniform(n_customers: int, value: float = 100.0) -> "DualBounds":
-        v = np.full(n_customers, float(value))
-        return DualBounds(v.copy(), v.copy(), v.copy(), v.copy())
+    def uniform(n_customers: int, value: float) -> "DualBounds":
+        return DualBounds(*(np.full(n_customers, float(value)) for _ in range(4)))
 
-    def scaled(self, factor: float) -> "DualBounds":
-        return DualBounds(self.ub_delta1 * factor, self.ub_delta2 * factor,
-                          self.ub_gamma1 * factor, self.ub_gamma2 * factor)
+
+def derive_dual_bounds(instance: Instance, model: DemandModel) -> DualBounds:
+    """Bounds on the inner dual multipliers that hold at every dual vertex.
+
+    A vertex of customer j's inner dual is a quadratic alpha + beta d +
+    gamma d^2 (beta = delta1 - delta2, gamma = gamma1 - gamma2, one of each
+    pair zero) above the convex cost theta_j, touching it at three support
+    points a < b < c, or at two with beta or gamma zero, or at one.  As
+    theta_j's slopes lie in [s_min, s_max], the candidates' unit costs less
+    revenue, gamma is a second divided difference in [0, Gamma], Gamma =
+    (s_max - s_min) / min_k (d_{k+2} - d_k), or theta_j[a, b] / (a + b) when
+    beta = 0, and beta = theta_j[a, b] - gamma (a + b).  On a nonnegative
+    support that bounds delta1 by max(s_max, 0) (attained), delta2 by
+    max(0, Gamma (d_{K-2} + d_{K-1}) - s_min), gamma1 by max(Gamma,
+    max(s_max, 0) / (d_0 + d_1)) and gamma2 by max(-s_min, 0) / (d_0 + d_1),
+    whatever the moment windows.  A bound of 0 is raised to 1e-6.
+    """
+    d = model.support
+    slopes = np.array([_candidate_gaps(instance, jj)[0] - instance.revenue[jj]
+                       for jj in range(instance.n_customers)])
+    s_max, s_min = slopes.max(axis=1), slopes.min(axis=1)
+    big_gamma = ((s_max - s_min) / np.min(d[2:] - d[:-2]) if len(d) > 2
+                 else np.zeros_like(s_max))
+    rise = np.maximum(s_max, 0.0)
+    low = d[0] + d[1]
+    return DualBounds(*(np.maximum(b, 1e-6) for b in (
+        rise,
+        np.maximum(big_gamma * (d[-2] + d[-1]) - s_min, 0.0),
+        np.maximum(big_gamma, rise / low),
+        np.maximum(-s_min, 0.0) / low)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +308,10 @@ def build_dddr(instance: Instance, model: DemandModel,
 
     One dual block (alpha, delta, gamma) per customer; products of duals with
     the plan are carried by Delta/Gamma (bilinear) and Psi (trilinear)
-    envelope variables, products of plan entries by Y variables.  ``budget``
-    caps the number of open facilities; ``with_cuts`` adds the
+    envelope variables, products of plan entries by Y variables.  ``bounds``
+    caps the duals, by default at :func:`derive_dual_bounds`, which keep every
+    plan with a nonempty ambiguity set exact (smaller ones may truncate it).
+    ``budget`` caps the number of open facilities; ``with_cuts`` adds the
     feasibility-certifying chord inequalities.
     """
     from .instance import validate
@@ -293,7 +321,7 @@ def build_dddr(instance: Instance, model: DemandModel,
         raise ValueError("invalid problem data: " + "; ".join(violations))
     n_i, n_j = instance.n_facilities, instance.n_customers
     if bounds is None:
-        bounds = DualBounds.uniform(n_j)
+        bounds = derive_dual_bounds(instance, model)
     for arr in (bounds.ub_delta1, bounds.ub_delta2, bounds.ub_gamma1, bounds.ub_gamma2):
         if len(arr) != n_j:
             raise ValueError("dual bounds dimension does not match the customer count")
@@ -311,14 +339,11 @@ def build_dddr(instance: Instance, model: DemandModel,
     for i in range(n_i):
         obj.add(y[i], float(instance.open_cost[i]))
 
-    dual_ub: dict[str, float] = {}
     for jj, cid in enumerate(cids):
-        ubs = {"delta1": float(bounds.ub_delta1[jj]), "delta2": float(bounds.ub_delta2[jj]),
-               "gamma1": float(bounds.ub_gamma1[jj]), "gamma2": float(bounds.ub_gamma2[jj])}
+        ubs = {h: float(getattr(bounds, "ub_" + h)[jj]) for h, *_ in _DUAL_TERMS}
 
         alpha = m.add_variable(f"alpha_{cid}", lower=-INF)
         dv = {h: m.add_variable(f"{h}_{cid}", upper=ubs[h]) for h in ubs}
-        dual_ub.update({dv[h]: ubs[h] for h in ubs})
 
         terms = [(h, sign, windows[w][jj], prefix) for h, sign, w, prefix in _DUAL_TERMS]
         obj.add(alpha, 1.0)
@@ -376,8 +401,6 @@ def build_dddr(instance: Instance, model: DemandModel,
 
     m.set_objective(obj)
     m.meta["y_vars"] = list(y)
-    m.meta["dual_var_ub"] = dual_ub
-    m.meta["with_cuts"] = bool(with_cuts)
     return m.seal()
 
 
@@ -431,20 +454,6 @@ def build_sp_saa(instance: Instance, scenarios, budget: int | None = None) -> Mi
     return m.seal()
 
 
-def binding_dual_bounds(m: MilpModel, assignment: dict[str, float],
-                        tol: float = 1e-6) -> list[str]:
-    """Dual variables sitting at their upper bound in a solution.
-
-    A nonempty result means the bound truncation may be active; re-solve with
-    larger bounds before trusting the objective.
-    """
-    out = []
-    for name, ub in m.meta.get("dual_var_ub", {}).items():
-        if assignment.get(name, 0.0) >= ub - tol:
-            out.append(name)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # LP text export
 # ---------------------------------------------------------------------------
@@ -485,10 +494,9 @@ def export_lp_text(m: MilpModel) -> str:
     lines.append("Minimize")
     lines.append(f" obj: {_terms(m.objective.coeffs, order)}")
     lines.append("Subject To")
-    sense_txt = {"<=": "<=", "=": "=", ">=": ">="}
     for c in m.constraints:
         lines.append(f" {_clean(c.name)}: {_terms(c.coeffs, order)} "
-                     f"{sense_txt[c.sense]} {_num(c.rhs)}")
+                     f"{c.sense} {_num(c.rhs)}")
     lines.append("Bounds")
     for v in m.variables:
         if v.kind == "binary":

@@ -8,9 +8,10 @@ moment LPs and is the reference LP path in tests.  The value oracle's
 moment LPs go through the batch entry, many blocks at a time.
 
 Branch-and-bound solves the MILPs with scipy's HiGHS backend for the LP
-relaxations.  :func:`solve_robust` picks between enumeration and the exact
-MILP for a robust plan, and :func:`parse_lp_text` reads back an exported
-model.
+relaxations.  :func:`exact_solve` solves the robust MILP once, at dual
+bounds derived from the data, and checks its plan with the value oracle;
+:func:`solve_robust` picks between enumeration and that solve, and
+:func:`parse_lp_text` reads back an exported model.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .instance import plans_under_budget
-from .milp import (LinearExpr, MilpModel, DualBounds, binding_dual_bounds,
-                   build_dddr)
+from .milp import LinearExpr, MilpModel, build_dddr, derive_dual_bounds
 
 __all__ = [
     "LpSolution",
@@ -36,6 +36,7 @@ __all__ = [
     "enumerate_oracle",
     "exact_solve",
     "solve_robust",
+    "SOLVERS",
     "parse_lp_text",
 ]
 
@@ -45,8 +46,7 @@ FEAS_TOL = 1e-8
 # binary within INT_TOL of 0 or 1 counts as integral.
 ABS_GAP = 1e-6
 INT_TOL = 1e-6
-# exact_solve doubles binding dual bounds at most this many times.
-MAX_DOUBLINGS = 20
+SOLVERS = ("auto", "enumerate", "milp")
 
 
 @dataclass
@@ -486,45 +486,42 @@ def enumerate_oracle(instance, model, budget: int | None = None,
     return np.array(best_y), best_v
 
 
-def exact_solve(instance, model, bounds: DualBounds | None = None,
-                budget: int | None = None, with_cuts: bool = True):
-    """Build and solve the robust MILP, enlarging dual bounds while binding.
+def exact_solve(instance, model, budget: int | None = None, with_cuts: bool = True):
+    """Build the robust MILP at derived dual bounds and solve it once.
 
-    Returns ``(MipSolution, y, bounds_used)``.  The dual upper bounds truncate
-    the inner dual LP; whenever the optimum touches one, the model is rebuilt
-    with doubled bounds so the reported objective is truncation-free.
-
-    Caveat: the binding check only inspects the returned plan.  A bound that
-    is far too small can inflate the value of a *different* plan past the
-    returned one without leaving a trace at the returned plan, so start from
-    bounds of a plausible magnitude (the default 100 suits unit costs up to a
-    few hundred; scale with penalty times support range otherwise).
+    The bounds of :func:`~ddrloc.milp.derive_dual_bounds` hold at every dual
+    vertex, so one branch-and-bound run is exact over the plans with a
+    nonempty ambiguity set.  Its plan is priced by the value oracle: an empty
+    set the chord cuts missed raises AmbiguityInfeasibleError, and a MILP
+    value more than 1e-6 relative away from the oracle's raises RuntimeError.
+    Returns ``(MipSolution, y, bounds)``; ``y`` is None unless it ended optimal.
     """
-    n_j = instance.n_customers
-    if bounds is None:
-        bounds = DualBounds.uniform(n_j)
-    for _ in range(MAX_DOUBLINGS + 1):
-        m = build_dddr(instance, model, bounds=bounds, budget=budget,
-                       with_cuts=with_cuts)
-        sol = branch_and_bound(m)
-        if sol.status != "optimal":
-            return sol, None, bounds
-        if not binding_dual_bounds(m, sol.x):
-            y = np.array([round(sol.x[nm]) for nm in m.meta["y_vars"]], dtype=int)
-            return sol, y, bounds
-        bounds = bounds.scaled(2.0)
-    raise RuntimeError("dual bounds still binding after repeated doubling")
+    from .worstcase import worst_case_expectation
+
+    bounds = derive_dual_bounds(instance, model)
+    m = build_dddr(instance, model, bounds=bounds, budget=budget, with_cuts=with_cuts)
+    sol = branch_and_bound(m)
+    if sol.status != "optimal":
+        return sol, None, bounds
+    y = np.array([round(sol.x[nm]) for nm in m.meta["y_vars"]], dtype=int)
+    value = float(instance.open_cost @ y) + worst_case_expectation(instance, model, y)[0]
+    if abs(sol.objective - value) > 1e-6 * max(1.0, abs(value)):
+        raise RuntimeError(f"MILP value {sol.objective!r} disagrees with the value "
+                           f"oracle's {value!r} at plan {y.tolist()}")
+    return sol, y, bounds
 
 
 def solve_robust(instance, model, budget: int | None = None, solver: str = "auto",
                  with_cuts: bool = True):
     """Robust plan by enumeration or by the exact MILP.
 
-    ``solver`` is ``enumerate``, ``milp``, or ``auto`` (enumeration up to 12
-    facilities, the MILP beyond).  Returns ``(y, objective, info)``, where
-    ``info`` names the solver and, for the MILP, its node count and bound.
-    Raises RuntimeError when the MILP does not end optimal.
+    ``solver`` is ``enumerate``, ``milp`` or ``auto`` (enumeration up to 12
+    facilities, the MILP beyond); any other name raises ValueError.  Returns
+    ``(y, objective, info)``: ``info`` names the solver and, for the MILP,
+    its node count and bound.  Raises RuntimeError unless the MILP ends optimal.
     """
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}; expected one of {', '.join(SOLVERS)}")
     if solver == "enumerate" or (solver == "auto" and instance.n_facilities <= 12):
         y, obj = enumerate_oracle(instance, model, budget=budget)
         return np.asarray(y, dtype=int), obj, {"solver": "enumerate"}

@@ -119,11 +119,6 @@ def ambiguity_feasible(instance: Instance, model: DemandModel, y) -> Feasibility
 # Primal and dual LPs
 # ---------------------------------------------------------------------------
 
-def _plan_windows(windows, n: int) -> list[list[float]]:
-    """Plan ``n``'s ``[m_lo, m_hi, s_lo, s_hi]``, one list per customer."""
-    return np.stack([w[n] for w in windows], axis=1).tolist()
-
-
 def _primal_lp(support, theta: np.ndarray, window) -> MilpModel:
     """Moment LP of one customer over the support probabilities."""
     m_lo, m_hi, s_lo, s_hi = window
@@ -210,8 +205,8 @@ def worst_case_dual(instance: Instance, model: DemandModel, y):
     d = model.support
     cert = {nm: np.zeros(n_j) for nm in ("alpha", "delta1", "delta2", "gamma1", "gamma2")}
     total = 0.0
-    for jj, (m_lo, m_hi, s_lo, s_hi) in enumerate(
-            _plan_windows(moment_windows(model, y), 0)):
+    windows = np.stack([w[0] for w in moment_windows(model, y)], axis=1).tolist()
+    for jj, (m_lo, m_hi, s_lo, s_hi) in enumerate(windows):
         theta = theta_values(instance, model, y, jj)
         m = MilpModel(f"moment_dual_{jj}")
         a = m.add_variable("alpha", lower=-math.inf)

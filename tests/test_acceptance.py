@@ -15,7 +15,7 @@ import pytest
 from conftest import random_problem, toy_instance, toy_model
 from ddrloc.benchmarks import evaluate_plan, gen_normal, train_sp
 from ddrloc.instance import moment_windows
-from ddrloc.milp import DualBounds, build_dddr, build_dr, build_sp_saa
+from ddrloc.milp import build_dddr, build_dr, build_sp_saa
 from ddrloc.solvers import branch_and_bound, enumerate_oracle, simplex_solve
 from ddrloc.transport import h_closed_form, second_stage_costs, transport_lp_oracle
 from ddrloc.worstcase import (_primal_lp, ambiguity_feasible, extreme_rays,
@@ -69,11 +69,9 @@ def _reformulation_suite():
         kappa = float(rng.choice([0.0, 0.0, 0.1, 0.25]))
         inst, model = random_problem(500 + trial, n_i, n_j,
                                      support_size=k, kappa=kappa)
-        bounds = DualBounds.uniform(n_j, 1000.0)
-        m = build_dddr(inst, model, bounds=bounds)
+        m = build_dddr(inst, model)            # derived dual bounds
         sol = branch_and_bound(m)
-        sol_nc = branch_and_bound(build_dddr(inst, model, bounds=bounds,
-                                             with_cuts=False))
+        sol_nc = branch_and_bound(build_dddr(inst, model, with_cuts=False))
         y_ref, obj_ref = enumerate_oracle(inst, model)
         y = np.array([round(sol.x[nm]) for nm in m.meta["y_vars"]])
         wc, _ = worst_case_expectation(inst, model, y)

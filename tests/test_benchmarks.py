@@ -192,6 +192,12 @@ def test_sp_objective_plan_matrix_matches_one_plan_calls(monkeypatch):
         assert y.tolist() == _sp_reference(inst, draws, budget).tolist()
 
 
+def test_train_sp_rejects_empty_sample():
+    inst, model = random_problem(12, 3, 4, support_size=7)
+    with pytest.raises(ValueError, match="at least 1"):
+        train_sp(inst, model, 0, seed=0)
+
+
 def test_train_sp_tie_rule(monkeypatch):
     # Facilities 1 and 2 are identical and either one alone is optimal: the
     # tie goes to the first tied plan in enumeration order, (0, 1, 0).

@@ -53,6 +53,13 @@ def test_config_validation_and_round_trip():
     with pytest.raises(ValueError, match="multiple"):
         ExperimentConfig(dist="perturbed", n_test=45).validate()
     ExperimentConfig(dist="perturbed", n_test=40).validate()
+    with pytest.raises(ValueError, match="unknown solver"):
+        ExperimentConfig(solver="enumrate").validate()
+    with pytest.raises(ValueError, match="SP sample size"):
+        ExperimentConfig(sp_scenarios=(20, 0)).validate()
+    with pytest.raises(ValueError, match="budget"):
+        ExperimentConfig(budget=-1).validate()
+    ExperimentConfig(budget=0, solver="milp", sp_scenarios=(1,)).validate()
     cfg = ExperimentConfig(n_facilities=3, rho=2, lambda_recipe="rho-means")
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
     assert cfg.digest() == ExperimentConfig.from_dict(cfg.to_dict()).digest()
@@ -180,3 +187,21 @@ def test_cli_solve_sp_and_dr(tmp_path, capsys):
                  "--budget", "1"]) == 0
     out = capsys.readouterr().out
     assert "sp: objective" in out and "dr: objective" in out
+    # bad inputs are reported, not raised
+    assert main(["solve", "--problem", prob, "--method", "sp",
+                 "--scenarios", "0"]) == 1
+    assert main(["solve", "--problem", prob, "--method", "dddr",
+                 "--budget", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("solve failed:") == 2 and "at least 1" in err
+
+
+def test_cli_solve_reports_empty_ambiguity_set(tmp_path, capsys):
+    # the row-sum-0.99 instance whose MILP optimum has an empty moment set
+    # that the chord cuts miss
+    prob = str(tmp_path / "p.json")
+    assert main(["gen", "--size", "6,10", "--seed", "0", "--support", "1,100,12",
+                 "--lambda-row-sum", "0.99", "--out", prob]) == 0
+    assert main(["solve", "--problem", prob, "--method", "dddr",
+                 "--solver", "milp"]) == 1
+    assert "solve failed: empty ambiguity set" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from conftest import random_problem, toy_instance, toy_model
 from ddrloc.instance import (apply_robustness_level, arithmetic_support,
                              big_lambda_matrix, lambda_from_distance,
                              lambda_rho_means, load_problem, moment_windows,
-                             save_problem, validate)
+                             plans_under_budget, save_problem, validate)
 from ddrloc.transport import h_j_closed_form
 
 
@@ -179,6 +179,28 @@ def test_validate_flags_penalty_and_row_sum():
     model = toy_model(inst2, bar_mu=[10.0], bar_sigma=[5.0],
                       lambda_sigma=[[1.0]])
     assert any("lambda" in m or "variance" in m for m in validate(inst2, model))
+
+
+def test_validate_flags_negative_support():
+    inst = toy_instance(cost=[[1.0]], capacity=[1.0], penalty=[5.0], revenue=[1.0])
+    model = toy_model(inst, bar_mu=[10.0], bar_sigma=[5.0], support=(-1.0, 100.0, 10))
+    assert validate(inst, model) == ["support points must be nonnegative"]
+    assert validate(inst, toy_model(inst, [10.0], [5.0], support=(0.0, 100.0, 10))) == []
+
+
+def test_plans_under_budget_rejects_negative_budget():
+    from ddrloc.benchmarks import train_sp
+    from ddrloc.solvers import enumerate_oracle
+
+    assert plans_under_budget(2, 0) == [(0, 0)]
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        plans_under_budget(2, -1)
+    # and so do the enumerating solvers that read the budget through it
+    inst, model = random_problem(12, 3, 4, support_size=7)
+    for solve in (lambda: enumerate_oracle(inst, model, budget=-1),
+                  lambda: train_sp(inst, model, 5, seed=0, budget=-1)):
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            solve()
 
 
 def test_unknown_customer_id():

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from conftest import random_problem, toy_instance, toy_model
-from ddrloc.instance import decision_independent
-from ddrloc.milp import (DualBounds, LinearExpr, MilpModel,
-                         binding_dual_bounds, build_dddr, build_dr,
-                         build_sp_saa, export_lp_text, mccormick_bilinear,
+from ddrloc.instance import decision_independent, plans_under_budget
+from ddrloc.milp import (DualBounds, LinearExpr, MilpModel, build_dddr,
+                         build_dr, build_sp_saa, derive_dual_bounds,
+                         export_lp_text, mccormick_bilinear,
                          mccormick_trilinear, model_stats)
-from ddrloc.solvers import branch_and_bound, simplex_solve
+from ddrloc.solvers import branch_and_bound, enumerate_oracle, simplex_solve
 from ddrloc.transport import second_stage_costs
 from ddrloc.worstcase import (DualCertificate, dual_value, extreme_rays,
-                              worst_case_expectation)
+                              worst_case_dual, worst_case_expectation,
+                              worst_case_values)
 
 
 def _holds(rows, assignment):
@@ -89,26 +90,76 @@ def test_lambda_zero_reduces_to_dr():
     assert a.objective == pytest.approx(b.objective, abs=1e-9)
 
 
+def _restricted_value(m, y):
+    """The MILP's objective with the plan pinned to ``y``, binaries relaxed."""
+    over = {nm: (float(v), float(v)) for nm, v in zip(m.meta["y_vars"], y)}
+    sol = simplex_solve(m.with_bounds(over, relax_binaries=True))
+    assert sol.status == "optimal"
+    return sol.objective
+
+
 def test_restriction_matches_inner_dual_value():
     # Fixing the plan inside the MILP must reproduce the nonlinear worst-case
-    # objective computed independently (McCormick exactness).
+    # objective computed independently (McCormick exactness), both at the
+    # derived dual bounds and at bounds far above them.
     inst, model = random_problem(12, 3, 4, support_size=7, kappa=0.1)
-    m = build_dddr(inst, model, with_cuts=False,
-                   bounds=DualBounds.uniform(4, 1e6))
+    derived = build_dddr(inst, model, with_cuts=False)
+    wide = build_dddr(inst, model, with_cuts=False,
+                      bounds=DualBounds.uniform(4, 1e6))
     for y in ([1, 0, 1], [0, 1, 0], [1, 1, 1]):
-        over = {nm: (float(v), float(v)) for nm, v in zip(m.meta["y_vars"], y)}
-        sol = simplex_solve(m.with_bounds(over, relax_binaries=True))
-        assert sol.status == "optimal"
         wc, _ = worst_case_expectation(inst, model, np.array(y))
         want = float(inst.open_cost @ np.array(y)) + wc
-        assert sol.objective == pytest.approx(want, rel=1e-6)
-        assert binding_dual_bounds(m, sol.assignment()) == []
-    # at the default bound of 100 the dual optimum of y = (1,1,1) is
-    # truncated, and the flag must say so
-    tight = build_dddr(inst, model, with_cuts=False)
-    over = {nm: (1.0, 1.0) for nm in tight.meta["y_vars"]}
-    sol = simplex_solve(tight.with_bounds(over, relax_binaries=True))
-    assert binding_dual_bounds(tight, sol.assignment())
+        assert _restricted_value(derived, y) == pytest.approx(want, rel=1e-6)
+        assert _restricted_value(wide, y) == pytest.approx(want, rel=1e-6)
+    # bounds below the dual optimum truncate the inner dual: the restricted
+    # value is no longer the worst case
+    tight = build_dddr(inst, model, with_cuts=False,
+                       bounds=DualBounds.uniform(4, 1e-4))
+    wc, _ = worst_case_expectation(inst, model, np.array([1, 1, 1]))
+    want = float(inst.open_cost.sum()) + wc
+    assert _restricted_value(tight, [1, 1, 1]) > want + 1.0
+
+
+@pytest.mark.parametrize("recipe", ["distance", "rho-means"])
+@pytest.mark.parametrize("kappa", [0.0, 0.1])
+def test_derived_dual_bounds_dominate_worst_case_dual(recipe, kappa):
+    # The inner dual's optimal vertex at every plan with a nonempty set lies
+    # inside the derived bounds (delta1 attains its bound, p_j - r_j, up to
+    # the simplex's rounding).
+    for seed, (row_sum, k) in enumerate(((0.5, 12), (0.99, 12), (0.5, 100), (0.99, 100))):
+        inst, model = random_problem(310 + seed, 4 if k == 12 else 3, 5,
+                                     support_size=k, kappa=kappa,
+                                     lambda_recipe=recipe, lambda_row_sum=row_sum,
+                                     rho=2)
+        b = derive_dual_bounds(inst, model)
+        ys = plans_under_budget(inst.n_facilities, None)
+        nonempty = np.isfinite(worst_case_values(inst, model, ys))
+        assert nonempty.sum() >= len(ys) // 2
+        for y in np.array(ys)[nonempty]:
+            _, cert = worst_case_dual(inst, model, y)
+            for name in ("delta1", "delta2", "gamma1", "gamma2"):
+                ub = getattr(b, "ub_" + name)
+                assert np.all(getattr(cert, name) <= ub * (1 + 1e-9) + 1e-12), name
+
+
+def test_derived_dual_bounds_hand_values():
+    # One customer, slopes p - r = 3 and c - r = 1 - 5 = -4 on the support
+    # 1, 2, 4 (narrowest second span 3): Gamma = 7 / 3.
+    inst = toy_instance(cost=[[1.0]], capacity=[10.0], penalty=[8.0], revenue=[5.0])
+    model = toy_model(inst, [2.0], [1.0]).replace(support=np.array([1.0, 2.0, 4.0]))
+    b = derive_dual_bounds(inst, model)
+    assert b.ub_delta1 == pytest.approx([3.0])
+    assert b.ub_delta2 == pytest.approx([7 / 3 * 6 + 4])
+    assert b.ub_gamma1 == pytest.approx([7 / 3])
+    assert b.ub_gamma2 == pytest.approx([4 / 3])
+    # two support points admit no three-touch vertex, and a multiplier that
+    # is zero at every vertex gets the small positive floor
+    rich = toy_instance(cost=[[6.0]], capacity=[10.0], penalty=[8.0], revenue=[5.0])
+    two = toy_model(rich, [2.0], [1.0]).replace(support=np.array([1.0, 3.0]))
+    b2 = derive_dual_bounds(rich, two)
+    assert b2.ub_delta1 == pytest.approx([3.0])
+    assert b2.ub_gamma1 == pytest.approx([0.75])
+    assert 0.0 < b2.ub_delta2[0] <= 1e-6 and 0.0 < b2.ub_gamma2[0] <= 1e-6
 
 
 def test_cut_rows_present_and_value_neutral():
@@ -184,15 +235,15 @@ def test_sp_saa_zero_demand_and_restriction():
 
 
 def test_binding_dual_bounds_flag():
+    # Bounds above every dual vertex (derived or wide) keep the optimum exact;
+    # binding bounds truncate the inner dual and change it.
     inst, model = random_problem(5, 3, 4, support_size=6)
-    tight = DualBounds.uniform(4, 1e-4)
-    m = build_dddr(inst, model, bounds=tight)
-    sol = branch_and_bound(m)
-    assert binding_dual_bounds(m, sol.x)
-    wide = DualBounds.uniform(4, 1e6)
-    m2 = build_dddr(inst, model, bounds=wide)
-    sol2 = branch_and_bound(m2)
-    assert binding_dual_bounds(m2, sol2.x) == []
+    _, obj_ref = enumerate_oracle(inst, model)
+    for bounds in (None, DualBounds.uniform(4, 1e6)):
+        sol = branch_and_bound(build_dddr(inst, model, bounds=bounds))
+        assert sol.objective == pytest.approx(obj_ref, rel=1e-9)
+    tight = branch_and_bound(build_dddr(inst, model, bounds=DualBounds.uniform(4, 1e-4)))
+    assert tight.objective > obj_ref + 1.0
     with pytest.raises(ValueError):
         DualBounds.uniform(4, 0.0)
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import random_problem, toy_instance
+import ddrloc.solvers
 from ddrloc.milp import (DualBounds, LinearExpr, MilpModel, build_dddr,
-                         export_lp_text)
+                         derive_dual_bounds, export_lp_text)
 from ddrloc.solvers import (branch_and_bound, enumerate_oracle, exact_solve,
-                            parse_lp_text, simplex_solve)
+                            parse_lp_text, simplex_solve, solve_robust)
 from ddrloc.transport import h_j_closed_form
+from ddrloc.worstcase import AmbiguityInfeasibleError
 
 
 def _simplex_max_lp(coeffs):
@@ -86,7 +88,7 @@ def test_transport_duals_expose_marginal_source():
 
 def test_simplex_deterministic_pivot_sequence():
     inst, model = random_problem(14, 3, 4, support_size=6)
-    m = build_dddr(inst, model)
+    m = build_dddr(inst, model, bounds=DualBounds.uniform(4, 100.0))
     relaxed = m.with_bounds({}, relax_binaries=True)
     a = simplex_solve(relaxed)
     b = simplex_solve(relaxed)
@@ -118,7 +120,7 @@ def test_bnb_infeasible_status():
 
 def test_bnb_node_limit_status():
     inst, model = random_problem(0, 4, 6, support_size=10)
-    m = build_dddr(inst, model)
+    m = build_dddr(inst, model, bounds=DualBounds.uniform(6, 100.0))
     full = branch_and_bound(m)
     assert full.status == "optimal" and full.bound == full.objective
     # stopped before any incumbent: no plan, but a real open bound
@@ -154,12 +156,54 @@ def test_budget_zero_forces_empty_plan():
     assert sol.objective == pytest.approx(obj, rel=1e-9)
 
 
-def test_exact_solve_matches_oracle_at_default_bounds():
+def _count_bnb(monkeypatch):
+    calls = []
+    real = ddrloc.solvers.branch_and_bound
+    monkeypatch.setattr(ddrloc.solvers, "branch_and_bound",
+                        lambda m: calls.append(m) or real(m))
+    return calls
+
+
+def test_exact_solve_matches_oracle_at_default_bounds(monkeypatch):
     inst, model = random_problem(12, 3, 4, support_size=7, kappa=0.1)
+    calls = _count_bnb(monkeypatch)
     sol, y, bounds = exact_solve(inst, model)
+    assert len(calls) == 1                     # one build, one search
+    want = derive_dual_bounds(inst, model)
+    for name in ("ub_delta1", "ub_delta2", "ub_gamma1", "ub_gamma2"):
+        assert np.array_equal(getattr(bounds, name), getattr(want, name))
     y_ref, obj_ref = enumerate_oracle(inst, model)
     assert sol.objective == pytest.approx(obj_ref, rel=1e-6)
     assert np.array_equal(y, y_ref)
+
+
+def test_exact_solve_checks_the_incumbent_with_the_oracle(monkeypatch):
+    inst, model = random_problem(12, 3, 4, support_size=7, kappa=0.1)
+    # bounds that truncate the inner dual inflate the MILP value, which the
+    # oracle check must catch
+    monkeypatch.setattr(ddrloc.solvers, "derive_dual_bounds",
+                        lambda instance, model: DualBounds.uniform(4, 1e-4))
+    with pytest.raises(RuntimeError, match="value oracle"):
+        exact_solve(inst, model)
+
+
+def test_exact_solve_reports_empty_set_missed_by_chords(monkeypatch):
+    # seed 0, I=6, J=10, K=12, row sum 0.99: the plan [1,0,1,1,1,1] passes the
+    # chord cuts although customer 8's moment set is empty, and the MILP
+    # picks it; one round, then the oracle check names the empty set
+    from ddrloc.experiments import ExperimentConfig, generate_instance
+    inst, model = generate_instance(ExperimentConfig(
+        n_facilities=6, n_customers=10, support_size=12, lambda_row_sum=0.99))
+    calls = _count_bnb(monkeypatch)
+    with pytest.raises(AmbiguityInfeasibleError):
+        exact_solve(inst, model)
+    assert len(calls) == 1
+
+
+def test_solve_robust_rejects_unknown_solver():
+    inst, model = random_problem(12, 3, 4, support_size=7)
+    with pytest.raises(ValueError, match="unknown solver 'enumrate'"):
+        solve_robust(inst, model, solver="enumrate")
 
 
 def test_lp_text_round_trip_preserves_optimum(tmp_path):
