@@ -46,9 +46,10 @@ print(f"  enumeration optimum {obj_ref:.2f}, plan match: "
       f"objective gap {abs(sol.objective - obj_ref):.2e}")
 
 print("\n== Nonemptiness cuts ==")
-# The ray cuts per customer exclude plans whose ambiguity set would be
-# empty; without them those plans are held up only by the dual bounds, so
-# branch and bound must reject them numerically.
+# One cut per customer and chord: together they admit exactly the
+# plans whose ambiguity set is nonempty.  Without them an empty set's inner
+# dual is held up only by the dual bounds, so branch and bound must reject
+# such plans by value, and exact_solve's oracle check reports one it keeps.
 sol_nc = branch_and_bound(build_dddr(inst, model, with_cuts=False))
 n_cuts = sum(1 for c in m.constraints if c.name.startswith("cut_ray"))
 print(f"  {n_cuts} cut rows; objective with vs without cuts: "

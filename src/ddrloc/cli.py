@@ -27,18 +27,19 @@ def _parse_size(text: str):
 
 
 def _add_gen_options(p):
-    p.add_argument("--kappa", type=float, default=0.0,
+    cfg = ExperimentConfig()          # the generator's defaults live there
+    p.add_argument("--kappa", type=float, default=cfg.kappa,
                    help="robustness level in [0,1] for the moment windows")
-    p.add_argument("--cv2", type=float, default=1.0,
+    p.add_argument("--cv2", type=float, default=cfg.cv2,
                    help="squared coefficient of variation of baseline demand")
-    p.add_argument("--support", type=str, default="1,100,100",
-                   help="support as 'min,max,K'")
+    p.add_argument("--support", type=str, help="support as 'min,max,K'",
+                   default=f"{cfg.support_min:g},{cfg.support_max:g},{cfg.support_size}")
     p.add_argument("--lambda-recipe", choices=["distance", "rho-means"],
-                   default="distance")
-    p.add_argument("--lambda-row-sum", type=float, default=0.5)
-    p.add_argument("--rho", type=int, default=3)
-    p.add_argument("--penalty", type=float, default=225.0)
-    p.add_argument("--revenue", type=float, default=150.0)
+                   default=cfg.lambda_recipe)
+    p.add_argument("--lambda-row-sum", type=float, default=cfg.lambda_row_sum)
+    p.add_argument("--rho", type=int, default=cfg.rho)
+    p.add_argument("--penalty", type=float, default=cfg.penalty)
+    p.add_argument("--revenue", type=float, default=cfg.revenue)
 
 
 def _config_from_gen_args(args) -> ExperimentConfig:

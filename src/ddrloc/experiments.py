@@ -58,7 +58,6 @@ class ExperimentConfig:
     sp_scenarios: tuple = (20, 100)
     n_test: int = 1000
     dist: str = "normal"
-    cuts: bool = True
     solver: str = "auto"
     export_lp: bool = False
     out: str = "runs"
@@ -168,7 +167,7 @@ def run(config: ExperimentConfig) -> str:
 
     if config.export_lp:
         from .milp import build_dddr, export_lp_text
-        m = build_dddr(instance, model, budget=config.budget, with_cuts=config.cuts)
+        m = build_dddr(instance, model, budget=config.budget)   # the model compare solves
         write_atomic(os.path.join(run_dir, "model.lp"), export_lp_text(m))
 
     manifest = {

@@ -243,17 +243,20 @@ def big_lambda_matrix(model: DemandModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def chords(support) -> list[tuple[float, float, float]]:
-    """The chords of conv{(d_k, d_k^2)} that the emptiness test checks.
+    """Every facet of the moment set, each ``(a, b, c)`` for ``a + b d + c d^2 >= 0``.
 
-    Each ``(a, b, sign)`` stands for the parabola ``sign * (d - a) * (d - b)``,
-    which is nonnegative on the support, so every distribution on it has
-    ``sign * (E[d^2] - (a + b) E[d] + a b) >= 0``: the chords through the two
-    lowest and the two highest points (opening up) and through the extreme
-    points (opening down).
+    The (E[d], E[d^2]) pairs on a nonnegative support d_0 < ... < d_{K-1}
+    form conv{(d_k, d_k^2)} (Karlin & Studden, 1966).  In order: the
+    up-chord of each adjacent pair (every lower hull edge), the down-chord
+    through d_0 and d_{K-1}, and the range bounds of E[d] and E[d^2].  Edges
+    and axes together are exact: a box of windows misses the hull exactly
+    when one of these fails at all its corners.
     """
-    d = np.asarray(support, dtype=float)
-    d1, d2, dk1, dk = float(d[0]), float(d[1]), float(d[-2]), float(d[-1])
-    return [(d1, d2, 1.0), (dk1, dk, 1.0), (d1, dk, -1.0)]
+    d = [float(dk) for dk in support]
+    lo, hi = d[0], d[-1]
+    edges = [(p * q, -(p + q), 1.0) for p, q in zip(d, d[1:])]
+    return edges + [(-lo * hi, lo + hi, -1.0), (-lo, 1.0, 0.0), (hi, -1.0, 0.0),
+                    (-lo * lo, 0.0, 1.0), (hi * hi, 0.0, -1.0)]
 
 
 def chord_slacks(support, windows, one) -> np.ndarray:
@@ -261,15 +264,13 @@ def chord_slacks(support, windows, one) -> np.ndarray:
 
     ``windows`` is ``(m_lo, m_hi, s_lo, s_hi)`` and ``one`` is 1.0; a
     negative slack proves the moment set empty.  The result stacks one slack
-    per chord on a new last axis.  The slack is affine in the windows, so
-    passing their affine forms in the plan, with ``one`` the form of the
-    constant 1, gives its form.
+    per chord, in the order of :func:`chords`, on a new last axis.  The slack
+    is affine in the windows, so passing their affine forms in the plan, with
+    ``one`` the form of the constant 1, gives its form.
     """
     m_lo, m_hi, s_lo, s_hi = windows
-    return np.stack([sign * a * b * one
-                     - sign * (a + b) * (m_lo if sign > 0 else m_hi)
-                     + sign * (s_hi if sign > 0 else s_lo)
-                     for a, b, sign in chords(support)], axis=-1)
+    return np.stack([a * one + b * (m_hi if b > 0 else m_lo) + c * (s_hi if c > 0 else s_lo)
+                     for a, b, c in chords(support)], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -312,7 +312,7 @@ def build_dddr(instance: Instance, model: DemandModel,
     caps the duals, by default at :func:`derive_dual_bounds`, which keep every
     plan with a nonempty ambiguity set exact (smaller ones may truncate it).
     ``budget`` caps the number of open facilities; ``with_cuts`` adds the
-    feasibility-certifying chord inequalities.
+    chord rows, which admit exactly the plans with a nonempty ambiguity set.
     """
     from .instance import validate
 

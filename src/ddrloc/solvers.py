@@ -490,10 +490,10 @@ def exact_solve(instance, model, budget: int | None = None, with_cuts: bool = Tr
     """Build the robust MILP at derived dual bounds and solve it once.
 
     The bounds of :func:`~ddrloc.milp.derive_dual_bounds` hold at every dual
-    vertex, so one branch-and-bound run is exact over the plans with a
-    nonempty ambiguity set.  Its plan is priced by the value oracle: an empty
-    set the chord cuts missed raises AmbiguityInfeasibleError, and a MILP
-    value more than 1e-6 relative away from the oracle's raises RuntimeError.
+    vertex and the chord cuts admit exactly the nonempty ambiguity sets, so
+    one branch-and-bound run is exact.  The value oracle prices its plan: an
+    empty set (only without the cuts) raises AmbiguityInfeasibleError, and a
+    MILP value over 1e-6 relative away from the oracle's raises RuntimeError.
     Returns ``(MipSolution, y, bounds)``; ``y`` is None unless it ended optimal.
     """
     from .worstcase import worst_case_expectation

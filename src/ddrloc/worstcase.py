@@ -4,8 +4,8 @@ For a fixed plan the adversary chooses, independently per customer, a
 distribution on the finite support whose mean and second moment lie in the
 decision-dependent windows.  Each customer therefore contributes a small LP
 over the support probabilities; the total worst case is the sum.  The dual
-of that LP, its extreme rays, and the resulting closed-form feasibility
-certificate live here as well.
+of that LP, its extreme rays, and the chord test, which is exact and the
+only test of emptiness, live here as well.
 
 The value oracle :func:`worst_case_values` screens the plans with the chord
 test, builds the tableau of every remaining (plan, customer) moment LP from
@@ -66,7 +66,7 @@ class DualCertificate:
 @dataclass(frozen=True)
 class FeasibilityReport:
     feasible: bool
-    violations: tuple      # (customer id, ray index 1..3, slack)
+    violations: tuple      # (customer id, ray number in extreme_rays, from 1; slack)
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -77,10 +77,6 @@ class AmbiguityInfeasibleError(ValueError):
 
     def __init__(self, report: FeasibilityReport):
         self.report = report
-        if not report.violations:
-            super().__init__("empty ambiguity set: a moment LP is infeasible "
-                             "although no ray inequality is violated")
-            return
         worst = min(report.violations, key=lambda v: v[2])
         super().__init__(
             f"empty ambiguity set: customer {worst[0]}, ray {worst[1]} "
@@ -100,19 +96,24 @@ def theta_values(instance: Instance, model: DemandModel, y, jj: int) -> np.ndarr
 def extreme_rays(support) -> list[tuple[float, float, float, float, float]]:
     """The recession directions (alpha, delta1, delta2, gamma1, gamma2).
 
-    One per chord of :func:`~ddrloc.instance.chords`: the coefficients of its
-    parabola ``sign * (d - a) * (d - b)`` in the dual constraint rows.
+    One per chord ``(a, b, c)`` of :func:`~ddrloc.instance.chords`, in its
+    order: ``(a, b+, b-, c+, c-)``, the quadratic split into the dual rows.
     """
-    return [(a * b, 0.0, a + b, 1.0, 0.0) if sign > 0 else (-a * b, a + b, 0.0, 0.0, 1.0)
-            for a, b, sign in chords(support)]
+    return [(a, max(0.0, b), max(0.0, -b), max(0.0, c), max(0.0, -c))
+            for a, b, c in chords(support)]
 
 
-def ambiguity_feasible(instance: Instance, model: DemandModel, y) -> FeasibilityReport:
-    """Nonemptiness certificate: every chord inequality for every customer."""
-    slacks = chord_slacks(model.support, moment_windows(model, y), 1.0)[0]   # (J, chords)
+def _screen(instance: Instance, model: DemandModel, windows) -> FeasibilityReport:
+    """The chord test of :func:`ambiguity_feasible` on one plan's windows."""
+    slacks = chord_slacks(model.support, windows, 1.0)[0]   # (J, chords)
     violations = tuple((instance.customer_ids[jj], int(r) + 1, float(slacks[jj, r]))
                        for jj, r in zip(*np.nonzero(slacks < -RAY_TOL)))
     return FeasibilityReport(not violations, violations)
+
+
+def ambiguity_feasible(instance: Instance, model: DemandModel, y) -> FeasibilityReport:
+    """Nonemptiness test, exact: every chord inequality for every customer."""
+    return _screen(instance, model, moment_windows(model, y))
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +150,9 @@ def _moment_lps(instance: Instance, model: DemandModel, ys: np.ndarray, windows,
     arrays and solves them ``LP_CHUNK_POINTS // K`` blocks at a time through
     :func:`~ddrloc.solvers._simplex_batch`, which gives each block the
     pivots of a lone :func:`~ddrloc.solvers.simplex_solve` call.  Returns
-    ``(values, pi)``: each plan's worst case (inf when one of its LPs is
-    infeasible) and, with ``with_pi``, the (N, |J|, K) adversarial
-    probabilities (nan for an infeasible LP).
+    ``(values, pi)``: each plan's worst case and, with ``with_pi``, the
+    (N, |J|, K) adversarial probabilities.  The plans must pass the chord
+    screen, which is exact, so an infeasible LP raises RuntimeError.
     """
     d = model.support
     n_plans, n_j = len(ys), instance.n_customers
@@ -171,28 +172,26 @@ def _moment_lps(instance: Instance, model: DemandModel, ys: np.ndarray, windows,
         theta = _theta(d, cand[jj], consts, instance.revenue[jj][:, None])
         # The standard form adds each cost to 0.0, which turns -0.0 into 0.0.
         status, u, obj = _simplex_batch(rows, rhs[blocks], _MOMENT_SENSES, 0.0 - theta)
-        ok = status == OPTIMAL
-        neg_value[blocks] = np.where(ok, obj, np.inf)
+        if np.any(status != OPTIMAL):
+            raise RuntimeError("a moment LP is infeasible although the chord screen passed")
+        neg_value[blocks] = obj
         if with_pi:
-            pi[blocks] = np.where(ok[:, None], 0.0 + u, np.nan)   # as recover_x adds
+            pi[blocks] = 0.0 + u   # as recover_x adds
     neg_value = neg_value.reshape(n_plans, n_j)
     values = np.zeros(n_plans)
     for col in neg_value.T:            # in customer order: the sum's bits depend on it
         values -= col
-    values[np.isinf(neg_value).any(axis=1)] = math.inf
     return values, None if pi is None else pi.reshape(n_plans, n_j, len(d))
 
 
 def worst_case_expectation(instance: Instance, model: DemandModel, y):
     """Adversarial expected cost and the attaining distribution, per LP solve."""
-    report = ambiguity_feasible(instance, model, y)
+    ys = np.atleast_2d(np.asarray(y, dtype=float))
+    windows = moment_windows(model, ys)
+    report = _screen(instance, model, windows)
     if not report:
         raise AmbiguityInfeasibleError(report)
-    ys = np.atleast_2d(np.asarray(y, dtype=float))
-    values, pi = _moment_lps(instance, model, ys, moment_windows(model, ys), with_pi=True)
-    if values[0] == math.inf:
-        # The checked chords do not cover every chord of the moment set.
-        raise AmbiguityInfeasibleError(FeasibilityReport(False, ()))
+    values, pi = _moment_lps(instance, model, ys, windows, with_pi=True)
     total = float(values[0])
     return total, WorstCaseDistribution(pi=pi[0], value=total)
 
@@ -201,6 +200,9 @@ def worst_case_dual(instance: Instance, model: DemandModel, y):
     """Dual optimum of the inner problem; equals the primal by strong duality."""
     from .solvers import simplex_solve
 
+    report = ambiguity_feasible(instance, model, y)
+    if not report:
+        raise AmbiguityInfeasibleError(report)
     n_j = instance.n_customers
     d = model.support
     cert = {nm: np.zeros(n_j) for nm in ("alpha", "delta1", "delta2", "gamma1", "gamma2")}
@@ -221,9 +223,6 @@ def worst_case_dual(instance: Instance, model: DemandModel, y):
                              ">=", float(theta[k]))
         m.set_objective(LinearExpr({a: 1.0, d1: m_hi, d2: -m_lo, g1: s_hi, g2: -s_lo}))
         sol = simplex_solve(m.seal())
-        if sol.status == "unbounded":
-            report = ambiguity_feasible(instance, model, y)
-            raise AmbiguityInfeasibleError(FeasibilityReport(False, report.violations))
         if sol.status != "optimal":
             raise RuntimeError(f"dual moment LP is {sol.status}")
         for nm in cert:
@@ -267,8 +266,8 @@ def worst_case_values(instance: Instance, model: DemandModel, ys) -> np.ndarray:
     """Worst-case value for a batch of plans; inf where the set is empty.
 
     The windows are computed once for the whole batch.  Plans that fail the
-    chord test are inf, and the moment LPs of the rest are solved in lockstep
-    batches (:func:`_moment_lps`); a plan with an infeasible LP is inf as well.
+    chord test, which is exact, are inf, and the moment LPs of the rest are
+    solved in lockstep batches (:func:`_moment_lps`).
     """
     ys_arr = np.atleast_2d(np.asarray(ys, dtype=float))
     windows = moment_windows(model, ys_arr)

@@ -51,3 +51,22 @@ def random_problem(seed, n_facilities, n_customers, support_size=10, kappa=0.0,
 @pytest.fixture
 def small_problem():
     return random_problem(11, 3, 5, support_size=8)
+
+
+def moment_lps(model, windows, theta=0.0):
+    """The moment LP of each window box, as the value oracle builds it, solved
+    straight through the lockstep simplex: ``(status, pi)``.
+
+    ``windows`` is ``(m_lo, m_hi, s_lo, s_hi)``, arrays of one shape S;
+    ``theta`` (S + (K,), or 0.0 to test feasibility alone) is the cost.
+    """
+    from ddrloc.solvers import _simplex_batch
+    from ddrloc.worstcase import _MOMENT_SENSES
+    d = model.support
+    sq = [dk ** 2 for dk in d.tolist()]
+    m_lo, m_hi, s_lo, s_hi = (np.asarray(w, dtype=float) for w in windows)
+    rhs = np.stack([np.ones_like(m_lo), m_hi, m_lo, s_hi, s_lo], axis=-1).reshape(-1, 5)
+    cost = np.broadcast_to(0.0 - np.asarray(theta, dtype=float), (len(rhs), len(d)))
+    status, u, _ = _simplex_batch(np.array([np.ones(len(d)), d, d, sq, sq]), rhs,
+                                  _MOMENT_SENSES, cost)
+    return status.reshape(m_lo.shape), (0.0 + u).reshape(m_lo.shape + (len(d),))

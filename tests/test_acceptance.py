@@ -5,6 +5,7 @@ Slow shared artifacts (trained plans, MILP-vs-enumeration sweeps) are cached
 at module level so later criteria reuse them.
 """
 
+import itertools
 import math
 import time
 from pathlib import Path
@@ -12,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_problem, toy_instance, toy_model
+from conftest import moment_lps, random_problem, toy_instance, toy_model
 from ddrloc.benchmarks import evaluate_plan, gen_normal, train_sp
-from ddrloc.instance import moment_windows
+from ddrloc.instance import chords, moment_windows, plans_under_budget
 from ddrloc.milp import build_dddr, build_dr, build_sp_saa
-from ddrloc.solvers import branch_and_bound, enumerate_oracle, simplex_solve
+from ddrloc.solvers import (OPTIMAL, branch_and_bound, enumerate_oracle,
+                            exact_solve, simplex_solve)
 from ddrloc.transport import h_closed_form, second_stage_costs, transport_lp_oracle
 from ddrloc.worstcase import (_primal_lp, ambiguity_feasible, extreme_rays,
                               theta_values, worst_case_dual,
@@ -105,23 +107,48 @@ def test_criterion_5_cut_validity_and_feasibility_agreement():
     rng = np.random.default_rng(55)
     inst = toy_instance(cost=[[1.0]], capacity=[10.0], penalty=[400.0],
                         revenue=[1.0])
+    # (mean, standard deviation, kappa): means engineered to leave the
+    # support, then moment windows (kappa > 0), near-zero variance at and
+    # between support points, and boxes beyond the support's range
+    configs = [(rng.uniform(-20, 160), rng.uniform(0, 250), 0.0) for _ in range(100)]
+    configs += [(rng.uniform(-20, 160), rng.uniform(0, 250), rng.uniform(0, 0.5))
+                for _ in range(100)]
+    configs += [(mu, sigma, kappa) for mu in np.linspace(1.0, 100.0, 15)
+                for sigma in (0.0, 1e-6, 0.5) for kappa in (0.0, 1e-3)]
+    configs += [(rng.choice([rng.uniform(100, 200), rng.uniform(-50, 1)]),
+                 rng.uniform(0, 50), rng.uniform(0, 0.6)) for _ in range(50)]
     agree = 0
-    total = 100
     n_infeasible = 0
-    for _ in range(total):
-        mu = rng.uniform(-20, 160)          # engineered to leave the support
-        sigma = rng.uniform(0, 250)
+    for mu, sigma, kappa in configs:
         model = toy_model(inst, bar_mu=[mu], bar_sigma=[sigma],
-                          support=(1.0, 100.0, 8))
+                          support=(1.0, 100.0, 8), eps_mu=[kappa * abs(mu)],
+                          eps_lo=[1.0 - kappa], eps_hi=[1.0 + kappa])
         ray_ok = ambiguity_feasible(inst, model, [0]).feasible
         theta = theta_values(inst, model, np.array([0]), 0)
         window = [w[0, 0] for w in moment_windows(model, [0])]
         lp_ok = simplex_solve(_primal_lp(model.support, theta, window)).status == "optimal"
         agree += ray_ok == lp_ok
         n_infeasible += not lp_ok
+    total = len(configs)
     report(5, rel < 1e-6 and agree == total and n_infeasible > 10,
            f"cuts value-neutral (max rel {rel:.2e}); ray test agreed with LP "
            f"on {agree}/{total} configs ({n_infeasible} infeasible)")
+
+
+@pytest.mark.slow
+def test_exact_solve_matches_enumeration_at_row_sum_099():
+    # The strongly coupled regime, where interior edges decide emptiness;
+    # seed 0 at I = 6 is the instance whose optimum the three outer chords
+    # once let the MILP miss.
+    worst = 0.0
+    for n_i, seed, kappa in itertools.product((4, 5, 6), range(4), (0.0, 0.1)):
+        inst, model = random_problem(seed, n_i, 10, support_size=12, kappa=kappa,
+                                     lambda_row_sum=0.99)
+        sol, y, _ = exact_solve(inst, model)
+        y_ref, obj_ref = enumerate_oracle(inst, model)
+        assert sol.status == "optimal" and np.array_equal(y, y_ref), (n_i, seed, kappa)
+        worst = max(worst, abs(sol.objective - obj_ref) / max(1.0, abs(obj_ref)))
+    assert worst < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +198,11 @@ def test_criterion_4_extreme_rays():
         # so the -1e-12 tolerance tests the formulas rather than roundoff
         d = np.sort(rng.choice(np.arange(1, 201), size=k, replace=False)).astype(float)
         rays = extreme_rays(d)
-        defining = [(d[0], d[1]), (d[-2], d[-1]), (d[0], d[-1])]
+        # each ray is defined by the support points where its chord vanishes
+        defining = [d[a + b * d + c * d ** 2 == 0] for a, b, c in chords(d)]
+        if len(rays) != len(defining) or len(rays) != k + 4:
+            ok = False
+            msgs.append(f"{len(rays)} rays for {k} support points (trial {trial})")
         for ray, pts in zip(rays, defining):
             a, d1v, d2v, g1v, g2v = ray
             vals = a + (d1v - d2v) * d + (g1v - g2v) * d ** 2
@@ -198,7 +229,7 @@ def test_criterion_4_extreme_rays():
             ok = False
             msgs.append(f"perturbed downward ray stayed feasible (trial {trial})")
     report(4, ok, msgs[0] if msgs else
-           "50 supports: rays nonnegative, active systems rank 4, "
+           "50 supports: K + 4 rays each, nonnegative, active systems rank 4, "
            "perturbed index pairs infeasible")
 
 
@@ -280,6 +311,24 @@ def test_criterion_7_directional_benchmark():
         lines.append(f"vs {m}: obj gain {gain:.1%}, unmet cut {cut:.1%}")
         ok = ok and gain >= 0.05 and cut >= 0.50
     report(7, ok, f"10 instances ({elapsed:.0f}s); " + "; ".join(lines))
+
+
+@pytest.mark.slow
+def test_screen_matches_moment_lps_on_criterion_7_instances():
+    # The chord screen alone decides emptiness: on every plan of the
+    # benchmark instances it agrees with the feasibility of the moment LPs.
+    from ddrloc.experiments import ExperimentConfig, generate_instance
+    ys = np.array(plans_under_budget(10, None), dtype=float)
+    n_empty = 0
+    for seed in BENCH_SEEDS:
+        inst, model = generate_instance(ExperimentConfig(
+            n_facilities=10, n_customers=20, support_size=20, seed=seed,
+            lambda_row_sum=0.99))
+        lp = (moment_lps(model, moment_windows(model, ys))[0] == OPTIMAL).all(axis=1)
+        screen = np.array([bool(ambiguity_feasible(inst, model, y)) for y in ys])
+        assert np.array_equal(screen, lp), seed
+        n_empty += int(np.sum(~lp))
+    assert n_empty >= 10
 
 
 @pytest.mark.slow

@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import ddrloc.benchmarks
+import ddrloc.solvers
 from conftest import random_problem
 
 
@@ -21,6 +22,19 @@ def test_tracer_lookup_names_resolve_and_restore(monkeypatch):
         tracer.remove()
     for module, attr, original in before:
         assert getattr(module, attr) is original
+
+
+def test_reference_check_exact_at_row_sum_099(monkeypatch):
+    # the exact-milp check of the benchmark, on instances of its size in the
+    # strongly coupled regime
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import reference
+
+    for seed in (1000, 1001):
+        inst, model = random_problem(seed, 4, 10, support_size=12, lambda_row_sum=0.99)
+        sol, y, _ = ddrloc.solvers.exact_solve(inst, model)
+        record = (sol.status, float(sol.objective), float(sol.bound), tuple(int(v) for v in y))
+        assert reference.check_exact(inst, model, record) == []
 
 
 def test_traced_train_sp_opens_second_stage_costs_spans(monkeypatch):

@@ -99,6 +99,12 @@ def test_run_writes_artifacts_and_is_deterministic(tmp_path):
     assert a == b
 
 
+def test_cli_gen_defaults_are_the_config_defaults():
+    from ddrloc.cli import _config_from_gen_args, build_parser
+    args = build_parser().parse_args(["gen", "--size", "3,4", "--out", "p.json"])
+    assert _config_from_gen_args(args) == ExperimentConfig(n_facilities=3, n_customers=4)
+
+
 def test_cli_gen_solve_evaluate_export(tmp_path, capsys):
     prob = str(tmp_path / "p.json")
     assert main(["gen", "--size", "3,5", "--seed", "2",
@@ -196,12 +202,24 @@ def test_cli_solve_sp_and_dr(tmp_path, capsys):
     assert err.count("solve failed:") == 2 and "at least 1" in err
 
 
+def test_cli_solve_reports_every_set_empty(tmp_path, capsys):
+    # baseline means of 20 to 40 on the support 1..10: no plan has a distribution
+    prob = str(tmp_path / "p.json")
+    assert main(["gen", "--size", "3,4", "--seed", "3", "--support", "1,10,5",
+                 "--out", prob]) == 0
+    for solver in ("enumerate", "milp"):
+        assert main(["solve", "--problem", prob, "--method", "dddr",
+                     "--solver", solver]) == 1
+    err = capsys.readouterr().err
+    assert err.count("solve failed:") == 2
+
+
 def test_cli_solve_reports_empty_ambiguity_set(tmp_path, capsys):
-    # the row-sum-0.99 instance whose MILP optimum has an empty moment set
-    # that the chord cuts miss
+    # the row-sum-0.99 instance whose MILP optimum without the chord cuts
+    # has an empty moment set
     prob = str(tmp_path / "p.json")
     assert main(["gen", "--size", "6,10", "--seed", "0", "--support", "1,100,12",
                  "--lambda-row-sum", "0.99", "--out", prob]) == 0
     assert main(["solve", "--problem", prob, "--method", "dddr",
-                 "--solver", "milp"]) == 1
+                 "--solver", "milp", "--cuts", "off"]) == 1
     assert "solve failed: empty ambiguity set" in capsys.readouterr().err

@@ -187,7 +187,8 @@ def _ray_slack(model, y, jj, ray):
 @pytest.mark.parametrize("kappa", [0.0, 0.1])
 def test_cut_rows_are_the_oracle_certificate(recipe, kappa):
     # Every cut row, evaluated at (y, Y_lm = y_l * y_m), is the slack of the
-    # matching extreme ray of the value oracle's dual, customer by customer.
+    # matching extreme ray of the value oracle's dual, customer by customer;
+    # there is one row per customer and chord.
     for seed, n_i in ((60, 1), (61, 3), (62, 4)):
         inst, model = random_problem(seed, n_i, 4, support_size=7, kappa=kappa,
                                      lambda_recipe=recipe, rho=min(2, n_i))
@@ -195,8 +196,8 @@ def test_cut_rows_are_the_oracle_certificate(recipe, kappa):
         for build, dem in ((build_dddr, model), (build_dr, decision_independent(model))):
             m = build(inst, model)
             cuts = {c.name: c for c in m.constraints if c.name.startswith("cut_")}
-            assert len(cuts) == 3 * inst.n_customers
             rays = extreme_rays(model.support)
+            assert len(cuts) == len(rays) * inst.n_customers
             for y in itertools.product((0, 1), repeat=n_i):
                 point = {f"y_{f}": float(v) for f, v in zip(fids, y)}
                 point.update({f"Y_{fids[l]}_{fids[k]}": float(y[l] * y[k])

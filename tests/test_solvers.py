@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from ddrloc.milp import (DualBounds, LinearExpr, MilpModel, build_dddr,
 from ddrloc.solvers import (branch_and_bound, enumerate_oracle, exact_solve,
                             parse_lp_text, simplex_solve, solve_robust)
 from ddrloc.transport import h_j_closed_form
-from ddrloc.worstcase import AmbiguityInfeasibleError
+from ddrloc.worstcase import AmbiguityInfeasibleError, worst_case_values
 
 
 def _simplex_max_lp(coeffs):
@@ -188,16 +189,34 @@ def test_exact_solve_checks_the_incumbent_with_the_oracle(monkeypatch):
 
 
 def test_exact_solve_reports_empty_set_missed_by_chords(monkeypatch):
-    # seed 0, I=6, J=10, K=12, row sum 0.99: the plan [1,0,1,1,1,1] passes the
-    # chord cuts although customer 8's moment set is empty, and the MILP
-    # picks it; one round, then the oracle check names the empty set
+    # seed 0, I=6, J=10, K=12, row sum 0.99: customer 8's moment set is empty
+    # at the plan [1,0,1,1,1,1], which only an interior edge's cut excludes.
+    # With the cuts one round finds the enumeration optimum; without them the
+    # MILP picks an empty set and the oracle check names customer 8.
     from ddrloc.experiments import ExperimentConfig, generate_instance
     inst, model = generate_instance(ExperimentConfig(
         n_facilities=6, n_customers=10, support_size=12, lambda_row_sum=0.99))
     calls = _count_bnb(monkeypatch)
-    with pytest.raises(AmbiguityInfeasibleError):
-        exact_solve(inst, model)
+    sol, y, _ = exact_solve(inst, model)
     assert len(calls) == 1
+    y_ref, obj_ref = enumerate_oracle(inst, model)
+    assert sol.objective == pytest.approx(obj_ref, rel=1e-6)
+    assert np.array_equal(y, y_ref) and y.tolist() == [1, 0, 1, 1, 1, 0]
+    with pytest.raises(AmbiguityInfeasibleError, match="customer 8"):
+        exact_solve(inst, model, with_cuts=False)
+    assert len(calls) == 2
+
+
+def test_solve_robust_reports_every_set_empty():
+    # every baseline mean (20 to 40) lies above the support 1..10, so no plan
+    # has a distribution: enumeration finds no plan and the cuts leave the
+    # MILP infeasible
+    inst, model = random_problem(3, 3, 4, support_size=5, support_max=10.0)
+    assert not any(np.isfinite(worst_case_values(
+        inst, model, list(itertools.product((0, 1), repeat=3)))))
+    for solver in ("enumerate", "milp"):
+        with pytest.raises(RuntimeError):
+            solve_robust(inst, model, solver=solver)
 
 
 def test_solve_robust_rejects_unknown_solver():

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_problem, toy_instance, toy_model
+from conftest import moment_lps, random_problem, toy_instance, toy_model
 from ddrloc.experiments import ExperimentConfig, generate_instance
-from ddrloc.instance import apply_robustness_level, moment_windows
+from ddrloc.instance import (apply_robustness_level, arithmetic_support, chords,
+                             moment_windows)
 from ddrloc.milp import MilpModel
-from ddrloc.solvers import simplex_solve
+from ddrloc.solvers import INFEASIBLE, OPTIMAL, simplex_solve
 from ddrloc.worstcase import (AmbiguityInfeasibleError, ambiguity_feasible,
                               check_certificate, dual_value, extreme_rays,
                               worst_case_dual, worst_case_expectation,
@@ -85,10 +86,12 @@ def test_distribution_respects_moment_windows():
 
 
 def test_extreme_rays_frozen_values():
+    # 99 up-chords over the adjacent pairs, the down-chord, four range bounds
     rays = extreme_rays(np.arange(1.0, 101.0))
+    assert len(rays) == 104
     assert rays[0] == (2.0, 0.0, 3.0, 1.0, 0.0)
-    assert rays[1] == (9900.0, 0.0, 199.0, 1.0, 0.0)
-    assert rays[2] == (-100.0, 101.0, 0.0, 0.0, 1.0)
+    assert rays[98] == (9900.0, 0.0, 199.0, 1.0, 0.0)
+    assert rays[99] == (-100.0, 101.0, 0.0, 0.0, 1.0)
 
 
 def test_rays_nonnegative_on_support_and_coincide_for_two_points():
@@ -100,13 +103,16 @@ def test_rays_nonnegative_on_support_and_coincide_for_two_points():
         for a, d1v, d2v, g1v, g2v in extreme_rays(d):
             vals = a + (d1v - d2v) * d + (g1v - g2v) * d ** 2
             assert np.all(vals >= -1e-9)
-    two = extreme_rays([3.0, 8.0])
-    assert two[0] == two[1]
+    # two points have one edge: its up-chord and the down-chord are the same
+    # parabola with opposite signs
+    two = chords([3.0, 8.0])
+    assert two[:2] == [(24.0, -11.0, 1.0), (-24.0, 11.0, -1.0)]
+    assert sum(1 for a, b, c in two if c > 0 and b < 0) == 1
 
 
 def test_ambiguity_feasible_hand_value():
-    # support 1..100, mu = 30, sigma^2 = 900, exact windows: ray 3 slack
-    # is 101*30 - 100 - 1800 = 1130
+    # support 1..100, mu = 30, sigma^2 = 900, exact windows: the down-chord
+    # slack is 101*30 - 100 - 1800 = 1130
     inst = toy_instance(cost=[[1.0]], capacity=[10.0], penalty=[225.0], revenue=[150.0])
     model = toy_model(inst, bar_mu=[30.0], bar_sigma=[30.0], support=(1.0, 100.0, 100))
     report = ambiguity_feasible(inst, model, [0])
@@ -128,7 +134,10 @@ def test_infeasible_huge_variance_via_ray3():
     model = toy_model(inst, bar_mu=[50.0], bar_sigma=[500.0], support=(1.0, 100.0, 10))
     report = ambiguity_feasible(inst, model, [0])
     assert not report
-    assert any(ray == 3 for _, ray, _ in report.violations)
+    down = [r for r, (a, b, c) in enumerate(chords(model.support), start=1)
+            if b > 0 and c < 0]
+    assert len(down) == 1
+    assert any(ray == down[0] for _, ray, _ in report.violations)
 
 
 def test_feasibility_agrees_with_direct_lp():
@@ -144,6 +153,63 @@ def test_feasibility_agrees_with_direct_lp():
         window = [w[0, 0] for w in moment_windows(model, [0])]
         sol = simplex_solve(_primal_lp(model.support, theta, window))
         assert report.feasible == (sol.status == "optimal")
+
+
+def _boxes(mu, sigma, kappa):
+    """Screen and moment-LP verdicts, one customer per box on the support 1..100
+    (K = 10): mean mu, variance sigma^2, robustness kappa."""
+    n = len(mu)
+    inst = toy_instance(cost=[np.ones(n)], capacity=[10.0], penalty=np.full(n, 300.0),
+                        revenue=np.ones(n))
+    model = toy_model(inst, bar_mu=mu, bar_sigma=sigma, support=(1.0, 100.0, 10),
+                      eps_mu=kappa * np.abs(mu), eps_lo=1.0 - kappa, eps_hi=1.0 + kappa)
+    report = ambiguity_feasible(inst, model, [0])
+    empty = {cid for cid, _, _ in report.violations}
+    screen = np.array([cid not in empty for cid in inst.customer_ids])
+    return screen, moment_lps(model, [w[0] for w in moment_windows(model, [0])])[0] == OPTIMAL
+
+
+def test_screen_agrees_with_moment_lp_feasibility():
+    # The chord screen is exact: it agrees with the moment LP's feasibility
+    # on windows with kappa > 0, near-zero variance and boxes outside the
+    # support's range, one customer per box.
+    rng = np.random.default_rng(10)
+    n = 1500
+    pts = np.repeat(arithmetic_support(1.0, 100.0, 10), 12)
+    cases = {
+        "kappa": (rng.uniform(-20, 160, n), rng.uniform(0, 250, n), rng.uniform(0, 0.5, n)),
+        "outside": (np.concatenate([rng.uniform(100, 200, n // 2), rng.uniform(-50, 1, n // 2)]),
+                    rng.uniform(0, 50, n), rng.uniform(0, 0.6, n)),
+        # at and near support points.  A set empty by less than the simplex's
+        # feasibility tolerance reads feasible to the LP (at d_0, variances
+        # of about 1e-8 to 1e-6), so those variances are left out.
+        "near-zero variance": (np.concatenate([pts, pts + 1e-3, pts - 0.5]),
+                               np.tile([0.0, 1e-6, 1e-2, 1.0], 90),
+                               np.tile([0.0, 0.0, 0.0, 1e-9, 1e-3, 0.05], 60)),
+    }
+    for name, (mu, sigma, kappa) in cases.items():
+        screen, lp = _boxes(mu, sigma, kappa)
+        assert np.array_equal(screen, lp), name
+        assert 0 < lp.sum() < len(lp), name
+    # mean and second-moment windows beyond the support's range that every
+    # edge and the down-chord admit: only the range bounds see them
+    screen, lp = _boxes(np.array([150.0]), np.array([5.0]), np.array([0.3]))
+    assert not screen[0] and not lp[0]
+    inst = toy_instance(cost=[[1.0]], capacity=[10.0], penalty=[300.0], revenue=[1.0])
+    model = toy_model(inst, bar_mu=[150.0], bar_sigma=[5.0], eps_mu=[45.0],
+                      eps_lo=[0.7], eps_hi=[1.3])
+    rays = [ray for _, ray, _ in ambiguity_feasible(inst, model, [0]).violations]
+    assert [chords(model.support)[r - 1] for r in rays] == [(100.0, -1.0, 0.0),
+                                                            (1e4, 0.0, -1.0)]
+    # decision-dependent windows: every plan of strongly coupled instances
+    for kappa in (0.0, 0.1, 0.3):
+        inst, model = random_problem(40, 5, 8, support_size=12, kappa=kappa,
+                                     lambda_row_sum=0.99)
+        ys = list(itertools.product((0, 1), repeat=5))
+        lp = (moment_lps(model, moment_windows(model, ys))[0] == OPTIMAL).all(axis=1)
+        screen = [bool(ambiguity_feasible(inst, model, y)) for y in ys]
+        assert np.array_equal(screen, lp)
+        assert np.array_equal(np.isfinite(worst_case_values(inst, model, ys)), lp)
 
 
 def test_bulk_values_match_lp_route():
@@ -184,20 +250,23 @@ def test_bulk_values_flag_infeasible_plans_with_windows():
 
 
 def test_empty_set_missed_by_rays_is_reported_by_every_route():
-    # The three rays pass, but the moment LP of customer 8 is infeasible:
-    # the chord through two interior support points is violated.
+    # Customer 8's moment set is empty at this plan although the chords
+    # through the two lowest, the two highest and the extreme support points
+    # hold: the screen names the edge through the interior points d_5, d_6.
     inst, model = random_problem(0, 6, 10, support_size=12, lambda_row_sum=0.99)
     y = np.array([1, 0, 1, 1, 1, 1])
-    assert ambiguity_feasible(inst, model, y)
-    assert np.array_equal(worst_case_values(inst, model, [y]), [np.inf])
-    # a tiny robustness level keeps the set empty but opens the moment
-    # windows; the infeasible moment LP must still map to inf
-    wide = apply_robustness_level(model, 1e-9)
-    assert ambiguity_feasible(inst, wide, y)
-    assert np.array_equal(worst_case_values(inst, wide, [y]), [np.inf])
-    for route in (worst_case_expectation, worst_case_dual):
-        with pytest.raises(AmbiguityInfeasibleError, match="moment LP"):
-            route(inst, model, y)
+    d = model.support
+    edge = (d[5] * d[6], -(d[5] + d[6]), 1.0)
+    # a tiny robustness level keeps the set empty but opens the moment windows
+    for dem in (model, apply_robustness_level(model, 1e-9)):
+        report = ambiguity_feasible(inst, dem, y)
+        assert not report
+        assert [(cid, ray) for cid, ray, _ in report.violations] == [(8, 6)]
+        assert chords(d)[5] == edge
+        assert np.array_equal(worst_case_values(inst, dem, [y]), [np.inf])
+        for route in (worst_case_expectation, worst_case_dual):
+            with pytest.raises(AmbiguityInfeasibleError, match="customer 8, ray 6"):
+                route(inst, dem, y)
 
 
 def _per_block_reference(inst, model, ys, windows):
@@ -223,7 +292,8 @@ def _lockstep_cases():
         for recipe, row_sum in (("distance", 0.5), ("distance", 0.99), ("rho-means", 0.5)):
             yield random_problem(7 + k, 3, 3, support_size=k, kappa=kappa,
                                  lambda_recipe=recipe, lambda_row_sum=row_sum)
-    # the empty set that passes the chord screen (customer 8's LP is infeasible)
+    # an empty set that only an interior edge detects (customer 8's LP is
+    # infeasible)
     inst, model = random_problem(0, 6, 10, support_size=12, lambda_row_sum=0.99)
     yield inst, apply_robustness_level(model, 1e-9)
     # mean windows reaching below zero flip rows of some blocks' tableaux
@@ -236,19 +306,31 @@ def _lockstep_cases():
 
 def test_lockstep_moment_lps_match_simplex_solve(monkeypatch):
     # The batched route agrees bit for bit with one simplex_solve per block:
-    # status (inf value and nan pi where an LP is infeasible), value and pi.
+    # value and pi.  An infeasible block gets simplex_solve's status from
+    # _simplex_batch, and _moment_lps, which runs behind the exact chord
+    # screen, raises on it.
     flipped = infeasible = 0
     for inst, model in _lockstep_cases():
         ys = np.array(list(itertools.product((0.0, 1.0), repeat=inst.n_facilities)))
         if inst.n_facilities == 6:
             ys = ys[[0b101111, 0b111111]]
         windows = moment_windows(model, ys)
-        values, pi = _moment_lps(inst, model, ys, windows, with_pi=True)
         want, want_pi = _per_block_reference(inst, model, ys, windows)
-        assert values.tobytes() == want.tobytes()
-        assert pi.tobytes() == want_pi.tobytes()
         flipped += int(np.sum(windows[0] < 0))
-        infeasible += int(np.sum(np.isnan(pi[:, :, 0])))
+        empty = np.isnan(want_pi[:, :, 0])
+        for n in np.flatnonzero(empty.any(axis=1)):
+            theta = [theta_values(inst, model, ys[n], jj) for jj in range(inst.n_customers)]
+            status, u = moment_lps(model, [w[n] for w in windows], theta)
+            assert np.array_equal(status == INFEASIBLE, empty[n])
+            assert u[~empty[n]].tobytes() == want_pi[n][~empty[n]].tobytes()
+            with pytest.raises(RuntimeError, match="chord screen passed"):
+                _moment_lps(inst, model, ys[n:n + 1], tuple(w[n:n + 1] for w in windows))
+            infeasible += int(empty[n].sum())
+        keep = ~empty.any(axis=1)
+        ys, windows = ys[keep], tuple(w[keep] for w in windows)
+        values, pi = _moment_lps(inst, model, ys, windows, with_pi=True)
+        assert values.tobytes() == want[keep].tobytes()
+        assert pi.tobytes() == want_pi[keep].tobytes()
         # Batch independence of the LP stage: the same windows give the same
         # bits alone, in the batch, and with plans straddling chunk boundaries.
         for n in range(len(ys)):
