@@ -26,6 +26,7 @@ print("== Dual bounds from the data ==")
 # one to three support points, so its multipliers are divided differences of
 # that cost: bounded by the candidate slopes (unit cost less revenue) and the
 # support spacing.  No plan's optimum is cut off, so no retry is needed.
+# gamma2 is 0 wherever the row E[d^2] >= s_lo can never bind.
 bounds = derive_dual_bounds(inst, model)
 for name in ("ub_delta1", "ub_delta2", "ub_gamma1", "ub_gamma2"):
     vals = getattr(bounds, name)
@@ -34,6 +35,9 @@ for name in ("ub_delta1", "ub_delta2", "ub_gamma1", "ub_gamma2"):
 print("\n== The single-shot MILP ==")
 m = build_dddr(inst, model)            # the derived bounds are the default
 print("  model size:", model_stats(m))
+# A dual whose bound is 0 has no column, so no envelopes either.
+print(f"  customers keeping gamma2: {int(np.count_nonzero(bounds.ub_gamma2))} "
+      f"of {inst.n_customers}")
 sol, y, _ = exact_solve(inst, model)   # one build, one search, oracle-checked
 print(f"  optimum {sol.objective:.2f} at open facilities "
       f"{[fid for fid, v in zip(inst.facility_ids, y) if v]} "

@@ -183,8 +183,8 @@ class DualBounds:
     def __post_init__(self):
         for name in ("ub_delta1", "ub_delta2", "ub_gamma1", "ub_gamma2"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if np.any(arr <= 0):
-                raise ValueError(f"{name} must be strictly positive")
+            if not np.all(np.isfinite(arr) & (arr >= 0)):
+                raise ValueError(f"{name} must be finite and nonnegative")
             object.__setattr__(self, name, arr)
 
     @staticmethod
@@ -206,7 +206,17 @@ def derive_dual_bounds(instance: Instance, model: DemandModel) -> DualBounds:
     support that bounds delta1 by max(s_max, 0) (attained), delta2 by
     max(0, Gamma (d_{K-2} + d_{K-1}) - s_min), gamma1 by max(Gamma,
     max(s_max, 0) / (d_0 + d_1)) and gamma2 by max(-s_min, 0) / (d_0 + d_1),
-    whatever the moment windows.  A bound of 0 is raised to 1e-6.
+    whatever the moment windows, except that gamma2's is 0 where the row
+    E[d^2] >= s_lo never binds.  The down-chord f(m) = (d_0 + d_{K-1}) m -
+    d_0 d_{K-1} is the largest E[d^2] at mean m.  Spreading an optimum of
+    the moment LP without that row toward d_0 and d_{K-1} keeps its mean
+    m >= m_lo, never lowers E theta_j (convex order) and raises E[d^2]
+    continuously to f(m) >= f(m_lo).  So if s_lo <= f(m_lo) at every plan
+    with a nonempty set, some optimal dual vertex has gamma2 = 0.  Two upper
+    bounds on s_lo - f(m_lo) test it, and the smaller must be <= 0: the
+    down-chord cut's 2 eps_mu (d_0 + d_{K-1}) on a nonempty set, 0 for a
+    pinned mean; and the constant plus the positive coefficients of its
+    affine form in (y, Y).
     """
     d = model.support
     slopes = np.array([_candidate_gaps(instance, jj)[0] - instance.revenue[jj]
@@ -216,11 +226,15 @@ def derive_dual_bounds(instance: Instance, model: DemandModel) -> DualBounds:
                  else np.zeros_like(s_max))
     rise = np.maximum(s_max, 0.0)
     low = d[0] + d[1]
-    return DualBounds(*(np.maximum(b, 1e-6) for b in (
-        rise,
-        np.maximum(big_gamma * (d[-2] + d[-1]) - s_min, 0.0),
-        np.maximum(big_gamma, rise / low),
-        np.maximum(-s_min, 0.0) / low)))
+    _, (m_lo, _, s_lo, _) = _window_forms(model)
+    gap = s_lo - (d[0] + d[-1]) * m_lo
+    gap[:, 0] += d[0] * d[-1]                 # s_lo - f(m_lo), a form in (1, y, Y)
+    binds = np.minimum(2.0 * model.eps_mu * (d[0] + d[-1]),
+                       gap[:, 0] + np.maximum(gap[:, 1:], 0.0).sum(axis=1)) > 0
+    return DualBounds(rise,
+                      np.maximum(big_gamma * (d[-2] + d[-1]) - s_min, 0.0),
+                      np.maximum(big_gamma, rise / low),
+                      np.where(binds, np.maximum(-s_min, 0.0) / low, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -274,30 +288,33 @@ def _add_all(m: MilpModel, rows: list[Constraint]):
 # Robust model builder
 # ---------------------------------------------------------------------------
 
-def _window_forms(model: DemandModel, pairs: list[tuple[int, int]]):
+def _window_forms(model: DemandModel):
     """The moment windows as affine forms in the plan, one row per customer.
 
-    Returns ``(m_lo, m_hi, s_lo, s_hi)``, each of shape (|J|, 1 + |I| + P):
-    the constant, one coefficient per facility ``y_i`` and one per plan
-    product ``Y_lm`` in ``pairs`` (``y_l**2 = y_l`` folds the squares into
-    the facility slopes of :func:`~ddrloc.instance.big_lambda_matrix`).
+    Returns ``(pairs, (m_lo, m_hi, s_lo, s_hi))``: the facility pairs (l, m),
+    m < l, of the plan products ``Y_lm``, and forms of shape (|J|, 1 + |I| +
+    P), the constant, one coefficient per facility ``y_i`` and one per pair
+    (``y_l**2 = y_l`` folds the squares into the facility slopes of
+    :func:`~ddrloc.instance.big_lambda_matrix`).
     """
     mu, sg = model.bar_mu, model.bar_sigma
     lm = model.lambda_mu
+    pairs = [(l, mm) for l in range(model.n_facilities) for mm in range(l)]
     pl, pm = np.array(pairs, dtype=int).reshape(-1, 2).T
     mean = np.hstack([mu[:, None], mu[:, None] * lm, np.zeros((len(mu), len(pairs)))])
     second = np.hstack([(sg ** 2 + mu ** 2)[:, None], big_lambda_matrix(model),
                         (2.0 * mu ** 2)[:, None] * (lm[:, pl] * lm[:, pm])])
     eps = np.zeros_like(mean)
     eps[:, 0] = model.eps_mu
-    return (mean - eps, mean + eps,
-            second * model.eps_sigma_lo[:, None], second * model.eps_sigma_hi[:, None])
+    return pairs, (mean - eps, mean + eps, second * model.eps_sigma_lo[:, None],
+                   second * model.eps_sigma_hi[:, None])
 
 
 # Dual objective: alpha + delta1 m_hi - delta2 m_lo + gamma1 s_hi - gamma2 s_lo,
-# as (dual, sign, window index in _window_forms, envelope prefix).
-_DUAL_TERMS = (("delta1", 1.0, 1, "D_1"), ("delta2", -1.0, 0, "D_2"),
-               ("gamma1", 1.0, 3, "G_1"), ("gamma2", -1.0, 2, "G_2"))
+# as (dual, sign, window index in _window_forms, envelope prefix, moment); the
+# support row at point d carries sign * d**moment.
+_DUAL_TERMS = (("delta1", 1.0, 1, "D_1", 1), ("delta2", -1.0, 0, "D_2", 1),
+               ("gamma1", 1.0, 3, "G_1", 2), ("gamma2", -1.0, 2, "G_2", 2))
 
 
 def build_dddr(instance: Instance, model: DemandModel,
@@ -311,8 +328,10 @@ def build_dddr(instance: Instance, model: DemandModel,
     envelope variables, products of plan entries by Y variables.  ``bounds``
     caps the duals, by default at :func:`derive_dual_bounds`, which keep every
     plan with a nonempty ambiguity set exact (smaller ones may truncate it).
-    ``budget`` caps the number of open facilities; ``with_cuts`` adds the
-    chord rows, which admit exactly the plans with a nonempty ambiguity set.
+    A dual whose bound is 0 has no column: no envelopes, no term in the
+    support rows or the objective.  ``budget`` caps the number of open
+    facilities; ``with_cuts`` adds the chord rows, which admit exactly the
+    plans with a nonempty ambiguity set, and the Y variables they read.
     """
     from .instance import validate
 
@@ -330,8 +349,7 @@ def build_dddr(instance: Instance, model: DemandModel,
     m = MilpModel("dddr")
     fids = instance.facility_ids
     cids = instance.customer_ids
-    pairs = [(l, mm) for l in range(n_i) for mm in range(l)]
-    forms = _window_forms(model, pairs)
+    pairs, forms = _window_forms(model)
     windows = [f.tolist() for f in forms]
 
     y = [m.add_variable(f"y_{fid}", kind="binary") for fid in fids]
@@ -343,49 +361,45 @@ def build_dddr(instance: Instance, model: DemandModel,
         ubs = {h: float(getattr(bounds, "ub_" + h)[jj]) for h, *_ in _DUAL_TERMS}
 
         alpha = m.add_variable(f"alpha_{cid}", lower=-INF)
-        dv = {h: m.add_variable(f"{h}_{cid}", upper=ubs[h]) for h in ubs}
-
-        terms = [(h, sign, windows[w][jj], prefix) for h, sign, w, prefix in _DUAL_TERMS]
+        terms = [(h, sign, windows[w][jj], prefix, moment)
+                 for h, sign, w, prefix, moment in _DUAL_TERMS if ubs[h] > 0.0]
+        dv = {h: m.add_variable(f"{h}_{cid}", upper=ubs[h]) for h, *_ in terms}
         obj.add(alpha, 1.0)
-        for h, sign, form, _ in terms:
+        for h, sign, form, _, _ in terms:
             obj.add(dv[h], sign * form[0])
 
         # Envelope variables for dual * plan products.
         for i, fid in enumerate(fids):
-            for h, sign, form, prefix in terms:
+            for h, sign, form, prefix, _ in terms:
                 w = m.add_variable(f"{prefix}_{cid}_{fid}", upper=ubs[h])
                 _add_all(m, mccormick_bilinear(w, dv[h], y[i], 0.0, ubs[h]))
                 obj.add(w, sign * form[1 + i])
         for p, (l, mm) in enumerate(pairs):
-            for h, sign, form, _ in terms[2:]:
-                w = m.add_variable(f"P_{h[-1]}_{cid}_{fids[l]}_{fids[mm]}",
-                                   upper=ubs[h])
-                _add_all(m, mccormick_trilinear(w, dv[h], y[l], y[mm], 0.0, ubs[h]))
-                obj.add(w, sign * form[1 + n_i + p])
+            for h, sign, form, _, moment in terms:
+                if moment == 2:
+                    w = m.add_variable(f"P_{h[-1]}_{cid}_{fids[l]}_{fids[mm]}", upper=ubs[h])
+                    _add_all(m, mccormick_trilinear(w, dv[h], y[l], y[mm], 0.0, ubs[h]))
+                    obj.add(w, sign * form[1 + n_i + p])
 
         # Support constraints of the dualized inner problem: one row per
         # support point and candidate marginal source (theta_affine's pieces).
         pieces = [(i_star, slope, [-float(v) for v in coeff])
                   for i_star, slope, coeff in _theta_pieces(instance, jj)]
         for k in range(len(d)):
-            dk, dk2 = float(d[k]), float(d[k]) ** 2
+            dk = float(d[k])
             for i_star, slope, neg_coeff in pieces:
-                row = LinearExpr({alpha: 1.0,
-                                  dv["delta1"]: dk, dv["delta2"]: -dk,
-                                  dv["gamma1"]: dk2, dv["gamma2"]: -dk2})
+                row = LinearExpr({alpha: 1.0, **{dv[h]: sign * dk ** moment
+                                                 for h, sign, _, _, moment in terms}})
                 for v, a in zip(y, neg_coeff):
                     row.add(v, a)
                 m.add_constraint(f"dual_{cid}_{k}_{i_star}", row, ">=",
                                  float(slope * dk))
 
-    # Plan products, shared by the valid inequalities.
-    Y = []
-    for l, mm in pairs:
-        w = m.add_variable(f"Y_{fids[l]}_{fids[mm]}", upper=1.0)
-        Y.append(w)
-        _add_all(m, mccormick_bilinear(w, y[l], y[mm], 0.0, 1.0))
-
     if with_cuts:
+        # Plan products, read only by the valid inequalities.
+        Y = [m.add_variable(f"Y_{fids[l]}_{fids[mm]}", upper=1.0) for l, mm in pairs]
+        for w, (l, mm) in zip(Y, pairs):
+            _add_all(m, mccormick_bilinear(w, y[l], y[mm], 0.0, 1.0))
         one = np.zeros(forms[0].shape[1])
         one[0] = 1.0
         cuts = np.moveaxis(chord_slacks(d, forms, one), -1, 1).tolist()   # (J, chords, cols)

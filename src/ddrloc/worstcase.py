@@ -120,21 +120,6 @@ def ambiguity_feasible(instance: Instance, model: DemandModel, y) -> Feasibility
 # Primal and dual LPs
 # ---------------------------------------------------------------------------
 
-def _primal_lp(support, theta: np.ndarray, window) -> MilpModel:
-    """Moment LP of one customer over the support probabilities."""
-    m_lo, m_hi, s_lo, s_hi = window
-    d = [float(dk) for dk in support]
-    m = MilpModel("moment_primal")
-    pis = [m.add_variable(f"pi_{k}") for k in range(len(d))]
-    m.add_constraint("mass", {p: 1.0 for p in pis}, "=", 1.0)
-    m.add_constraint("mean_hi", dict(zip(pis, d)), "<=", m_hi)
-    m.add_constraint("mean_lo", dict(zip(pis, d)), ">=", m_lo)
-    m.add_constraint("sec_hi", {p: dk ** 2 for p, dk in zip(pis, d)}, "<=", s_hi)
-    m.add_constraint("sec_lo", {p: dk ** 2 for p, dk in zip(pis, d)}, ">=", s_lo)
-    m.set_objective(LinearExpr({p: -float(t) for p, t in zip(pis, theta)}))
-    return m.seal()
-
-
 # Support points (blocks x K) stepped together per lockstep batch; bounds the
 # tableau memory.  A chunk holds max(1, LP_CHUNK_POINTS // K) blocks.
 LP_CHUNK_POINTS = 12_800
@@ -146,8 +131,9 @@ def _moment_lps(instance: Instance, model: DemandModel, ys: np.ndarray, windows,
                 with_pi: bool = False):
     """Every (plan, customer) moment LP of a batch, given the plans' windows.
 
-    Builds the tableau of :func:`_primal_lp` for each block straight from
-    arrays and solves them ``LP_CHUNK_POINTS // K`` blocks at a time through
+    Builds the tableau of each block's LP over the support probabilities
+    (rows in ``_MOMENT_SENSES`` order, cost -theta) straight from arrays and
+    solves them ``LP_CHUNK_POINTS // K`` blocks at a time through
     :func:`~ddrloc.solvers._simplex_batch`, which gives each block the
     pivots of a lone :func:`~ddrloc.solvers.simplex_solve` call.  Returns
     ``(values, pi)``: each plan's worst case and, with ``with_pi``, the
@@ -156,7 +142,7 @@ def _moment_lps(instance: Instance, model: DemandModel, ys: np.ndarray, windows,
     """
     d = model.support
     n_plans, n_j = len(ys), instance.n_customers
-    sq = [dk ** 2 for dk in d.tolist()]      # float ** 2, as in _primal_lp, not x * x
+    sq = [dk ** 2 for dk in d.tolist()]   # float ** 2, as tests/conftest.primal_lp, not x * x
     rows = np.array([np.ones(len(d)), d, d, sq, sq])
     cand, gaps = (np.array(a) for a in zip(*(_candidate_gaps(instance, jj)
                                              for jj in range(n_j))))

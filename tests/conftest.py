@@ -53,6 +53,26 @@ def small_problem():
     return random_problem(11, 3, 5, support_size=8)
 
 
+def primal_lp(support, theta, window):
+    """Moment LP of one customer over the support probabilities, as a model.
+
+    The value oracle builds the same rows, with the same ``float ** 2``
+    coefficients, as one tableau per block (``worstcase._moment_lps``).
+    """
+    from ddrloc.milp import LinearExpr, MilpModel
+    m_lo, m_hi, s_lo, s_hi = window
+    d = [float(dk) for dk in support]
+    m = MilpModel("moment_primal")
+    pis = [m.add_variable(f"pi_{k}") for k in range(len(d))]
+    m.add_constraint("mass", {p: 1.0 for p in pis}, "=", 1.0)
+    m.add_constraint("mean_hi", dict(zip(pis, d)), "<=", m_hi)
+    m.add_constraint("mean_lo", dict(zip(pis, d)), ">=", m_lo)
+    m.add_constraint("sec_hi", {p: dk ** 2 for p, dk in zip(pis, d)}, "<=", s_hi)
+    m.add_constraint("sec_lo", {p: dk ** 2 for p, dk in zip(pis, d)}, ">=", s_lo)
+    m.set_objective(LinearExpr({p: -float(t) for p, t in zip(pis, theta)}))
+    return m.seal()
+
+
 def moment_lps(model, windows, theta=0.0):
     """The moment LP of each window box, as the value oracle builds it, solved
     straight through the lockstep simplex: ``(status, pi)``.
@@ -66,7 +86,8 @@ def moment_lps(model, windows, theta=0.0):
     sq = [dk ** 2 for dk in d.tolist()]
     m_lo, m_hi, s_lo, s_hi = (np.asarray(w, dtype=float) for w in windows)
     rhs = np.stack([np.ones_like(m_lo), m_hi, m_lo, s_hi, s_lo], axis=-1).reshape(-1, 5)
-    cost = np.broadcast_to(0.0 - np.asarray(theta, dtype=float), (len(rhs), len(d)))
+    cost = np.broadcast_to(0.0 - np.asarray(theta, dtype=float),
+                           m_lo.shape + (len(d),)).reshape(len(rhs), len(d))
     status, u, _ = _simplex_batch(np.array([np.ones(len(d)), d, d, sq, sq]), rhs,
                                   _MOMENT_SENSES, cost)
     return status.reshape(m_lo.shape), (0.0 + u).reshape(m_lo.shape + (len(d),))

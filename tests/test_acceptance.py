@@ -13,14 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import moment_lps, random_problem, toy_instance, toy_model
+from conftest import moment_lps, primal_lp, random_problem, toy_instance, toy_model
 from ddrloc.benchmarks import evaluate_plan, gen_normal, train_sp
 from ddrloc.instance import chords, moment_windows, plans_under_budget
 from ddrloc.milp import build_dddr, build_dr, build_sp_saa
 from ddrloc.solvers import (OPTIMAL, branch_and_bound, enumerate_oracle,
                             exact_solve, simplex_solve)
 from ddrloc.transport import h_closed_form, second_stage_costs, transport_lp_oracle
-from ddrloc.worstcase import (_primal_lp, ambiguity_feasible, extreme_rays,
+from ddrloc.worstcase import (ambiguity_feasible, extreme_rays,
                               theta_values, worst_case_dual,
                               worst_case_expectation)
 
@@ -126,7 +126,7 @@ def test_criterion_5_cut_validity_and_feasibility_agreement():
         ray_ok = ambiguity_feasible(inst, model, [0]).feasible
         theta = theta_values(inst, model, np.array([0]), 0)
         window = [w[0, 0] for w in moment_windows(model, [0])]
-        lp_ok = simplex_solve(_primal_lp(model.support, theta, window)).status == "optimal"
+        lp_ok = simplex_solve(primal_lp(model.support, theta, window)).status == "optimal"
         agree += ray_ok == lp_ok
         n_infeasible += not lp_ok
     total = len(configs)

@@ -1,19 +1,21 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import random_problem, toy_instance, toy_model
-from ddrloc.instance import decision_independent, plans_under_budget
+from conftest import moment_lps, random_problem, toy_instance, toy_model
+from ddrloc.instance import decision_independent, moment_windows, plans_under_budget
 from ddrloc.milp import (DualBounds, LinearExpr, MilpModel, build_dddr,
                          build_dr, build_sp_saa, derive_dual_bounds,
                          export_lp_text, mccormick_bilinear,
                          mccormick_trilinear, model_stats)
-from ddrloc.solvers import branch_and_bound, enumerate_oracle, simplex_solve
+from ddrloc.solvers import (OPTIMAL, branch_and_bound, enumerate_oracle, exact_solve,
+                            simplex_solve)
 from ddrloc.transport import second_stage_costs
 from ddrloc.worstcase import (DualCertificate, dual_value, extreme_rays,
-                              worst_case_dual, worst_case_expectation,
+                              theta_values, worst_case_dual, worst_case_expectation,
                               worst_case_values)
 
 
@@ -142,6 +144,86 @@ def test_derived_dual_bounds_dominate_worst_case_dual(recipe, kappa):
                 assert np.all(getattr(cert, name) <= ub * (1 + 1e-9) + 1e-12), name
 
 
+def _with_and_without_sec_lo(model, windows, theta):
+    """Moment LP values with and without the E[d^2] >= s_lo row, and feasibility.
+
+    Each support point has d^2 >= 0, so s_lo = 0 drops the row.
+    """
+    m_lo, m_hi, s_lo, s_hi = windows
+    status, pi = moment_lps(model, windows, theta)
+    _, pi_free = moment_lps(model, (m_lo, m_hi, np.zeros_like(s_lo), s_hi), theta)
+    return (pi * theta).sum(-1), (pi_free * theta).sum(-1), status == OPTIMAL
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.2])
+def test_gamma2_dropped_only_where_sec_lo_never_binds(kappa):
+    # Wherever derive_dual_bounds gives gamma2 a bound of 0, the moment LP
+    # keeps its value without the E[d^2] >= s_lo row: every plan of the
+    # dominance test's configs, with moment windows.
+    checked = 0
+    for recipe in ("distance", "rho-means"):
+        for seed, (row_sum, k) in enumerate(((0.5, 12), (0.99, 12), (0.5, 100), (0.99, 100))):
+            inst, model = random_problem(310 + seed, 4 if k == 12 else 3, 5,
+                                         support_size=k, kappa=kappa,
+                                         lambda_recipe=recipe, lambda_row_sum=row_sum,
+                                         rho=2)
+            ys = np.array(plans_under_budget(inst.n_facilities, None))
+            theta = np.array([[theta_values(inst, model, y, jj)
+                               for jj in range(inst.n_customers)] for y in ys])
+            full, free, ok = _with_and_without_sec_lo(model, moment_windows(model, ys), theta)
+            ok &= derive_dual_bounds(inst, model).ub_gamma2 == 0.0
+            assert np.all(np.abs(full - free)[ok] <= 1e-9 * np.maximum(1.0, np.abs(full[ok])))
+            checked += ok.sum()
+    assert checked > 400
+
+
+def test_sec_lo_never_binds_below_the_down_chord():
+    # Random window boxes with s_lo <= f(m_lo), the down-chord at the lower
+    # mean, and random convex costs on the support: the row never binds.
+    rng = np.random.default_rng(12)
+    for k in (3, 12, 40):
+        d = np.sort(rng.choice(np.arange(0.0, 200.0), size=k, replace=False))
+        model = SimpleNamespace(support=d)
+        lo, hi = d[0], d[-1]
+        m_lo, m_hi = np.sort(rng.uniform(lo, hi, size=(2, 500)), axis=0)
+        f_lo = (lo + hi) * m_lo - lo * hi
+        s_lo = rng.uniform(m_lo ** 2, f_lo)
+        s_hi = s_lo + rng.uniform(0.0, 1.0, 500) * (hi * hi - s_lo)
+        slopes = np.sort(rng.normal(0.0, 5.0, (500, k - 1)), axis=1)
+        theta = np.concatenate([np.zeros((500, 1)),
+                                np.cumsum(slopes * np.diff(d), axis=1)], axis=1)
+        full, free, ok = _with_and_without_sec_lo(model, (m_lo, m_hi, s_lo, s_hi), theta)
+        assert ok.sum() > 250
+        assert np.all(np.abs(full - free)[ok] <= 1e-9 * np.maximum(1.0, np.abs(full[ok])))
+
+
+def test_gamma2_kept_where_sec_lo_binds():
+    # Revenue above the unit costs makes theta fall with d wherever demand is
+    # served, so the adversary wants a low mean.  With nothing open customer
+    # 1's s_lo lies below f(m_lo), the down-chord at its lowest mean; opening
+    # facility 1 lifts its mean from 60 to 90, past the support's midpoint,
+    # and s_lo above f(m_lo), so E[d^2] >= s_lo binds at the optimal plan
+    # (1, 0) and gamma2 is positive there.  Customer 2's mean is pinned.
+    inst = toy_instance(cost=[[1.0, 2.0], [2.0, 1.0]], capacity=[100.0, 100.0],
+                        penalty=[8.0, 8.0], revenue=[5.0, 5.0], open_cost=[150.0, 100.0])
+    model = toy_model(inst, [60.0, 40.0], [20.0, 25.0],
+                      lambda_mu=[[0.5, 0.25], [0.1, 0.2]],
+                      lambda_sigma=[[0.0, 0.0], [0.0, 0.1]], eps_mu=[15.0, 0.0])
+    b = derive_dual_bounds(inst, model)
+    assert b.ub_gamma2[0] > 0.0 and b.ub_gamma2[1] == 0.0
+    y_star, obj_ref = enumerate_oracle(inst, model)
+    _, cert = worst_case_dual(inst, model, y_star)
+    assert cert.gamma2[0] > 1e-3 and cert.gamma2[1] == 0.0
+    names = {v.name for v in build_dddr(inst, model).variables}
+    assert "gamma2_1" in names and "gamma2_2" not in names
+    sol, y, _ = exact_solve(inst, model)
+    assert sol.objective == pytest.approx(obj_ref, rel=1e-9)
+    assert y.tolist() == y_star.tolist() == [1, 0]
+    # without customer 1's gamma2 the MILP loses the worst case
+    cut = DualBounds(b.ub_delta1, b.ub_delta2, b.ub_gamma1, np.zeros(2))
+    assert branch_and_bound(build_dddr(inst, model, bounds=cut)).objective > obj_ref + 1.0
+
+
 def test_derived_dual_bounds_hand_values():
     # One customer, slopes p - r = 3 and c - r = 1 - 5 = -4 on the support
     # 1, 2, 4 (narrowest second span 3): Gamma = 7 / 3.
@@ -151,15 +233,22 @@ def test_derived_dual_bounds_hand_values():
     assert b.ub_delta1 == pytest.approx([3.0])
     assert b.ub_delta2 == pytest.approx([7 / 3 * 6 + 4])
     assert b.ub_gamma1 == pytest.approx([7 / 3])
-    assert b.ub_gamma2 == pytest.approx([4 / 3])
-    # two support points admit no three-touch vertex, and a multiplier that
-    # is zero at every vertex gets the small positive floor
+    # the mean is pinned, so E[d^2] >= s_lo never binds and gamma2 gets 0
+    assert b.ub_gamma2[0] == 0.0
+    # mean window 2 -/+ e, s = 5 and f(m) = 5 m - 4: s_lo - f(m_lo) = 5 e - 1.
+    # At e = 0.1 the coefficient sum (-0.5) passes and the pinned-mean bound
+    # (2 e * 5 = 1) does not; at e = 0.5 both fail (1.5 and 5), and gamma2
+    # keeps max(-(c - r), 0) / (d_0 + d_1) = 4 / 3.
+    for e, want in ((0.1, 0.0), (0.5, 4 / 3)):
+        wide = derive_dual_bounds(inst, model.replace(eps_mu=np.array([e])))
+        assert wide.ub_gamma2 == pytest.approx([want])
+    # two support points admit no three-touch vertex: delta2 and gamma2 are 0
     rich = toy_instance(cost=[[6.0]], capacity=[10.0], penalty=[8.0], revenue=[5.0])
     two = toy_model(rich, [2.0], [1.0]).replace(support=np.array([1.0, 3.0]))
     b2 = derive_dual_bounds(rich, two)
     assert b2.ub_delta1 == pytest.approx([3.0])
     assert b2.ub_gamma1 == pytest.approx([0.75])
-    assert 0.0 < b2.ub_delta2[0] <= 1e-6 and 0.0 < b2.ub_gamma2[0] <= 1e-6
+    assert b2.ub_delta2[0] == 0.0 and b2.ub_gamma2[0] == 0.0
 
 
 def test_cut_rows_present_and_value_neutral():
@@ -245,8 +334,36 @@ def test_binding_dual_bounds_flag():
         assert sol.objective == pytest.approx(obj_ref, rel=1e-9)
     tight = branch_and_bound(build_dddr(inst, model, bounds=DualBounds.uniform(4, 1e-4)))
     assert tight.objective > obj_ref + 1.0
+    # A bound of 0 leaves its multiplier out of the model, envelopes and all;
+    # a negative bound is rejected.
+    no_g2 = build_dddr(inst, model, bounds=DualBounds(*(np.full(4, 1e6),) * 3, np.zeros(4)))
+    names = {v.name for v in no_g2.variables}
+    for cid in inst.customer_ids:
+        assert {f"alpha_{cid}", f"delta1_{cid}", f"delta2_{cid}", f"gamma1_{cid}"} <= names
+    assert not any(n.startswith(("gamma2_", "G_2_", "P_2_")) for n in names)
+    assert branch_and_bound(no_g2).objective == pytest.approx(obj_ref, rel=1e-9)
     with pytest.raises(ValueError):
-        DualBounds.uniform(4, 0.0)
+        DualBounds.uniform(4, -1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-12])
+def test_dual_bounds_reject_nonfinite_or_negative(value):
+    with pytest.raises(ValueError):
+        DualBounds.uniform(3, value)
+    ok = np.ones(3)
+    with pytest.raises(ValueError):
+        DualBounds(ok, ok, ok, np.array([1.0, value, 1.0]))
+
+
+def test_plan_products_only_with_cuts():
+    # The Y columns and their envelope rows serve the chord cuts alone.
+    inst, model = random_problem(19, 4, 4, support_size=6)
+    cutless = build_dddr(inst, model, with_cuts=False)
+    assert not any(v.name.startswith("Y_") for v in cutless.variables)
+    assert not any(c.name.startswith("Y_") for c in cutless.constraints)
+    full = build_dddr(inst, model)
+    assert sum(v.name.startswith("Y_") for v in full.variables) == 6
+    assert sum(c.name.startswith("Y_") for c in full.constraints) == 24
 
 
 def _tiny_model():

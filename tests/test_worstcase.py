@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import moment_lps, random_problem, toy_instance, toy_model
+from conftest import moment_lps, primal_lp, random_problem, toy_instance, toy_model
 from ddrloc.experiments import ExperimentConfig, generate_instance
 from ddrloc.instance import (apply_robustness_level, arithmetic_support, chords,
                              moment_windows)
@@ -15,7 +15,7 @@ from ddrloc.solvers import INFEASIBLE, OPTIMAL, simplex_solve
 from ddrloc.worstcase import (AmbiguityInfeasibleError, ambiguity_feasible,
                               check_certificate, dual_value, extreme_rays,
                               worst_case_dual, worst_case_expectation,
-                              worst_case_values, _moment_lps, _primal_lp,
+                              worst_case_values, _moment_lps,
                               theta_values)
 
 
@@ -151,7 +151,7 @@ def test_feasibility_agrees_with_direct_lp():
         report = ambiguity_feasible(inst, model, [0])
         theta = theta_values(inst, model, np.array([0]), 0)
         window = [w[0, 0] for w in moment_windows(model, [0])]
-        sol = simplex_solve(_primal_lp(model.support, theta, window))
+        sol = simplex_solve(primal_lp(model.support, theta, window))
         assert report.feasible == (sol.status == "optimal")
 
 
@@ -270,12 +270,12 @@ def test_empty_set_missed_by_rays_is_reported_by_every_route():
 
 
 def _per_block_reference(inst, model, ys, windows):
-    """One simplex_solve(_primal_lp) per (plan, customer): values and pi."""
+    """One simplex_solve(primal_lp) per (plan, customer): values and pi."""
     values = np.zeros(len(ys))
     pi = np.zeros((len(ys), inst.n_customers, model.support_size))
     for n, y in enumerate(ys):
         for jj in range(inst.n_customers):
-            sol = simplex_solve(_primal_lp(model.support, theta_values(inst, model, y, jj),
+            sol = simplex_solve(primal_lp(model.support, theta_values(inst, model, y, jj),
                                            [w[n, jj] for w in windows]))
             if sol.status == "optimal":
                 values[n] -= sol.objective
