@@ -24,9 +24,9 @@ from .worstcase import (AmbiguityInfeasibleError, DualCertificate,
                         ambiguity_feasible, check_certificate, dual_value,
                         extreme_rays, worst_case_dual, worst_case_expectation,
                         worst_case_values)
-from .milp import (DualBounds, LinearExpr, MilpModel, build_dddr, build_dr,
-                   build_sp_saa, derive_dual_bounds, export_lp_text,
-                   mccormick_bilinear, mccormick_trilinear, model_stats)
+from .milp import (DualBounds, LinearExpr, MilpModel, build_dddr, build_sp_saa,
+                   derive_dual_bounds, export_lp_text, mccormick_bilinear,
+                   mccormick_trilinear, model_stats)
 from .solvers import (LpSolution, MipSolution, branch_and_bound,
                       enumerate_oracle, exact_solve, parse_lp_text,
                       simplex_solve, solve_robust)

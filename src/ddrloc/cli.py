@@ -1,4 +1,8 @@
-"""Command-line front end: gen, solve, evaluate, compare, export-lp, fixture."""
+"""Command-line front end: gen, solve, evaluate, compare, export-lp, fixture.
+
+``solve`` and ``export-lp`` use the one robust MILP, chord cuts included;
+bad inputs are reported on stderr with exit status 1.
+"""
 
 from __future__ import annotations
 
@@ -90,8 +94,7 @@ def cmd_solve(args) -> int:
             extra = {"scenarios": args.scenarios}
         else:
             m = decision_independent(model) if args.method == "dr" else model
-            y, obj, extra = solve_robust(instance, m, args.budget, args.solver,
-                                         with_cuts=args.cuts == "on")
+            y, obj, extra = solve_robust(instance, m, args.budget, args.solver)
     except (RuntimeError, ValueError) as exc:    # AmbiguityInfeasibleError included
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
@@ -137,7 +140,11 @@ def cmd_compare(args) -> int:
 
 def cmd_export_lp(args) -> int:
     instance, model = load_problem(args.problem)
-    m = build_dddr(instance, model, budget=args.budget, with_cuts=args.cuts == "on")
+    try:
+        m = build_dddr(instance, model, budget=args.budget)
+    except ValueError as exc:
+        print(f"export failed: {exc}", file=sys.stderr)
+        return 1
     write_atomic(args.out, export_lp_text(m))
     print(f"wrote {args.out}: {len(m.variables)} variables, "
           f"{len(m.constraints)} constraints")
@@ -175,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--scenarios", type=int, default=100,
                    help="training sample size for the sp method")
     s.add_argument("--budget", type=int, default=None)
-    s.add_argument("--cuts", choices=["on", "off"], default="on")
     s.add_argument("--solver", choices=SOLVERS, default="auto")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default=None, help="plan file to write")
@@ -198,11 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n-test", dest="n_test", type=int, default=None)
     c.set_defaults(func=cmd_compare)
 
-    x = sub.add_parser("export-lp", help="write the robust MILP as LP text")
+    x = sub.add_parser("export-lp", help="write the robust MILP, cuts included, "
+                                          "that solve and compare solve as LP text")
     x.add_argument("--problem", required=True)
     x.add_argument("--out", required=True)
     x.add_argument("--budget", type=int, default=None)
-    x.add_argument("--cuts", choices=["on", "off"], default="on")
     x.set_defaults(func=cmd_export_lp)
 
     f = sub.add_parser("fixture", help="emit the fixed 10x20 coordinate layout")

@@ -190,10 +190,14 @@ def arithmetic_support(lo: float, hi: float, k: int) -> np.ndarray:
     return d
 
 
-def plans_under_budget(n: int, budget: int | None) -> list[tuple[int, ...]]:
-    """Every 0/1 plan over ``n`` facilities with at most ``budget`` open."""
+def _check_budget(budget: int | None):
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
+
+
+def plans_under_budget(n: int, budget: int | None) -> list[tuple[int, ...]]:
+    """Every 0/1 plan over ``n`` facilities with at most ``budget`` open."""
+    _check_budget(budget)
     return [y for y in itertools.product((0, 1), repeat=n)
             if budget is None or sum(y) <= budget]
 

@@ -1,12 +1,12 @@
 """Solver-agnostic MILP containers and model builders.
 
-Three models are built here:
+Two models are built here:
 
 * the exact reformulation of the robust facility location problem, where the
-  inner worst-case expectation is dualized and the products of dual variables
+  inner worst-case expectation is dualized, the products of dual variables
   with the binary plan are linearized through McCormick envelopes (exact for
-  binary factors);
-* its decision-independent specialization (all dependency weights zero);
+  binary factors) and chord cuts admit exactly the nonempty ambiguity sets;
+  built on ``decision_independent(model)`` it is the DR model;
 * the sample-average stochastic program over a finite scenario set.
 
 Models are kept as plain variable/constraint/objective lists so any LP/MIP
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import (Instance, DemandModel, big_lambda_matrix,
-                       chord_slacks, decision_independent)
+from .instance import (Instance, DemandModel, _check_budget, big_lambda_matrix,
+                       chord_slacks, validate)
 from .transport import _candidate_gaps, _theta_pieces
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "mccormick_bilinear",
     "mccormick_trilinear",
     "build_dddr",
-    "build_dr",
     "build_sp_saa",
     "export_lp_text",
     "model_stats",
@@ -319,25 +318,24 @@ _DUAL_TERMS = (("delta1", 1.0, 1, "D_1", 1), ("delta2", -1.0, 0, "D_2", 1),
 
 def build_dddr(instance: Instance, model: DemandModel,
                bounds: DualBounds | None = None,
-               budget: int | None = None,
-               with_cuts: bool = True) -> MilpModel:
+               budget: int | None = None) -> MilpModel:
     """Exact MILP for the decision-dependent robust location problem.
 
     One dual block (alpha, delta, gamma) per customer; products of duals with
     the plan are carried by Delta/Gamma (bilinear) and Psi (trilinear)
-    envelope variables, products of plan entries by Y variables.  ``bounds``
-    caps the duals, by default at :func:`derive_dual_bounds`, which keep every
-    plan with a nonempty ambiguity set exact (smaller ones may truncate it).
+    envelope variables, products of plan entries by Y variables, which only
+    the chord cuts read; the cuts admit exactly the plans with a nonempty
+    ambiguity set.  ``bounds`` caps the duals, by default at
+    :func:`derive_dual_bounds`, which keep every such plan exact (smaller
+    ones may truncate it).
     A dual whose bound is 0 has no column: no envelopes, no term in the
     support rows or the objective.  ``budget`` caps the number of open
-    facilities; ``with_cuts`` adds the chord rows, which admit exactly the
-    plans with a nonempty ambiguity set, and the Y variables they read.
+    facilities; a negative one raises ValueError.
     """
-    from .instance import validate
-
     violations = validate(instance, model)
     if violations:
         raise ValueError("invalid problem data: " + "; ".join(violations))
+    _check_budget(budget)
     n_i, n_j = instance.n_facilities, instance.n_customers
     if bounds is None:
         bounds = derive_dual_bounds(instance, model)
@@ -395,20 +393,19 @@ def build_dddr(instance: Instance, model: DemandModel,
                 m.add_constraint(f"dual_{cid}_{k}_{i_star}", row, ">=",
                                  float(slope * dk))
 
-    if with_cuts:
-        # Plan products, read only by the valid inequalities.
-        Y = [m.add_variable(f"Y_{fids[l]}_{fids[mm]}", upper=1.0) for l, mm in pairs]
-        for w, (l, mm) in zip(Y, pairs):
-            _add_all(m, mccormick_bilinear(w, y[l], y[mm], 0.0, 1.0))
-        one = np.zeros(forms[0].shape[1])
-        one[0] = 1.0
-        cuts = np.moveaxis(chord_slacks(d, forms, one), -1, 1).tolist()   # (J, chords, cols)
-        for jj, cid in enumerate(cids):
-            for r, form in enumerate(cuts[jj], start=1):
-                row = LinearExpr(constant=form[0])
-                for v, c in zip(y + Y, form[1:]):
-                    row.add(v, c)
-                m.add_constraint(f"cut_ray{r}_{cid}", row, ">=", 0.0)
+    # Plan products, then one chord cut per customer and hull edge.
+    Y = [m.add_variable(f"Y_{fids[l]}_{fids[mm]}", upper=1.0) for l, mm in pairs]
+    for w, (l, mm) in zip(Y, pairs):
+        _add_all(m, mccormick_bilinear(w, y[l], y[mm], 0.0, 1.0))
+    one = np.zeros(forms[0].shape[1])
+    one[0] = 1.0
+    cuts = np.moveaxis(chord_slacks(d, forms, one), -1, 1).tolist()   # (J, chords, cols)
+    for jj, cid in enumerate(cids):
+        for r, form in enumerate(cuts[jj], start=1):
+            row = LinearExpr(constant=form[0])
+            for v, c in zip(y + Y, form[1:]):
+                row.add(v, c)
+            m.add_constraint(f"cut_ray{r}_{cid}", row, ">=", 0.0)
 
     if budget is not None:
         m.add_constraint("budget", {v: 1.0 for v in y}, "<=", float(budget))
@@ -418,23 +415,14 @@ def build_dddr(instance: Instance, model: DemandModel,
     return m.seal()
 
 
-def build_dr(instance: Instance, model: DemandModel,
-             bounds: DualBounds | None = None,
-             budget: int | None = None,
-             with_cuts: bool = True) -> MilpModel:
-    """Decision-independent specialization: all dependency weights zeroed."""
-    m = build_dddr(instance, decision_independent(model), bounds=bounds,
-                   budget=budget, with_cuts=with_cuts)
-    m.name = "dr"
-    return m
-
-
 def build_sp_saa(instance: Instance, scenarios, budget: int | None = None) -> MilpModel:
     """Sample-average stochastic program with the plan as a decision.
 
     ``scenarios`` needs ``demands`` of shape (n, |J|) and optionally
-    ``probabilities``; probabilities default to uniform.
+    ``probabilities``; probabilities default to uniform.  A negative
+    ``budget`` raises ValueError.
     """
+    _check_budget(budget)
     demands = np.atleast_2d(np.asarray(getattr(scenarios, "demands", scenarios), float))
     probs = getattr(scenarios, "probabilities", None)
     n_w = demands.shape[0]

@@ -486,20 +486,21 @@ def enumerate_oracle(instance, model, budget: int | None = None,
     return np.array(best_y), best_v
 
 
-def exact_solve(instance, model, budget: int | None = None, with_cuts: bool = True):
+def exact_solve(instance, model, budget: int | None = None):
     """Build the robust MILP at derived dual bounds and solve it once.
 
     The bounds of :func:`~ddrloc.milp.derive_dual_bounds` hold at every dual
     vertex and the chord cuts admit exactly the nonempty ambiguity sets, so
-    one branch-and-bound run is exact.  The value oracle prices its plan: an
-    empty set (only without the cuts) raises AmbiguityInfeasibleError, and a
+    one branch-and-bound run is exact.  The value oracle prices its plan as a
+    check: an empty set raises AmbiguityInfeasibleError, which happens only
+    if the cut rows and the screen's ``RAY_TOL`` disagree on a set, and a
     MILP value over 1e-6 relative away from the oracle's raises RuntimeError.
     Returns ``(MipSolution, y, bounds)``; ``y`` is None unless it ended optimal.
     """
     from .worstcase import worst_case_expectation
 
     bounds = derive_dual_bounds(instance, model)
-    m = build_dddr(instance, model, bounds=bounds, budget=budget, with_cuts=with_cuts)
+    m = build_dddr(instance, model, bounds=bounds, budget=budget)
     sol = branch_and_bound(m)
     if sol.status != "optimal":
         return sol, None, bounds
@@ -511,8 +512,7 @@ def exact_solve(instance, model, budget: int | None = None, with_cuts: bool = Tr
     return sol, y, bounds
 
 
-def solve_robust(instance, model, budget: int | None = None, solver: str = "auto",
-                 with_cuts: bool = True):
+def solve_robust(instance, model, budget: int | None = None, solver: str = "auto"):
     """Robust plan by enumeration or by the exact MILP.
 
     ``solver`` is ``enumerate``, ``milp`` or ``auto`` (enumeration up to 12
@@ -525,7 +525,7 @@ def solve_robust(instance, model, budget: int | None = None, solver: str = "auto
     if solver == "enumerate" or (solver == "auto" and instance.n_facilities <= 12):
         y, obj = enumerate_oracle(instance, model, budget=budget)
         return np.asarray(y, dtype=int), obj, {"solver": "enumerate"}
-    sol, y, _ = exact_solve(instance, model, budget=budget, with_cuts=with_cuts)
+    sol, y, _ = exact_solve(instance, model, budget=budget)
     if sol.status != "optimal":
         raise RuntimeError(f"robust MILP ended {sol.status}")
     return y, sol.objective, {"solver": "milp", "nodes": sol.node_count,

@@ -53,6 +53,19 @@ def small_problem():
     return random_problem(11, 3, 5, support_size=8)
 
 
+def without_cuts(m):
+    """Copy of a built robust MILP without its chord cuts: no ``cut_*`` rows,
+    and no plan-product ``Y_*`` columns or envelope rows, which only the cuts
+    read.  Without the cuts a plan whose ambiguity set is empty stays
+    feasible, so the copy can reach one."""
+    out = m.copy()
+    out.variables = [v for v in m.variables if not v.name.startswith("Y_")]
+    out._index = {v.name: i for i, v in enumerate(out.variables)}
+    out.constraints = [c for c in m.constraints
+                       if not c.name.startswith(("cut_", "Y_"))]
+    return out.seal()
+
+
 def primal_lp(support, theta, window):
     """Moment LP of one customer over the support probabilities, as a model.
 

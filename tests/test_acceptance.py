@@ -13,10 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import moment_lps, primal_lp, random_problem, toy_instance, toy_model
+from conftest import (moment_lps, primal_lp, random_problem, toy_instance, toy_model,
+                      without_cuts)
 from ddrloc.benchmarks import evaluate_plan, gen_normal, train_sp
-from ddrloc.instance import chords, moment_windows, plans_under_budget
-from ddrloc.milp import build_dddr, build_dr, build_sp_saa
+from ddrloc.instance import (chords, decision_independent, moment_windows,
+                             plans_under_budget)
+from ddrloc.milp import build_dddr, build_sp_saa
 from ddrloc.solvers import (OPTIMAL, branch_and_bound, enumerate_oracle,
                             exact_solve, simplex_solve)
 from ddrloc.transport import h_closed_form, second_stage_costs, transport_lp_oracle
@@ -73,7 +75,7 @@ def _reformulation_suite():
                                      support_size=k, kappa=kappa)
         m = build_dddr(inst, model)            # derived dual bounds
         sol = branch_and_bound(m)
-        sol_nc = branch_and_bound(build_dddr(inst, model, with_cuts=False))
+        sol_nc = branch_and_bound(without_cuts(m))
         y_ref, obj_ref = enumerate_oracle(inst, model)
         y = np.array([round(sol.x[nm]) for nm in m.meta["y_vars"]])
         wc, _ = worst_case_expectation(inst, model, y)
@@ -238,16 +240,24 @@ def test_criterion_4_extreme_rays():
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_dr_reduction():
+    # The MILP with every dependency weight zeroed against the DR route that
+    # compare takes: enumeration on decision_independent(model).
     worst = 0.0
+    plans_agree = 0
     for trial in range(20):
         n_i, n_j = 3 + trial % 2, 4 + trial % 3
         inst, model = random_problem(2000 + trial, n_i, n_j, support_size=8)
         flat = model.replace(lambda_mu=np.zeros_like(model.lambda_mu),
                              lambda_sigma=np.zeros_like(model.lambda_sigma))
-        a = branch_and_bound(build_dddr(inst, flat))
-        b = branch_and_bound(build_dr(inst, model))
-        worst = max(worst, abs(a.objective - b.objective))
-    report(6, worst < 1e-9, f"20 instances, max |DDDR(lambda=0) - DR| = {worst:.2e}")
+        m = build_dddr(inst, flat)
+        a = branch_and_bound(m)
+        y = np.array([round(a.x[nm]) for nm in m.meta["y_vars"]])
+        y_dr, obj_dr = enumerate_oracle(inst, decision_independent(model))
+        worst = max(worst, abs(a.objective - obj_dr))
+        plans_agree += np.array_equal(y, y_dr)
+    report(6, worst < 1e-9 and plans_agree == 20,
+           f"20 instances, max |DDDR(lambda=0) MILP - DR enumeration| = "
+           f"{worst:.2e}, plans agree on {plans_agree}/20")
 
 
 # ---------------------------------------------------------------------------

@@ -124,9 +124,12 @@ def test_cli_gen_solve_evaluate_export(tmp_path, capsys):
     lines = open(tmp_path / "eval.csv").read().strip().split("\n")
     assert lines[0] == "statistic,value"
 
-    lp = str(tmp_path / "m.lp")
-    assert main(["export-lp", "--problem", prob, "--out", lp]) == 0
-    assert open(lp).read().startswith("\\ Problem:")
+    # export-lp writes the model that solve and compare solve, cuts included
+    from ddrloc.milp import build_dddr, export_lp_text
+    lp = tmp_path / "m.lp"
+    assert main(["export-lp", "--problem", prob, "--out", str(lp), "--budget", "2"]) == 0
+    assert lp.read_text() == export_lp_text(build_dddr(inst, model, budget=2))
+    assert lp.read_text().startswith("\\ Problem:") and " cut_ray1_" in lp.read_text()
 
     assert main(["fixture", "--out", str(tmp_path / "fix.json")]) == 0
     fix = json.loads(open(tmp_path / "fix.json").read())
@@ -196,10 +199,18 @@ def test_cli_solve_sp_and_dr(tmp_path, capsys):
     # bad inputs are reported, not raised
     assert main(["solve", "--problem", prob, "--method", "sp",
                  "--scenarios", "0"]) == 1
-    assert main(["solve", "--problem", prob, "--method", "dddr",
-                 "--budget", "-1"]) == 1
+    # a negative budget is reported the same way by both robust routes, and
+    # export-lp writes no file
+    for solver in ("enumerate", "milp"):
+        assert main(["solve", "--problem", prob, "--method", "dddr",
+                     "--solver", solver, "--budget", "-1"]) == 1
+    lp = tmp_path / "m.lp"
+    assert main(["export-lp", "--problem", prob, "--out", str(lp), "--budget", "-1"]) == 1
+    assert not lp.exists()
     err = capsys.readouterr().err
-    assert err.count("solve failed:") == 2 and "at least 1" in err
+    assert err.count("solve failed:") == 3 and "at least 1" in err
+    assert err.count("solve failed: budget must be nonnegative, got -1") == 2
+    assert "export failed: budget must be nonnegative, got -1" in err
 
 
 def test_cli_solve_reports_every_set_empty(tmp_path, capsys):
@@ -214,12 +225,17 @@ def test_cli_solve_reports_every_set_empty(tmp_path, capsys):
     assert err.count("solve failed:") == 2
 
 
-def test_cli_solve_reports_empty_ambiguity_set(tmp_path, capsys):
+def test_cli_solve_reports_empty_ambiguity_set(tmp_path, capsys, monkeypatch):
     # the row-sum-0.99 instance whose MILP optimum without the chord cuts
-    # has an empty moment set
+    # has an empty moment set; the cuts are stripped from the built model
+    import ddrloc.solvers
+    from conftest import without_cuts
+    real = ddrloc.solvers.build_dddr
+    monkeypatch.setattr(ddrloc.solvers, "build_dddr",
+                        lambda *args, **kw: without_cuts(real(*args, **kw)))
     prob = str(tmp_path / "p.json")
     assert main(["gen", "--size", "6,10", "--seed", "0", "--support", "1,100,12",
                  "--lambda-row-sum", "0.99", "--out", prob]) == 0
     assert main(["solve", "--problem", prob, "--method", "dddr",
-                 "--solver", "milp", "--cuts", "off"]) == 1
+                 "--solver", "milp"]) == 1
     assert "solve failed: empty ambiguity set" in capsys.readouterr().err

@@ -5,12 +5,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import moment_lps, random_problem, toy_instance, toy_model
+from conftest import moment_lps, random_problem, toy_instance, toy_model, without_cuts
 from ddrloc.instance import decision_independent, moment_windows, plans_under_budget
 from ddrloc.milp import (DualBounds, LinearExpr, MilpModel, build_dddr,
-                         build_dr, build_sp_saa, derive_dual_bounds,
-                         export_lp_text, mccormick_bilinear,
-                         mccormick_trilinear, model_stats)
+                         build_sp_saa, derive_dual_bounds, export_lp_text,
+                         mccormick_bilinear, mccormick_trilinear, model_stats)
 from ddrloc.solvers import (OPTIMAL, branch_and_bound, enumerate_oracle, exact_solve,
                             simplex_solve)
 from ddrloc.transport import second_stage_costs
@@ -78,7 +77,7 @@ def test_mccormick_trilinear_exhaustive():
 
 def test_dual_constraint_count():
     inst, model = random_problem(3, 3, 4, support_size=6)
-    m = build_dddr(inst, model, with_cuts=False)
+    m = without_cuts(build_dddr(inst, model))
     dual_rows = [c for c in m.constraints if c.name.startswith("dual_")]
     assert len(dual_rows) == 4 * 6 * (3 + 1)      # |J| * K * (|I| + 1)
 
@@ -88,7 +87,7 @@ def test_lambda_zero_reduces_to_dr():
     flat = model.replace(lambda_mu=np.zeros_like(model.lambda_mu),
                          lambda_sigma=np.zeros_like(model.lambda_sigma))
     a = branch_and_bound(build_dddr(inst, flat))
-    b = branch_and_bound(build_dr(inst, model))
+    b = branch_and_bound(build_dddr(inst, decision_independent(model)))
     assert a.objective == pytest.approx(b.objective, abs=1e-9)
 
 
@@ -105,9 +104,8 @@ def test_restriction_matches_inner_dual_value():
     # objective computed independently (McCormick exactness), both at the
     # derived dual bounds and at bounds far above them.
     inst, model = random_problem(12, 3, 4, support_size=7, kappa=0.1)
-    derived = build_dddr(inst, model, with_cuts=False)
-    wide = build_dddr(inst, model, with_cuts=False,
-                      bounds=DualBounds.uniform(4, 1e6))
+    derived = without_cuts(build_dddr(inst, model))
+    wide = without_cuts(build_dddr(inst, model, bounds=DualBounds.uniform(4, 1e6)))
     for y in ([1, 0, 1], [0, 1, 0], [1, 1, 1]):
         wc, _ = worst_case_expectation(inst, model, np.array(y))
         want = float(inst.open_cost @ np.array(y)) + wc
@@ -115,8 +113,7 @@ def test_restriction_matches_inner_dual_value():
         assert _restricted_value(wide, y) == pytest.approx(want, rel=1e-6)
     # bounds below the dual optimum truncate the inner dual: the restricted
     # value is no longer the worst case
-    tight = build_dddr(inst, model, with_cuts=False,
-                       bounds=DualBounds.uniform(4, 1e-4))
+    tight = without_cuts(build_dddr(inst, model, bounds=DualBounds.uniform(4, 1e-4)))
     wc, _ = worst_case_expectation(inst, model, np.array([1, 1, 1]))
     want = float(inst.open_cost.sum()) + wc
     assert _restricted_value(tight, [1, 1, 1]) > want + 1.0
@@ -253,11 +250,11 @@ def test_derived_dual_bounds_hand_values():
 
 def test_cut_rows_present_and_value_neutral():
     inst, model = random_problem(19, 3, 4, support_size=6)
-    with_cuts = build_dddr(inst, model, with_cuts=True)
-    without = build_dddr(inst, model, with_cuts=False)
-    assert any(c.name.startswith("cut_") for c in with_cuts.constraints)
+    full = build_dddr(inst, model)
+    without = without_cuts(full)
+    assert any(c.name.startswith("cut_") for c in full.constraints)
     assert not any(c.name.startswith("cut_") for c in without.constraints)
-    a = branch_and_bound(with_cuts)
+    a = branch_and_bound(full)
     b = branch_and_bound(without)
     assert a.objective == pytest.approx(b.objective, rel=1e-6)
 
@@ -282,8 +279,8 @@ def test_cut_rows_are_the_oracle_certificate(recipe, kappa):
         inst, model = random_problem(seed, n_i, 4, support_size=7, kappa=kappa,
                                      lambda_recipe=recipe, rho=min(2, n_i))
         fids = inst.facility_ids
-        for build, dem in ((build_dddr, model), (build_dr, decision_independent(model))):
-            m = build(inst, model)
+        for dem in (model, decision_independent(model)):
+            m = build_dddr(inst, dem)
             cuts = {c.name: c for c in m.constraints if c.name.startswith("cut_")}
             rays = extreme_rays(model.support)
             assert len(cuts) == len(rays) * inst.n_customers
@@ -305,6 +302,12 @@ def test_budget_row():
     sol = branch_and_bound(m)
     opened = sum(round(sol.x[nm]) for nm in m.meta["y_vars"])
     assert opened <= 1
+    # a negative budget raises, with the enumeration route's message
+    for build in (lambda b: plans_under_budget(4, b),
+                  lambda b: build_dddr(inst, model, budget=b),
+                  lambda b: build_sp_saa(inst, np.zeros((1, 4)), budget=b)):
+        with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+            build(-1)
 
 
 def test_sp_saa_zero_demand_and_restriction():
@@ -355,15 +358,17 @@ def test_dual_bounds_reject_nonfinite_or_negative(value):
         DualBounds(ok, ok, ok, np.array([1.0, value, 1.0]))
 
 
-def test_plan_products_only_with_cuts():
-    # The Y columns and their envelope rows serve the chord cuts alone.
+def test_plan_products_serve_the_cuts_alone():
+    # The Y columns and their envelope rows serve the chord cuts alone: every
+    # built model has them, and the cut-less copy keeps none.
     inst, model = random_problem(19, 4, 4, support_size=6)
-    cutless = build_dddr(inst, model, with_cuts=False)
-    assert not any(v.name.startswith("Y_") for v in cutless.variables)
-    assert not any(c.name.startswith("Y_") for c in cutless.constraints)
     full = build_dddr(inst, model)
     assert sum(v.name.startswith("Y_") for v in full.variables) == 6
     assert sum(c.name.startswith("Y_") for c in full.constraints) == 24
+    cutless = without_cuts(full)
+    assert not any(v.name.startswith("Y_") for v in cutless.variables)
+    assert not any(c.name.startswith(("Y_", "cut_")) for c in cutless.constraints)
+    assert all(cutless.var_index(v.name) == i for i, v in enumerate(cutless.variables))
 
 
 def _tiny_model():

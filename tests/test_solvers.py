@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_problem, toy_instance
+from conftest import random_problem, toy_instance, without_cuts
 import ddrloc.solvers
 from ddrloc.milp import (DualBounds, LinearExpr, MilpModel, build_dddr,
                          derive_dual_bounds, export_lp_text)
@@ -191,8 +191,9 @@ def test_exact_solve_checks_the_incumbent_with_the_oracle(monkeypatch):
 def test_exact_solve_reports_empty_set_missed_by_chords(monkeypatch):
     # seed 0, I=6, J=10, K=12, row sum 0.99: customer 8's moment set is empty
     # at the plan [1,0,1,1,1,1], which only an interior edge's cut excludes.
-    # With the cuts one round finds the enumeration optimum; without them the
-    # MILP picks an empty set and the oracle check names customer 8.
+    # With the cuts one round finds the enumeration optimum; with the cuts
+    # stripped from the built model the MILP picks an empty set and the
+    # oracle check names customer 8.
     from ddrloc.experiments import ExperimentConfig, generate_instance
     inst, model = generate_instance(ExperimentConfig(
         n_facilities=6, n_customers=10, support_size=12, lambda_row_sum=0.99))
@@ -202,8 +203,11 @@ def test_exact_solve_reports_empty_set_missed_by_chords(monkeypatch):
     y_ref, obj_ref = enumerate_oracle(inst, model)
     assert sol.objective == pytest.approx(obj_ref, rel=1e-6)
     assert np.array_equal(y, y_ref) and y.tolist() == [1, 0, 1, 1, 1, 0]
+    real = ddrloc.solvers.build_dddr
+    monkeypatch.setattr(ddrloc.solvers, "build_dddr",
+                        lambda *args, **kw: without_cuts(real(*args, **kw)))
     with pytest.raises(AmbiguityInfeasibleError, match="customer 8"):
-        exact_solve(inst, model, with_cuts=False)
+        exact_solve(inst, model)
     assert len(calls) == 2
 
 

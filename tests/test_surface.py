@@ -1,0 +1,36 @@
+"""Pins on the package's settable surface.
+
+Each count below is the number of knobs a caller can turn.  A change that
+adds or removes one must edit its pin here and say why in CHANGES.md.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ddrloc"
+
+DEFAULTED_PARAMETERS = 41
+CLI_OPTIONS = 32
+
+
+def _trees():
+    return {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+
+def test_defaulted_parameter_count_is_pinned():
+    # every parameter with a default, positional or keyword-only, of every
+    # function and lambda under src/ddrloc
+    n = 0
+    for tree in _trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                n += len(node.args.defaults)
+                n += sum(d is not None for d in node.args.kw_defaults)
+    assert n == DEFAULTED_PARAMETERS
+
+
+def test_cli_option_count_is_pinned():
+    n = sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+            for node in ast.walk(_trees()["cli.py"]))
+    assert n == CLI_OPTIONS
