@@ -286,7 +286,6 @@ class ComparisonConfig:
     n_test: int = 1000
     dist: str = "normal"
     seed: int = 0
-    solver: str = "auto"        # auto | enumerate | milp
 
 
 @dataclass(frozen=True)
@@ -335,9 +334,8 @@ def compare_methods(instance: Instance, model: DemandModel,
         plans[f"SP({n_scen})"] = train_sp(instance, model, n_scen,
                                           seed=config.seed + 1000 * (k + 1),
                                           budget=config.budget)
-    plans["DR"] = solve_robust(instance, decision_independent(model),
-                               config.budget, config.solver)[0]
-    plans["DDDR"] = solve_robust(instance, model, config.budget, config.solver)[0]
+    plans["DR"] = solve_robust(instance, decision_independent(model), config.budget)[0]
+    plans["DDDR"] = solve_robust(instance, model, config.budget)[0]
 
     reports = {}
     for method, y in plans.items():

@@ -1,7 +1,8 @@
 """Command-line front end: gen, solve, evaluate, compare, export-lp, fixture.
 
-``solve`` and ``export-lp`` use the one robust MILP, chord cuts included;
-bad inputs are reported on stderr with exit status 1.
+``solve`` and ``compare`` enumerate up to ``solvers.ENUMERATION_LIMIT``
+facilities and solve the robust MILP, cuts included, beyond; ``export-lp``
+writes that MILP.  Bad inputs and configs exit 1 with a message on stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .experiments import (ExperimentConfig, fixture_figure2, generate_instance,
 from .instance import (decision_independent, load_problem, save_problem,
                        sites_to_dict, write_atomic)
 from .milp import build_dddr, export_lp_text
-from .solvers import SOLVERS, solve_robust
+from .solvers import solve_robust
 
 
 def _parse_size(text: str):
@@ -94,7 +95,7 @@ def cmd_solve(args) -> int:
             extra = {"scenarios": args.scenarios}
         else:
             m = decision_independent(model) if args.method == "dr" else model
-            y, obj, extra = solve_robust(instance, m, args.budget, args.solver)
+            y, obj, extra = solve_robust(instance, m, args.budget)
     except (RuntimeError, ValueError) as exc:    # AmbiguityInfeasibleError included
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
@@ -130,8 +131,11 @@ def cmd_compare(args) -> int:
         val = getattr(args, key)
         if val is not None:
             doc[key] = val
-    config = ExperimentConfig.from_dict(doc)
-    run_dir = run(config)
+    try:
+        run_dir = run(ExperimentConfig.from_dict(doc))
+    except (RuntimeError, ValueError) as exc:
+        print(f"compare failed: {exc}", file=sys.stderr)
+        return 1
     with open(f"{run_dir}/compare.txt") as fh:
         print(fh.read(), end="")
     print(f"artifacts in {run_dir}")
@@ -182,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--scenarios", type=int, default=100,
                    help="training sample size for the sp method")
     s.add_argument("--budget", type=int, default=None)
-    s.add_argument("--solver", choices=SOLVERS, default="auto")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default=None, help="plan file to write")
     s.set_defaults(func=cmd_solve)

@@ -20,11 +20,10 @@ import numpy as np
 
 from . import __version__
 from .benchmarks import PERTURBED_REPS, ComparisonConfig, compare_methods
-from .instance import (DemandModel, Instance, apply_robustness_level,
-                       arithmetic_support, lambda_from_distance,
-                       lambda_rho_means, save_problem, validate,
-                       write_atomic)
-from .solvers import SOLVERS
+from .instance import (DemandModel, Instance, _check_budget,
+                       apply_robustness_level, arithmetic_support,
+                       lambda_from_distance, lambda_rho_means, save_problem,
+                       validate, write_atomic)
 
 __all__ = [
     "ExperimentConfig",
@@ -58,7 +57,6 @@ class ExperimentConfig:
     sp_scenarios: tuple = (20, 100)
     n_test: int = 1000
     dist: str = "normal"
-    solver: str = "auto"
     export_lp: bool = False
     out: str = "runs"
 
@@ -74,12 +72,9 @@ class ExperimentConfig:
                              f"blocks; n_test={self.n_test} is not a multiple")
         if self.cv2 < 0:
             raise ValueError("squared coefficient of variation must be >= 0")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}")
         if any(n < 1 for n in self.sp_scenarios):
             raise ValueError("every SP sample size must be at least 1")
-        if self.budget is not None and self.budget < 0:
-            raise ValueError("budget must be nonnegative")
+        _check_budget(self.budget)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -89,6 +84,9 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
         doc = dict(doc)
+        unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         if "sp_scenarios" in doc:
             doc["sp_scenarios"] = tuple(doc["sp_scenarios"])
         return ExperimentConfig(**doc)
@@ -141,16 +139,14 @@ def run(config: ExperimentConfig) -> str:
     file per method, the comparison CSV and text table, and a manifest
     sufficient to replay the run.
     """
-    config.validate()
+    instance, model = generate_instance(config)     # validates the config
     run_dir = os.path.join(config.out, f"run_{config.digest()}")
     os.makedirs(os.path.join(run_dir, "plans"), exist_ok=True)
-    instance, model = generate_instance(config)
     save_problem(os.path.join(run_dir, "problem.json"), instance, model)
 
     result = compare_methods(instance, model, ComparisonConfig(
         sp_sizes=config.sp_scenarios, budget=config.budget,
-        n_test=config.n_test, dist=config.dist, seed=config.seed,
-        solver=config.solver))
+        n_test=config.n_test, dist=config.dist, seed=config.seed))
     for method in result.methods:
         rep = result.reports[method]
         doc = {

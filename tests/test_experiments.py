@@ -6,11 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ddrloc.solvers
 from ddrloc.cli import main
 from ddrloc.experiments import (FIG2_CUSTOMERS, FIG2_FACILITIES,
                                 ExperimentConfig, fixture_figure2,
                                 generate_instance, run)
 from ddrloc.instance import load_problem, validate
+from ddrloc.solvers import ENUMERATION_LIMIT
 
 
 def test_generate_instance_parameter_ranges():
@@ -53,13 +55,11 @@ def test_config_validation_and_round_trip():
     with pytest.raises(ValueError, match="multiple"):
         ExperimentConfig(dist="perturbed", n_test=45).validate()
     ExperimentConfig(dist="perturbed", n_test=40).validate()
-    with pytest.raises(ValueError, match="unknown solver"):
-        ExperimentConfig(solver="enumrate").validate()
     with pytest.raises(ValueError, match="SP sample size"):
         ExperimentConfig(sp_scenarios=(20, 0)).validate()
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
         ExperimentConfig(budget=-1).validate()
-    ExperimentConfig(budget=0, solver="milp", sp_scenarios=(1,)).validate()
+    ExperimentConfig(budget=0, sp_scenarios=(1,)).validate()
     cfg = ExperimentConfig(n_facilities=3, rho=2, lambda_recipe="rho-means")
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
     assert cfg.digest() == ExperimentConfig.from_dict(cfg.to_dict()).digest()
@@ -186,7 +186,20 @@ def test_cli_compare(tmp_path, capsys):
     assert "average objective" in out and "artifacts in" in out
 
 
-def test_cli_solve_sp_and_dr(tmp_path, capsys):
+def test_cli_compare_reports_bad_configs(tmp_path, capsys):
+    cfg = _tiny_config(tmp_path / "runs").to_dict()
+    cfg_path = tmp_path / "config.json"
+    for extra, message in (({"solver": "auto"}, "unknown config keys: solver"),
+                           ({"bogus": 1}, "unknown config keys: bogus"),
+                           ({"kappa": 2.0}, "kappa must lie in [0, 1]")):
+        cfg_path.write_text(json.dumps({**cfg, **extra}))
+        assert main(["compare", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"compare failed: {message}\n"
+    # a config that fails generation leaves no run directory behind
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_solve_sp_and_dr(tmp_path, capsys, monkeypatch):
     prob = str(tmp_path / "p.json")
     main(["gen", "--size", "3,4", "--seed", "5", "--support", "1,100,8",
           "--out", prob])
@@ -201,9 +214,10 @@ def test_cli_solve_sp_and_dr(tmp_path, capsys):
                  "--scenarios", "0"]) == 1
     # a negative budget is reported the same way by both robust routes, and
     # export-lp writes no file
-    for solver in ("enumerate", "milp"):
+    for limit in (ENUMERATION_LIMIT, 2):      # enumeration, then the MILP
+        monkeypatch.setattr(ddrloc.solvers, "ENUMERATION_LIMIT", limit)
         assert main(["solve", "--problem", prob, "--method", "dddr",
-                     "--solver", solver, "--budget", "-1"]) == 1
+                     "--budget", "-1"]) == 1
     lp = tmp_path / "m.lp"
     assert main(["export-lp", "--problem", prob, "--out", str(lp), "--budget", "-1"]) == 1
     assert not lp.exists()
@@ -213,14 +227,14 @@ def test_cli_solve_sp_and_dr(tmp_path, capsys):
     assert "export failed: budget must be nonnegative, got -1" in err
 
 
-def test_cli_solve_reports_every_set_empty(tmp_path, capsys):
+def test_cli_solve_reports_every_set_empty(tmp_path, capsys, monkeypatch):
     # baseline means of 20 to 40 on the support 1..10: no plan has a distribution
     prob = str(tmp_path / "p.json")
     assert main(["gen", "--size", "3,4", "--seed", "3", "--support", "1,10,5",
                  "--out", prob]) == 0
-    for solver in ("enumerate", "milp"):
-        assert main(["solve", "--problem", prob, "--method", "dddr",
-                     "--solver", solver]) == 1
+    for limit in (ENUMERATION_LIMIT, 2):      # enumeration, then the MILP
+        monkeypatch.setattr(ddrloc.solvers, "ENUMERATION_LIMIT", limit)
+        assert main(["solve", "--problem", prob, "--method", "dddr"]) == 1
     err = capsys.readouterr().err
     assert err.count("solve failed:") == 2
 
@@ -228,14 +242,13 @@ def test_cli_solve_reports_every_set_empty(tmp_path, capsys):
 def test_cli_solve_reports_empty_ambiguity_set(tmp_path, capsys, monkeypatch):
     # the row-sum-0.99 instance whose MILP optimum without the chord cuts
     # has an empty moment set; the cuts are stripped from the built model
-    import ddrloc.solvers
     from conftest import without_cuts
+    monkeypatch.setattr(ddrloc.solvers, "ENUMERATION_LIMIT", 5)   # the MILP at I=6
     real = ddrloc.solvers.build_dddr
     monkeypatch.setattr(ddrloc.solvers, "build_dddr",
                         lambda *args, **kw: without_cuts(real(*args, **kw)))
     prob = str(tmp_path / "p.json")
     assert main(["gen", "--size", "6,10", "--seed", "0", "--support", "1,100,12",
                  "--lambda-row-sum", "0.99", "--out", prob]) == 0
-    assert main(["solve", "--problem", prob, "--method", "dddr",
-                 "--solver", "milp"]) == 1
+    assert main(["solve", "--problem", prob, "--method", "dddr"]) == 1
     assert "solve failed: empty ambiguity set" in capsys.readouterr().err

@@ -83,12 +83,17 @@ def test_dual_constraint_count():
 
 
 def test_lambda_zero_reduces_to_dr():
+    # the MILP with every dependency weight zeroed against enumeration on the
+    # DR model, the route compare takes for DR
     inst, model = random_problem(8, 4, 5, support_size=8)
     flat = model.replace(lambda_mu=np.zeros_like(model.lambda_mu),
                          lambda_sigma=np.zeros_like(model.lambda_sigma))
-    a = branch_and_bound(build_dddr(inst, flat))
-    b = branch_and_bound(build_dddr(inst, decision_independent(model)))
-    assert a.objective == pytest.approx(b.objective, abs=1e-9)
+    m = build_dddr(inst, flat)
+    sol = branch_and_bound(m)
+    y = np.array([round(sol.x[nm]) for nm in m.meta["y_vars"]])
+    y_dr, obj_dr = enumerate_oracle(inst, decision_independent(model))
+    assert sol.objective == pytest.approx(obj_dr, abs=1e-9)
+    assert np.array_equal(y, y_dr)
 
 
 def _restricted_value(m, y):

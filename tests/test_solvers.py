@@ -211,22 +211,46 @@ def test_exact_solve_reports_empty_set_missed_by_chords(monkeypatch):
     assert len(calls) == 2
 
 
-def test_solve_robust_reports_every_set_empty():
+def test_solve_robust_reports_every_set_empty(monkeypatch):
     # every baseline mean (20 to 40) lies above the support 1..10, so no plan
     # has a distribution: enumeration finds no plan and the cuts leave the
     # MILP infeasible
     inst, model = random_problem(3, 3, 4, support_size=5, support_max=10.0)
     assert not any(np.isfinite(worst_case_values(
         inst, model, list(itertools.product((0, 1), repeat=3)))))
-    for solver in ("enumerate", "milp"):
+    calls = _count_bnb(monkeypatch)
+    for limit in (ddrloc.solvers.ENUMERATION_LIMIT, 2):   # enumeration, then the MILP
+        monkeypatch.setattr(ddrloc.solvers, "ENUMERATION_LIMIT", limit)
         with pytest.raises(RuntimeError):
-            solve_robust(inst, model, solver=solver)
+            solve_robust(inst, model)
+    assert len(calls) == 1
 
 
-def test_solve_robust_rejects_unknown_solver():
+def test_solve_robust_enumerates_up_to_the_limit(monkeypatch):
+    def no_work(*args, **kw):
+        raise AssertionError("enumeration started")
+
+    # enumerate_oracle refuses past the limit before listing a plan
+    monkeypatch.setattr(ddrloc.solvers, "plans_under_budget", no_work)
+    big_inst, big_model = random_problem(1, 3, 2)
+    object.__setattr__(big_inst, "facility_ids", tuple(range(21)))
+    with pytest.raises(ValueError, match="enumeration limited to 20 facilities"):
+        enumerate_oracle(big_inst, big_model)
+    object.__setattr__(big_inst, "facility_ids", tuple(range(20)))
+    with pytest.raises(AssertionError, match="enumeration started"):
+        enumerate_oracle(big_inst, big_model)
+    monkeypatch.undo()
+    # below the limit solve_robust enumerates; past it, the MILP finds the same plan
     inst, model = random_problem(12, 3, 4, support_size=7)
-    with pytest.raises(ValueError, match="unknown solver 'enumrate'"):
-        solve_robust(inst, model, solver="enumrate")
+    y, obj, info = solve_robust(inst, model)
+    assert info == {"solver": "enumerate"}
+    monkeypatch.setattr(ddrloc.solvers, "ENUMERATION_LIMIT", 3)
+    assert solve_robust(inst, model)[2] == {"solver": "enumerate"}
+    monkeypatch.setattr(ddrloc.solvers, "ENUMERATION_LIMIT", 2)
+    y_milp, obj_milp, info = solve_robust(inst, model)
+    assert info["solver"] == "milp" and info["nodes"] >= 1
+    assert info["bound"] == pytest.approx(obj_milp, rel=1e-6)
+    assert np.array_equal(y_milp, y) and obj_milp == pytest.approx(obj, rel=1e-6)
 
 
 def test_lp_text_round_trip_preserves_optimum(tmp_path):

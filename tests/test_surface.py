@@ -5,12 +5,18 @@ adds or removes one must edit its pin here and say why in CHANGES.md.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from ddrloc.benchmarks import ComparisonConfig
+from ddrloc.experiments import ExperimentConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ddrloc"
 
-DEFAULTED_PARAMETERS = 41
-CLI_OPTIONS = 32
+DEFAULTED_PARAMETERS = 40
+CLI_OPTIONS = 31
+EXPERIMENT_CONFIG_FIELDS = 20
+COMPARISON_CONFIG_FIELDS = 5
 
 
 def _trees():
@@ -34,3 +40,9 @@ def test_cli_option_count_is_pinned():
             and node.func.attr == "add_argument"
             for node in ast.walk(_trees()["cli.py"]))
     assert n == CLI_OPTIONS
+
+
+def test_config_field_counts_are_pinned():
+    # a config field is a knob that no parameter default or option counts
+    assert len(dataclasses.fields(ExperimentConfig)) == EXPERIMENT_CONFIG_FIELDS
+    assert len(dataclasses.fields(ComparisonConfig)) == COMPARISON_CONFIG_FIELDS
