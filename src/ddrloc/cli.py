@@ -1,8 +1,7 @@
 """Command-line front end: gen, solve, evaluate, compare, export-lp, fixture.
 
 ``solve`` and ``compare`` enumerate up to ``solvers.ENUMERATION_LIMIT``
-facilities and solve the robust MILP, cuts included, beyond; ``export-lp``
-writes that MILP.  Bad inputs and configs exit 1 with a message on stderr.
+facilities, else solve the MILP ``export-lp`` writes; bad inputs exit 1.
 """
 
 from __future__ import annotations

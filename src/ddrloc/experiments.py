@@ -72,8 +72,8 @@ class ExperimentConfig:
                              f"blocks; n_test={self.n_test} is not a multiple")
         if self.cv2 < 0:
             raise ValueError("squared coefficient of variation must be >= 0")
-        if any(n < 1 for n in self.sp_scenarios):
-            raise ValueError("every SP sample size must be at least 1")
+        if not all(isinstance(n, int) and n >= 1 for n in self.sp_scenarios):
+            raise ValueError("every SP sample size must be an integer of at least 1")
         _check_budget(self.budget)
 
     def to_dict(self) -> dict:
@@ -83,13 +83,18 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
-        unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(ExperimentConfig)})
+        """Config from a JSON document; ValueError names bad keys and types."""
+        json_types = {"int": int, "float": (int, float), "int | None": (int, type(None)),
+                      "str": str, "bool": bool, "tuple": (list, tuple)}
+        types = {f.name: json_types[f.type] for f in dataclasses.fields(ExperimentConfig)}
+        unknown = sorted(set(doc) - set(types))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        if "sp_scenarios" in doc:
-            doc["sp_scenarios"] = tuple(doc["sp_scenarios"])
-        return ExperimentConfig(**doc)
+        wrong = sorted(k for k, v in doc.items() if not isinstance(v, types[k]))
+        if wrong:
+            raise ValueError(f"config values of the wrong type: {', '.join(wrong)}")
+        return ExperimentConfig(**{k: tuple(v) if k == "sp_scenarios" else v
+                                   for k, v in doc.items()})
 
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -140,13 +145,13 @@ def run(config: ExperimentConfig) -> str:
     sufficient to replay the run.
     """
     instance, model = generate_instance(config)     # validates the config
-    run_dir = os.path.join(config.out, f"run_{config.digest()}")
-    os.makedirs(os.path.join(run_dir, "plans"), exist_ok=True)
-    save_problem(os.path.join(run_dir, "problem.json"), instance, model)
-
     result = compare_methods(instance, model, ComparisonConfig(
         sp_sizes=config.sp_scenarios, budget=config.budget,
         n_test=config.n_test, dist=config.dist, seed=config.seed))
+
+    run_dir = os.path.join(config.out, f"run_{config.digest()}")
+    os.makedirs(os.path.join(run_dir, "plans"), exist_ok=True)
+    save_problem(os.path.join(run_dir, "problem.json"), instance, model)
     for method in result.methods:
         rep = result.reports[method]
         doc = {

@@ -189,13 +189,25 @@ def test_cli_compare(tmp_path, capsys):
 def test_cli_compare_reports_bad_configs(tmp_path, capsys):
     cfg = _tiny_config(tmp_path / "runs").to_dict()
     cfg_path = tmp_path / "config.json"
-    for extra, message in (({"solver": "auto"}, "unknown config keys: solver"),
-                           ({"bogus": 1}, "unknown config keys: bogus"),
-                           ({"kappa": 2.0}, "kappa must lie in [0, 1]")):
+    wrong = "config values of the wrong type"
+    for extra, message in (
+            ({"solver": "auto"}, "unknown config keys: solver"),
+            ({"bogus": 1}, "unknown config keys: bogus"),
+            ({"sp_scenarios": 5, "n_facilities": "4"},
+             f"{wrong}: n_facilities, sp_scenarios"),
+            ({"export_lp": 1, "budget": 1.5}, f"{wrong}: budget, export_lp"),
+            ({"sp_scenarios": [5, "10"]},
+             "every SP sample size must be an integer of at least 1"),
+            ({"kappa": 2.0}, "kappa must lie in [0, 1]"),
+            # baseline means of 20 to 40 on the support 1..10: the robust
+            # solve finds no plan with a distribution
+            ({"n_facilities": 3, "n_customers": 4, "support_max": 10},
+             "no plan has a nonempty ambiguity set")):
         cfg_path.write_text(json.dumps({**cfg, **extra}))
         assert main(["compare", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"compare failed: {message}\n"
-    # a config that fails generation leaves no run directory behind
+    # a config that fails validation, generation or the solve leaves no run
+    # directory behind
     assert not (tmp_path / "runs").exists()
 
 

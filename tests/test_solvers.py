@@ -233,10 +233,10 @@ def test_solve_robust_enumerates_up_to_the_limit(monkeypatch):
     # enumerate_oracle refuses past the limit before listing a plan
     monkeypatch.setattr(ddrloc.solvers, "plans_under_budget", no_work)
     big_inst, big_model = random_problem(1, 3, 2)
-    object.__setattr__(big_inst, "facility_ids", tuple(range(21)))
-    with pytest.raises(ValueError, match="enumeration limited to 20 facilities"):
+    object.__setattr__(big_inst, "facility_ids", tuple(range(17)))
+    with pytest.raises(ValueError, match="enumeration limited to 16 facilities"):
         enumerate_oracle(big_inst, big_model)
-    object.__setattr__(big_inst, "facility_ids", tuple(range(20)))
+    object.__setattr__(big_inst, "facility_ids", tuple(range(16)))
     with pytest.raises(AssertionError, match="enumeration started"):
         enumerate_oracle(big_inst, big_model)
     monkeypatch.undo()
