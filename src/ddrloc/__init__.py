@@ -13,9 +13,8 @@ __version__ = "0.1.0"
 from .instance import (DemandModel, Instance, apply_robustness_level,
                        arithmetic_support, big_lambda_matrix, chord_slacks,
                        chords, decision_independent, lambda_from_distance,
-                       lambda_rho_means, load_problem, means_vector,
-                       moment_windows, save_problem, validate,
-                       variances_vector)
+                       lambda_rho_means, load_problem, moment_windows,
+                       plan_moments, save_problem, validate)
 from .transport import (PENALTY, Allocation, h_closed_form, h_j_closed_form,
                         recover_allocation, second_stage_costs, theta_affine,
                         transport_lp_oracle, unmet_by_customer)

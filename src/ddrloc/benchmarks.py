@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import (DemandModel, Instance, _as_y, decision_independent,
-                       means_vector, plans_under_budget, variances_vector)
+                       plan_moments, plans_under_budget)
 from .transport import second_stage_costs, unmet_by_customer
 
 __all__ = [
@@ -89,10 +89,11 @@ def _uniform(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def _plan_moments(model: DemandModel, y_hat):
-    y = _as_y(y_hat)
-    mu = means_vector(model, y)
-    var = variances_vector(model, y)
+def _plan_moments(model: DemandModel, y_hat, n: int):
+    """Mean and standard deviation under the plan, for ``n`` >= 1 scenarios."""
+    if n < 1:
+        raise ValueError(f"need at least one scenario, got n={n}")
+    mu, var = (m[0] for m in plan_moments(model, y_hat))
     if np.any(var < 0):
         raise ValueError("negative variance under the given plan")
     return mu, np.sqrt(var)
@@ -100,7 +101,7 @@ def _plan_moments(model: DemandModel, y_hat):
 
 def gen_normal(model: DemandModel, y_hat, n: int = 1000, seed: int = 0) -> ScenarioSet:
     """Normal draws around the plan-dependent moments, clamped at zero."""
-    mu, sigma = _plan_moments(model, y_hat)
+    mu, sigma = _plan_moments(model, y_hat, n)
     rng = np.random.default_rng(seed)
     draws = rng.normal(mu, sigma, size=(n, len(mu)))
     return ScenarioSet(np.maximum(draws, 0.0), _uniform(n), seed, "normal")
@@ -108,7 +109,7 @@ def gen_normal(model: DemandModel, y_hat, n: int = 1000, seed: int = 0) -> Scena
 
 def gen_gamma(model: DemandModel, y_hat, n: int = 1000, seed: int = 0) -> ScenarioSet:
     """Gamma draws matching the plan-dependent mean and variance."""
-    mu, sigma = _plan_moments(model, y_hat)
+    mu, sigma = _plan_moments(model, y_hat, n)
     if np.any(mu <= 0) or np.any(sigma <= 0):
         raise ValueError("gamma generation needs strictly positive moments")
     theta = sigma ** 2 / mu
@@ -131,7 +132,7 @@ def gen_perturbed(model: DemandModel, y_hat, n: int = 1000, seed: int = 0) -> Sc
     if n % PERTURBED_REPS:
         raise ValueError(f"perturbed scenarios come in {PERTURBED_REPS} equal "
                          f"blocks; n={n} is not a multiple of {PERTURBED_REPS}")
-    mu, sigma = _plan_moments(model, y_hat)
+    mu, sigma = _plan_moments(model, y_hat, n)
     rel = np.divide(model.eps_mu, model.bar_mu,
                     out=np.zeros_like(model.eps_mu), where=model.bar_mu > 0)
     degenerate = (np.all(rel == 0.0) and np.all(model.eps_sigma_lo == 1.0)
@@ -256,7 +257,7 @@ def train_sp(instance: Instance, model: DemandModel, n_scen: int, seed: int,
         raise ValueError(f"SP sample size must be at least 1, got {n_scen}")
     draws = sp_sample(model, n_scen, seed)
     if instance.n_facilities <= 14:
-        plans = np.array(plans_under_budget(instance.n_facilities, budget))
+        plans = plans_under_budget(instance.n_facilities, budget)
         chunk = max(1, SP_CHUNK_ELEMENTS // (n_scen * (instance.n_facilities + 1)))
         best_y, best = None, math.inf
         for start in range(0, len(plans), chunk):
@@ -264,7 +265,7 @@ def train_sp(instance: Instance, model: DemandModel, n_scen: int, seed: int,
             for y, obj in zip(ys, sp_objective(instance, ys, draws)):
                 if obj < best - 1e-12:
                     best_y, best = y, obj
-        return best_y
+        return best_y.copy()
     from .milp import build_sp_saa
     from .solvers import branch_and_bound
     scen = ScenarioSet(draws, _uniform(n_scen), seed, "normal")

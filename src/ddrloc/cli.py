@@ -47,12 +47,16 @@ def _add_gen_options(p):
 
 
 def _config_from_gen_args(args) -> ExperimentConfig:
-    lo, hi, k = args.support.split(",")
+    try:
+        lo, hi, k = args.support.split(",")
+        lo, hi, k = float(lo), float(hi), int(k)
+    except ValueError:
+        raise ValueError(f"support must be 'min,max,K', got {args.support!r}") from None
     n_i, n_j = args.size
     return ExperimentConfig(
         n_facilities=n_i, n_customers=n_j, seed=args.seed,
         penalty=args.penalty, revenue=args.revenue,
-        support_min=float(lo), support_max=float(hi), support_size=int(k),
+        support_min=lo, support_max=hi, support_size=k,
         kappa=args.kappa, cv2=args.cv2,
         lambda_recipe=args.lambda_recipe,
         lambda_row_sum=args.lambda_row_sum, rho=args.rho)
@@ -76,8 +80,7 @@ def _write_plan(path, instance, y, method, objective, extra=None):
 
 
 def cmd_gen(args) -> int:
-    config = _config_from_gen_args(args)
-    instance, model = generate_instance(config)
+    instance, model = generate_instance(_config_from_gen_args(args))
     save_problem(args.out, instance, model)
     print(f"wrote {args.out}: {instance.n_facilities} facilities, "
           f"{instance.n_customers} customers, K={model.support_size}")
@@ -86,18 +89,14 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     instance, model = load_problem(args.problem)
-    try:
-        if args.method == "sp":
-            y = train_sp(instance, model, args.scenarios, seed=args.seed,
-                         budget=args.budget)
-            obj = sp_objective(instance, y, sp_sample(model, args.scenarios, args.seed))
-            extra = {"scenarios": args.scenarios}
-        else:
-            m = decision_independent(model) if args.method == "dr" else model
-            y, obj, extra = solve_robust(instance, m, args.budget)
-    except (RuntimeError, ValueError) as exc:    # AmbiguityInfeasibleError included
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return 1
+    if args.method == "sp":
+        y = train_sp(instance, model, args.scenarios, seed=args.seed,
+                     budget=args.budget)
+        obj = sp_objective(instance, y, sp_sample(model, args.scenarios, args.seed))
+        extra = {"scenarios": args.scenarios}
+    else:
+        m = decision_independent(model) if args.method == "dr" else model
+        y, obj, extra = solve_robust(instance, m, args.budget)
     opens = sorted(int(instance.facility_ids[i]) for i in np.flatnonzero(y))
     print(f"{args.method}: objective {obj:.4f}, open {opens}")
     if args.out:
@@ -130,11 +129,7 @@ def cmd_compare(args) -> int:
         val = getattr(args, key)
         if val is not None:
             doc[key] = val
-    try:
-        run_dir = run(ExperimentConfig.from_dict(doc))
-    except (RuntimeError, ValueError) as exc:
-        print(f"compare failed: {exc}", file=sys.stderr)
-        return 1
+    run_dir = run(ExperimentConfig.from_dict(doc))
     with open(f"{run_dir}/compare.txt") as fh:
         print(fh.read(), end="")
     print(f"artifacts in {run_dir}")
@@ -143,11 +138,7 @@ def cmd_compare(args) -> int:
 
 def cmd_export_lp(args) -> int:
     instance, model = load_problem(args.problem)
-    try:
-        m = build_dddr(instance, model, budget=args.budget)
-    except ValueError as exc:
-        print(f"export failed: {exc}", file=sys.stderr)
-        return 1
+    m = build_dddr(instance, model, budget=args.budget)
     write_atomic(args.out, export_lp_text(m))
     print(f"wrote {args.out}: {len(m.variables)} variables, "
           f"{len(m.constraints)} constraints")
@@ -220,8 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  A RuntimeError or ValueError (AmbiguityInfeasibleError
+    included) prints ``<command> failed: ...``, export-lp as ``export``, and exits 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (RuntimeError, ValueError) as exc:
+        print(f"{args.command.split('-')[0]} failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -72,7 +72,7 @@ class ExperimentConfig:
                              f"blocks; n_test={self.n_test} is not a multiple")
         if self.cv2 < 0:
             raise ValueError("squared coefficient of variation must be >= 0")
-        if not all(isinstance(n, int) and n >= 1 for n in self.sp_scenarios):
+        if not all(type(n) is int and n >= 1 for n in self.sp_scenarios):
             raise ValueError("every SP sample size must be an integer of at least 1")
         _check_budget(self.budget)
 
@@ -84,13 +84,14 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
         """Config from a JSON document; ValueError names bad keys and types."""
-        json_types = {"int": int, "float": (int, float), "int | None": (int, type(None)),
-                      "str": str, "bool": bool, "tuple": (list, tuple)}
+        json_types = {"int": (int,), "float": (int, float), "int | None": (int, type(None)),
+                      "str": (str,), "bool": (bool,), "tuple": (list, tuple)}
         types = {f.name: json_types[f.type] for f in dataclasses.fields(ExperimentConfig)}
         unknown = sorted(set(doc) - set(types))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        wrong = sorted(k for k, v in doc.items() if not isinstance(v, types[k]))
+        # exact types: isinstance counts JSON true and false as ints
+        wrong = sorted(k for k, v in doc.items() if type(v) not in types[k])
         if wrong:
             raise ValueError(f"config values of the wrong type: {', '.join(wrong)}")
         return ExperimentConfig(**{k: tuple(v) if k == "sp_scenarios" else v

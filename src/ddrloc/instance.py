@@ -16,7 +16,6 @@ with ``sum_i lambda_sigma[j, i] < 1`` so the variance stays positive.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import tempfile
@@ -29,6 +28,7 @@ __all__ = [
     "DemandModel",
     "arithmetic_support",
     "plans_under_budget",
+    "plan_moments",
     "moment_windows",
     "big_lambda_matrix",
     "chords",
@@ -195,25 +195,33 @@ def _check_budget(budget: int | None):
         raise ValueError(f"budget must be nonnegative, got {budget}")
 
 
-def plans_under_budget(n: int, budget: int | None) -> list[tuple[int, ...]]:
-    """Every 0/1 plan over ``n`` facilities with at most ``budget`` open."""
+def plans_under_budget(n: int, budget: int | None) -> np.ndarray:
+    """Every 0/1 plan over ``n`` facilities with at most ``budget`` open, as
+    the rows of an (N, n) integer matrix in lexicographic order."""
     _check_budget(budget)
-    return [y for y in itertools.product((0, 1), repeat=n)
-            if budget is None or sum(y) <= budget]
+    plans = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return plans if budget is None else plans[plans.sum(axis=1) <= budget]
 
 
 # ---------------------------------------------------------------------------
 # Decision-dependent moments
 # ---------------------------------------------------------------------------
 
-def means_vector(model: DemandModel, y) -> np.ndarray:
-    """mu_j(y) for every customer, in customer order."""
-    return model.bar_mu * (1.0 + model.lambda_mu @ _as_y(y))
+def plan_moments(model: DemandModel, ys):
+    """mu_j(y) and sigma_j^2(y) of every customer under each plan.
 
-
-def variances_vector(model: DemandModel, y) -> np.ndarray:
-    """sigma_j^2(y) for every customer, in customer order."""
-    return model.bar_sigma ** 2 * (1.0 - model.lambda_sigma @ _as_y(y))
+    ``ys`` is a plan matrix of shape (N, |I|) (a single plan counts as one
+    row).  Returns ``(mu, var)``, each of shape (N, |J|).  Summing the terms
+    one facility at a time gives a plan the same bits alone as in any batch;
+    a matrix product rounds a one-row batch differently.
+    """
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    lm = np.zeros((len(ys), model.n_customers))
+    ls = np.zeros_like(lm)
+    for i in range(model.n_facilities):
+        lm += ys[:, i, None] * model.lambda_mu[:, i]
+        ls += ys[:, i, None] * model.lambda_sigma[:, i]
+    return model.bar_mu * (1.0 + lm), model.bar_sigma ** 2 * (1.0 - ls)
 
 
 def moment_windows(model: DemandModel, ys):
@@ -221,11 +229,11 @@ def moment_windows(model: DemandModel, ys):
 
     ``ys`` is a plan matrix of shape (N, |I|) (a single plan counts as one
     row).  Returns ``(m_lo, m_hi, s_lo, s_hi)``, each of shape (N, |J|):
-    ``mu -/+ eps_mu`` and ``s * eps_sigma_lo/hi`` with ``s = sigma^2 + mu^2``.
+    ``mu -/+ eps_mu`` and ``s * eps_sigma_lo/hi`` with ``s = sigma^2 + mu^2``
+    from :func:`plan_moments`.
     """
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    mu = model.bar_mu * (1.0 + ys @ model.lambda_mu.T)
-    s = model.bar_sigma ** 2 * (1.0 - ys @ model.lambda_sigma.T) + mu * mu
+    mu, var = plan_moments(model, ys)
+    s = var + mu * mu
     return (mu - model.eps_mu, mu + model.eps_mu,
             s * model.eps_sigma_lo, s * model.eps_sigma_hi)
 

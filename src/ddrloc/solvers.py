@@ -46,8 +46,8 @@ FEAS_TOL = 1e-8
 # binary within INT_TOL of 0 or 1 counts as integral.
 ABS_GAP = 1e-6
 INT_TOL = 1e-6
-# enumerate_oracle's size limit, the largest size measured (I=16, J=32, K=12:
-# 21 s, 0.7 GB peak); solve_robust enumerates up to it, the MILP beyond.
+# enumerate_oracle's size limit, the largest size timed (I=16, J=32, K=12: 21-42 s,
+# 111 MB peak, time-bound); solve_robust enumerates up to it, the MILP beyond.
 ENUMERATION_LIMIT = 16
 
 
@@ -457,35 +457,26 @@ def branch_and_bound(m: MilpModel, node_limit: int = 200_000) -> MipSolution:
 # Enumeration oracle and exact solve
 # ---------------------------------------------------------------------------
 
-def enumerate_oracle(instance, model, budget: int | None = None,
-                     return_all: bool = False):
+def enumerate_oracle(instance, model, budget: int | None = None):
     """Exhaustive scan of all feasible plans against the worst-case objective.
 
     Returns ``(y_star, objective)``; ties break lexicographically.  Plans
-    whose ambiguity set is empty are skipped.  With ``return_all`` the full
-    table of (plan tuple, objective) pairs is returned as a third element.
+    whose ambiguity set is empty are skipped: their value is inf.
     """
     from .worstcase import worst_case_values
 
     n = instance.n_facilities
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration limited to {ENUMERATION_LIMIT} facilities")
-    ys = plans_under_budget(n, budget)
-    vals = worst_case_values(instance, model, ys)
+    plans = plans_under_budget(n, budget)
     best_y, best_v = None, math.inf
-    table = []
-    for y, wc in zip(ys, vals):
-        if not math.isfinite(wc):
-            continue
-        total = float(instance.open_cost @ np.array(y)) + wc
-        table.append((y, total))
+    for y, wc in zip(plans, worst_case_values(instance, model, plans)):
+        total = float(instance.open_cost @ y) + wc
         if total < best_v:
             best_y, best_v = y, total
     if best_y is None:
         raise RuntimeError("no plan has a nonempty ambiguity set")
-    if return_all:
-        return np.array(best_y), best_v, table
-    return np.array(best_y), best_v
+    return best_y.copy(), best_v
 
 
 def exact_solve(instance, model, budget: int | None = None):
@@ -521,8 +512,7 @@ def solve_robust(instance, model, budget: int | None = None):
     Raises RuntimeError unless the MILP ends optimal.
     """
     if instance.n_facilities <= ENUMERATION_LIMIT:
-        y, obj = enumerate_oracle(instance, model, budget=budget)
-        return np.asarray(y, dtype=int), obj, {"solver": "enumerate"}
+        return (*enumerate_oracle(instance, model, budget=budget), {"solver": "enumerate"})
     sol, y, _ = exact_solve(instance, model, budget=budget)
     if sol.status != "optimal":
         raise RuntimeError(f"robust MILP ended {sol.status}")

@@ -123,6 +123,8 @@ def ambiguity_feasible(instance: Instance, model: DemandModel, y) -> Feasibility
 # Support points (blocks x K) stepped together per lockstep batch; bounds the
 # tableau memory.  A chunk holds max(1, LP_CHUNK_POINTS // K) blocks.
 LP_CHUNK_POINTS = 12_800
+# Plans priced per worst_case_values chunk; bounds the oracle's memory.
+PLAN_CHUNK = 1024
 # Rows of one customer's moment LP: mass, mean_hi, mean_lo, sec_hi, sec_lo.
 _MOMENT_SENSES = ("=", "<=", ">=", "<=", ">=")
 
@@ -251,14 +253,15 @@ def check_certificate(instance: Instance, model: DemandModel, y,
 def worst_case_values(instance: Instance, model: DemandModel, ys) -> np.ndarray:
     """Worst-case value for a batch of plans; inf where the set is empty.
 
-    The windows are computed once for the whole batch.  Plans that fail the
-    chord test, which is exact, are inf, and the moment LPs of the rest are
-    solved in lockstep batches (:func:`_moment_lps`).
+    Plans are priced :data:`PLAN_CHUNK` at a time, each with the bits it has
+    alone.  Those that fail the chord test, which is exact, are inf, and the
+    moment LPs of the rest are solved in lockstep batches (:func:`_moment_lps`).
     """
     ys_arr = np.atleast_2d(np.asarray(ys, dtype=float))
-    windows = moment_windows(model, ys_arr)
-    feasible = np.all(chord_slacks(model.support, windows, 1.0) >= -RAY_TOL, axis=(1, 2))
     out = np.full(len(ys_arr), math.inf)
-    out[feasible] = _moment_lps(instance, model, ys_arr[feasible],
-                                tuple(w[feasible] for w in windows))[0]
+    for start in range(0, len(ys_arr), PLAN_CHUNK):
+        chunk, part = ys_arr[start:start + PLAN_CHUNK], out[start:start + PLAN_CHUNK]
+        windows = moment_windows(model, chunk)
+        ok = np.all(chord_slacks(model.support, windows, 1.0) >= -RAY_TOL, axis=(1, 2))
+        part[ok] = _moment_lps(instance, model, chunk[ok], tuple(w[ok] for w in windows))[0]
     return out

@@ -24,7 +24,7 @@ from ddrloc.solvers import (OPTIMAL, branch_and_bound, enumerate_oracle,
 from ddrloc.transport import h_closed_form, second_stage_costs, transport_lp_oracle
 from ddrloc.worstcase import (ambiguity_feasible, extreme_rays,
                               theta_values, worst_case_dual,
-                              worst_case_expectation)
+                              worst_case_expectation, worst_case_values)
 
 
 def report(number, ok, detail):
@@ -269,7 +269,7 @@ BENCH_SEEDS = tuple(range(10))
 
 
 def _bench_cell(seed, penalty):
-    """Plans for every method plus the full DDDR enumeration table."""
+    """Plans for every method plus every DDDR plan's robust objective."""
     key = (seed, penalty)
     if key in _BENCH:
         return _BENCH[key]
@@ -288,8 +288,10 @@ def _bench_cell(seed, penalty):
     }
     y_dr, _ = enumerate_oracle(inst, flat)
     plans["DR"] = y_dr
-    y_dd, _, table = enumerate_oracle(inst, model, return_all=True)
-    plans["DDDR"] = y_dd
+    plans["DDDR"], _ = enumerate_oracle(inst, model)
+    ys = plans_under_budget(inst.n_facilities, None)
+    table = [(y, float(inst.open_cost @ y) + wc)
+             for y, wc in zip(ys, worst_case_values(inst, model, ys)) if math.isfinite(wc)]
     reports = {}
     for method, y in plans.items():
         scen = gen_normal(model, y, n=1000, seed=seed)

@@ -10,7 +10,7 @@ from ddrloc.benchmarks import (ComparisonConfig, PERCENTILE_LEVELS,
                                gen_scenarios, order_statistic, sp_objective,
                                sp_sample, train_sp)
 from ddrloc.experiments import ExperimentConfig, generate_instance
-from ddrloc.instance import (apply_robustness_level, means_vector,
+from ddrloc.instance import (apply_robustness_level, plan_moments,
                              plans_under_budget)
 from ddrloc.milp import build_sp_saa
 from ddrloc.solvers import branch_and_bound, simplex_solve
@@ -24,6 +24,12 @@ def test_scenario_set_invariants():
         ScenarioSet(np.ones((2, 2)), np.array([0.7, 0.7]), 0, "normal")
     with pytest.raises(ValueError):
         ScenarioSet(-np.ones((2, 2)), np.array([0.5, 0.5]), 0, "normal")
+    # and the generators refuse an empty or negative request before drawing
+    _, model = random_problem(1, 3, 4)
+    for gen in (gen_normal, gen_gamma, gen_perturbed):
+        for n in (0, -10):
+            with pytest.raises(ValueError, match="need at least one scenario"):
+                gen(model, np.ones(3), n=n)
 
 
 def test_gen_normal_degenerate_and_clamped():
@@ -33,7 +39,7 @@ def test_gen_normal_degenerate_and_clamped():
                            lambda_sigma=np.zeros_like(model.lambda_sigma))
     scen = gen_normal(frozen, y, n=5, seed=0)
     np.testing.assert_allclose(scen.demands,
-                               np.tile(means_vector(frozen, y), (5, 1)))
+                               np.tile(plan_moments(frozen, y)[0], (5, 1)))
     wild = model.replace(bar_mu=np.full(4, 1.0), bar_sigma=np.full(4, 100.0),
                          lambda_mu=np.zeros_like(model.lambda_mu),
                          lambda_sigma=np.zeros_like(model.lambda_sigma))
@@ -47,9 +53,8 @@ def test_gen_normal_moments_clt():
     inst, model = random_problem(2, 3, 4, cv2=0.01)
     y = np.array([1, 1, 0])
     scen = gen_normal(model, y, n=100_000, seed=7)
-    mu = means_vector(model, y)
-    from ddrloc.instance import variances_vector
-    sigma = np.sqrt(variances_vector(model, y))
+    mu, var = (m[0] for m in plan_moments(model, y))
+    sigma = np.sqrt(var)
     se = sigma / np.sqrt(scen.n_scenarios)
     assert np.all(np.abs(scen.demands.mean(axis=0) - mu) < 3.5 * se)
 
@@ -172,7 +177,7 @@ def test_sp_objective_plan_matrix_matches_one_plan_calls(monkeypatch):
     inst, model = random_problem(21, 5, 6)
     draws = sp_sample(model, 12, seed=3)
     for budget in (None, 2):
-        ys = np.array(plans_under_budget(inst.n_facilities, budget))
+        ys = plans_under_budget(inst.n_facilities, budget)
         one = np.array([sp_objective(inst, y, draws) for y in ys])
         assert sp_objective(inst, ys, draws).tobytes() == one.tobytes()
         # Three plans a chunk, so plans straddle chunk boundaries; every plan
@@ -188,7 +193,7 @@ def test_sp_objective_plan_matrix_matches_one_plan_calls(monkeypatch):
                       3 * len(draws) * (inst.n_facilities + 1))
             m.setattr("ddrloc.benchmarks.sp_objective", objective)
             y = train_sp(inst, model, 12, seed=3, budget=budget)
-        assert ranked == plans_under_budget(inst.n_facilities, budget)
+        assert np.array_equal(ranked, ys)
         assert y.tolist() == _sp_reference(inst, draws, budget).tolist()
 
 

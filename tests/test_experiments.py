@@ -177,6 +177,30 @@ def test_cli_evaluate_csv_matches_pinned_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_gen_and_evaluate_report_bad_inputs(tmp_path, capsys):
+    prob = str(tmp_path / "bad.json")
+    for args, message in (
+            (["--kappa", "2"], "kappa must lie in [0, 1]"),
+            (["--size", "0,4"], "need at least one facility and one customer"),
+            (["--lambda-row-sum", "1.0"], "target_row_sum must lie in (0, 1)"),
+            (["--lambda-recipe", "rho-means", "--rho", "9"], "rho must be between 1 and 3"),
+            (["--support", "1,20"], "support must be 'min,max,K', got '1,20'")):
+        assert main(["gen", "--size", "3,5", *args, "--out", prob]) == 1
+        assert capsys.readouterr().err.startswith(f"gen failed: {message}")
+    assert not os.path.exists(prob)
+    prob, plan = _evaluate_setup(tmp_path)
+    capsys.readouterr()
+    for args, message in (
+            (["--dist", "perturbed", "--n", "15"], "n=15 is not a multiple of 10"),
+            (["--n", "0"], "need at least one scenario, got n=0")):
+        out = str(tmp_path / "eval.csv")
+        assert main(["evaluate", "--problem", prob, "--plan", plan, *args,
+                     "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evaluate failed: ") and message in err
+        assert not os.path.exists(out)
+
+
 def test_cli_compare(tmp_path, capsys):
     cfg = _tiny_config(tmp_path)
     cfg_path = tmp_path / "config.json"
@@ -196,7 +220,10 @@ def test_cli_compare_reports_bad_configs(tmp_path, capsys):
             ({"sp_scenarios": 5, "n_facilities": "4"},
              f"{wrong}: n_facilities, sp_scenarios"),
             ({"export_lp": 1, "budget": 1.5}, f"{wrong}: budget, export_lp"),
+            ({"n_facilities": True, "kappa": False}, f"{wrong}: kappa, n_facilities"),
             ({"sp_scenarios": [5, "10"]},
+             "every SP sample size must be an integer of at least 1"),
+            ({"sp_scenarios": [5, True]},
              "every SP sample size must be an integer of at least 1"),
             ({"kappa": 2.0}, "kappa must lie in [0, 1]"),
             # baseline means of 20 to 40 on the support 1..10: the robust

@@ -192,7 +192,10 @@ def test_plans_under_budget_rejects_negative_budget():
     from ddrloc.benchmarks import train_sp
     from ddrloc.solvers import enumerate_oracle
 
-    assert plans_under_budget(2, 0) == [(0, 0)]
+    assert plans_under_budget(2, 0).tolist() == [[0, 0]]
+    # an integer matrix in lexicographic order, the budget filtering rows
+    assert plans_under_budget(2, None).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert plans_under_budget(3, 1).tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]]
     with pytest.raises(ValueError, match="budget must be nonnegative"):
         plans_under_budget(2, -1)
     # and so do the enumerating solvers that read the budget through it

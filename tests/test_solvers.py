@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_problem, toy_instance, without_cuts
 import ddrloc.solvers
+from ddrloc.instance import plans_under_budget
 from ddrloc.milp import (DualBounds, LinearExpr, MilpModel, build_dddr,
                          derive_dual_bounds, export_lp_text)
 from ddrloc.solvers import (branch_and_bound, enumerate_oracle, exact_solve,
@@ -139,9 +140,12 @@ def test_bnb_node_limit_status():
 
 def test_enumerate_single_facility_and_guard():
     inst, model = random_problem(33, 1, 3, support_size=6)
-    y, obj, table = enumerate_oracle(inst, model, return_all=True)
-    assert len(table) == 2
-    assert obj == pytest.approx(min(v for _, v in table))
+    y, obj = enumerate_oracle(inst, model)
+    ys = plans_under_budget(1, None)
+    totals = [float(inst.open_cost @ plan) + wc
+              for plan, wc in zip(ys, worst_case_values(inst, model, ys))]
+    assert len(totals) == 2 and all(map(math.isfinite, totals))
+    assert obj == min(totals) and y.tolist() == ys[np.argmin(totals)].tolist()
     big_inst, big_model = random_problem(1, 3, 2)
     with pytest.raises(ValueError):
         object.__setattr__(big_inst, "facility_ids", tuple(range(25)))

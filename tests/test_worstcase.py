@@ -9,7 +9,7 @@ import pytest
 from conftest import moment_lps, primal_lp, random_problem, toy_instance, toy_model
 from ddrloc.experiments import ExperimentConfig, generate_instance
 from ddrloc.instance import (apply_robustness_level, arithmetic_support, chords,
-                             moment_windows)
+                             moment_windows, plans_under_budget)
 from ddrloc.milp import MilpModel
 from ddrloc.solvers import INFEASIBLE, OPTIMAL, simplex_solve
 from ddrloc.worstcase import (AmbiguityInfeasibleError, ambiguity_feasible,
@@ -371,3 +371,33 @@ def test_bulk_values_match_pinned_file():
     assert np.isinf(cases[1][1][0b101111])
     for got, want in _pinned_values("oracle_values_repro.json"):
         assert got.tobytes() == want.tobytes()
+
+
+def _batch_cases():
+    """Instances of both pin files and a criterion 7 instance, each once."""
+    configs = [ExperimentConfig(n_facilities=10, n_customers=20, support_size=20,
+                                lambda_row_sum=0.99, seed=5)]
+    for name in ("oracle_values.json", "oracle_values_repro.json"):
+        for case in json.loads((Path(__file__).parent / "data" / name).read_text()):
+            cfg = ExperimentConfig(**case["config"])
+            if cfg not in configs:
+                configs.append(cfg)
+    return [generate_instance(cfg) for cfg in configs]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_plan_prices_the_same_alone_and_in_any_batch(case, monkeypatch):
+    # A plan's windows, screen and worst-case value have the same bits alone
+    # as in the full batch, and the oracle's chunking does not move them.
+    inst, model = _batch_cases()[case]
+    ys = plans_under_budget(inst.n_facilities, None)
+    windows = np.stack(moment_windows(model, ys), axis=-1)
+    values = worst_case_values(inst, model, ys)
+    for y, row, value in zip(ys, windows, values):
+        assert np.stack(moment_windows(model, y), axis=-1)[0].tobytes() == row.tobytes()
+        assert worst_case_values(inst, model, y).tobytes() == value.tobytes()
+        assert bool(ambiguity_feasible(inst, model, y)) == math.isfinite(value)
+        if math.isfinite(value):
+            assert worst_case_expectation(inst, model, y)[0].hex() == value.hex()
+    monkeypatch.setattr("ddrloc.worstcase.PLAN_CHUNK", 3)
+    assert worst_case_values(inst, model, ys).tobytes() == values.tobytes()
