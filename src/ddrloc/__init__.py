@@ -28,7 +28,7 @@ from .milp import (DualBounds, LinearExpr, MilpModel, build_dddr, build_sp_saa,
                    mccormick_trilinear, model_stats)
 from .solvers import (LpSolution, MipSolution, branch_and_bound,
                       enumerate_oracle, exact_solve, parse_lp_text,
-                      simplex_solve, solve_robust)
+                      simplex_solve)
 from .benchmarks import (ComparisonConfig, ComparisonResult, EvaluationReport,
                          ScenarioSet, compare_methods, evaluate_plan,
                          gen_gamma, gen_normal, gen_perturbed, gen_scenarios,

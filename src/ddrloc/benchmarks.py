@@ -246,8 +246,8 @@ def train_sp(instance: Instance, model: DemandModel, n_scen: int, seed: int,
 
     Training scenarios ignore the decision dependence (moments at y = 0).
     For up to 14 facilities every plan under the budget is ranked by
-    :func:`sp_objective`, a chunk of plan-matrix rows per call, with at most
-    :data:`SP_CHUNK_ELEMENTS` elements in the chunk's (plans, |I|+1,
+    :func:`sp_objective`, one :func:`plans_under_budget` chunk per call, with
+    at most :data:`SP_CHUNK_ELEMENTS` elements in the chunk's (plans, |I|+1,
     scenarios) closed-form temporary.  Ties go to the earliest plan in
     :func:`plans_under_budget` order: a later plan must beat the best by
     more than 1e-12.  Beyond 14 facilities the scenario MILP is solved by
@@ -257,11 +257,9 @@ def train_sp(instance: Instance, model: DemandModel, n_scen: int, seed: int,
         raise ValueError(f"SP sample size must be at least 1, got {n_scen}")
     draws = sp_sample(model, n_scen, seed)
     if instance.n_facilities <= 14:
-        plans = plans_under_budget(instance.n_facilities, budget)
         chunk = max(1, SP_CHUNK_ELEMENTS // (n_scen * (instance.n_facilities + 1)))
         best_y, best = None, math.inf
-        for start in range(0, len(plans), chunk):
-            ys = plans[start:start + chunk]
+        for ys in plans_under_budget(instance.n_facilities, budget, chunk):
             for y, obj in zip(ys, sp_objective(instance, ys, draws)):
                 if obj < best - 1e-12:
                     best_y, best = y, obj
@@ -328,15 +326,15 @@ def compare_methods(instance: Instance, model: DemandModel,
     Test sets share a base seed but are generated per plan because the true
     moments move with the open facilities.
     """
-    from .solvers import solve_robust
+    from .solvers import enumerate_oracle
 
     plans = {}
     for k, n_scen in enumerate(config.sp_sizes):
         plans[f"SP({n_scen})"] = train_sp(instance, model, n_scen,
                                           seed=config.seed + 1000 * (k + 1),
                                           budget=config.budget)
-    plans["DR"] = solve_robust(instance, decision_independent(model), config.budget)[0]
-    plans["DDDR"] = solve_robust(instance, model, config.budget)[0]
+    plans["DR"] = enumerate_oracle(instance, decision_independent(model), config.budget)[0]
+    plans["DDDR"] = enumerate_oracle(instance, model, config.budget)[0]
 
     reports = {}
     for method, y in plans.items():

@@ -1,7 +1,7 @@
 """Command-line front end: gen, solve, evaluate, compare, export-lp, fixture.
 
-``solve`` and ``compare`` enumerate up to ``solvers.ENUMERATION_LIMIT``
-facilities, else solve the MILP ``export-lp`` writes; bad inputs exit 1.
+``solve`` and ``compare`` enumerate the robust plans; ``export-lp`` writes
+the paper's MILP, which has the same optimum.  Bad inputs exit 1.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .experiments import (ExperimentConfig, fixture_figure2, generate_instance,
 from .instance import (decision_independent, load_problem, save_problem,
                        sites_to_dict, write_atomic)
 from .milp import build_dddr, export_lp_text
-from .solvers import solve_robust
+from .solvers import enumerate_oracle
 
 
 def _parse_size(text: str):
@@ -65,7 +65,13 @@ def _config_from_gen_args(args) -> ExperimentConfig:
 def _load_plan(path: str, instance) -> np.ndarray:
     with open(path) as fh:
         doc = json.load(fh)
-    opens = set(doc["open_facilities"])
+    opens = doc.get("open_facilities") if isinstance(doc, dict) else None
+    if not isinstance(opens, list):
+        raise ValueError(f"plan file {path} has no open_facilities list")
+    # exact types: JSON true and 1.0 compare equal to facility id 1
+    unknown = [f for f in opens if type(f) is not int or f not in instance.facility_ids]
+    if unknown:
+        raise ValueError(f"plan file {path} opens facilities the problem lacks: {unknown}")
     return np.array([1 if fid in opens else 0 for fid in instance.facility_ids],
                     dtype=int)
 
@@ -89,6 +95,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     instance, model = load_problem(args.problem)
+    extra = None
     if args.method == "sp":
         y = train_sp(instance, model, args.scenarios, seed=args.seed,
                      budget=args.budget)
@@ -96,7 +103,7 @@ def cmd_solve(args) -> int:
         extra = {"scenarios": args.scenarios}
     else:
         m = decision_independent(model) if args.method == "dr" else model
-        y, obj, extra = solve_robust(instance, m, args.budget)
+        y, obj = enumerate_oracle(instance, m, args.budget)
     opens = sorted(int(instance.facility_ids[i]) for i in np.flatnonzero(y))
     print(f"{args.method}: objective {obj:.4f}, open {opens}")
     if args.out:
@@ -197,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n-test", dest="n_test", type=int, default=None)
     c.set_defaults(func=cmd_compare)
 
-    x = sub.add_parser("export-lp", help="write the robust MILP, cuts included, "
-                                          "that solve and compare solve as LP text")
+    x = sub.add_parser("export-lp", help="write the paper's robust MILP, cuts "
+                                          "included, as LP text")
     x.add_argument("--problem", required=True)
     x.add_argument("--out", required=True)
     x.add_argument("--budget", type=int, default=None)
@@ -211,12 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command.  A RuntimeError or ValueError (AmbiguityInfeasibleError
-    included) prints ``<command> failed: ...``, export-lp as ``export``, and exits 1."""
+    """Run one command.  A RuntimeError, ValueError (AmbiguityInfeasibleError
+    included) or OSError prints ``<command> failed: ...``, export-lp as
+    ``export``, and exits 1."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError, OSError) as exc:
         print(f"{args.command.split('-')[0]} failed: {exc}", file=sys.stderr)
         return 1
 

@@ -195,12 +195,22 @@ def _check_budget(budget: int | None):
         raise ValueError(f"budget must be nonnegative, got {budget}")
 
 
-def plans_under_budget(n: int, budget: int | None) -> np.ndarray:
-    """Every 0/1 plan over ``n`` facilities with at most ``budget`` open, as
-    the rows of an (N, n) integer matrix in lexicographic order."""
+def plans_under_budget(n: int, budget: int | None, chunk: int):
+    """Every 0/1 plan over ``n`` facilities with at most ``budget`` open, in
+    lexicographic order, as (<= chunk, n) integer matrices, each holding the
+    plans among the next ``chunk`` integer codes.  The budget is checked at
+    the call, not at the first ``next()``."""
     _check_budget(budget)
-    plans = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    return plans if budget is None else plans[plans.sum(axis=1) <= budget]
+    bits = np.arange(n - 1, -1, -1)
+
+    def chunks():
+        for start in range(0, 2 ** n, chunk):
+            plans = (np.arange(start, min(start + chunk, 2 ** n))[:, None] >> bits) & 1
+            if budget is not None:
+                plans = plans[plans.sum(axis=1) <= budget]
+            if len(plans):
+                yield plans
+    return chunks()
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ moment LPs and is the reference LP path in tests.  The value oracle's
 moment LPs go through the batch entry, many blocks at a time.
 
 Branch-and-bound solves the MILPs with scipy's HiGHS backend for the LP
-relaxations.  :func:`exact_solve` solves the robust MILP once, at dual
-bounds derived from the data, and checks its plan with the value oracle;
-:func:`solve_robust` enumerates up to ``ENUMERATION_LIMIT`` facilities and
-runs that solve beyond; :func:`parse_lp_text` reads back an exported model.
+relaxations.  :func:`enumerate_oracle` is the robust solve: it prices every
+plan, a chunk at a time.  :func:`exact_solve`, its cross-check, solves the
+paper's robust MILP once at derived dual bounds and checks its plan with the
+value oracle; :func:`parse_lp_text` reads back an exported model.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ __all__ = [
     "branch_and_bound",
     "enumerate_oracle",
     "exact_solve",
-    "solve_robust",
-    "ENUMERATION_LIMIT",
     "parse_lp_text",
 ]
 
@@ -46,9 +44,6 @@ FEAS_TOL = 1e-8
 # binary within INT_TOL of 0 or 1 counts as integral.
 ABS_GAP = 1e-6
 INT_TOL = 1e-6
-# enumerate_oracle's size limit, the largest size timed (I=16, J=32, K=12: 21-42 s,
-# 111 MB peak, time-bound); solve_robust enumerates up to it, the MILP beyond.
-ENUMERATION_LIMIT = 16
 
 
 @dataclass
@@ -460,20 +455,19 @@ def branch_and_bound(m: MilpModel, node_limit: int = 200_000) -> MipSolution:
 def enumerate_oracle(instance, model, budget: int | None = None):
     """Exhaustive scan of all feasible plans against the worst-case objective.
 
-    Returns ``(y_star, objective)``; ties break lexicographically.  Plans
-    whose ambiguity set is empty are skipped: their value is inf.
+    Plans are generated and priced ``worstcase.PLAN_CHUNK`` codes at a time,
+    so memory does not grow with the facility count.  Returns ``(y_star,
+    objective)``; ties break lexicographically.  Plans whose ambiguity set is
+    empty are skipped: their value is inf.
     """
-    from .worstcase import worst_case_values
+    from .worstcase import PLAN_CHUNK, worst_case_values
 
-    n = instance.n_facilities
-    if n > ENUMERATION_LIMIT:
-        raise ValueError(f"enumeration limited to {ENUMERATION_LIMIT} facilities")
-    plans = plans_under_budget(n, budget)
     best_y, best_v = None, math.inf
-    for y, wc in zip(plans, worst_case_values(instance, model, plans)):
-        total = float(instance.open_cost @ y) + wc
-        if total < best_v:
-            best_y, best_v = y, total
+    for plans in plans_under_budget(instance.n_facilities, budget, PLAN_CHUNK):
+        for y, wc in zip(plans, worst_case_values(instance, model, plans)):
+            total = float(instance.open_cost @ y) + wc
+            if total < best_v:
+                best_y, best_v = y, total
     if best_y is None:
         raise RuntimeError("no plan has a nonempty ambiguity set")
     return best_y.copy(), best_v
@@ -503,21 +497,6 @@ def exact_solve(instance, model, budget: int | None = None):
         raise RuntimeError(f"MILP value {sol.objective!r} disagrees with the value "
                            f"oracle's {value!r} at plan {y.tolist()}")
     return sol, y, bounds
-
-
-def solve_robust(instance, model, budget: int | None = None):
-    """Robust plan by enumeration up to ``ENUMERATION_LIMIT`` facilities,
-    by :func:`exact_solve` beyond.  Returns ``(y, objective, info)``:
-    ``info`` names the solver and, for the MILP, its node count and bound.
-    Raises RuntimeError unless the MILP ends optimal.
-    """
-    if instance.n_facilities <= ENUMERATION_LIMIT:
-        return (*enumerate_oracle(instance, model, budget=budget), {"solver": "enumerate"})
-    sol, y, _ = exact_solve(instance, model, budget=budget)
-    if sol.status != "optimal":
-        raise RuntimeError(f"robust MILP ended {sol.status}")
-    return y, sol.objective, {"solver": "milp", "nodes": sol.node_count,
-                              "bound": sol.bound}
 
 
 # ---------------------------------------------------------------------------

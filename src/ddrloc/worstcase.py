@@ -123,7 +123,7 @@ def ambiguity_feasible(instance: Instance, model: DemandModel, y) -> Feasibility
 # Support points (blocks x K) stepped together per lockstep batch; bounds the
 # tableau memory.  A chunk holds max(1, LP_CHUNK_POINTS // K) blocks.
 LP_CHUNK_POINTS = 12_800
-# Plans priced per worst_case_values chunk; bounds the oracle's memory.
+# Plans priced per chunk by worst_case_values and enumerate_oracle; bounds their memory.
 PLAN_CHUNK = 1024
 # Rows of one customer's moment LP: mass, mean_hi, mean_lo, sec_hi, sec_lo.
 _MOMENT_SENSES = ("=", "<=", ">=", "<=", ">=")

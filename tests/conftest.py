@@ -48,6 +48,13 @@ def random_problem(seed, n_facilities, n_customers, support_size=10, kappa=0.0,
     return generate_instance(cfg)
 
 
+def all_plans(n, budget=None):
+    """Every plan over ``n`` facilities under the budget, as one matrix: the
+    single chunk that 2^n integer codes make."""
+    from ddrloc.instance import plans_under_budget
+    return next(plans_under_budget(n, budget, 2 ** n))
+
+
 @pytest.fixture
 def small_problem():
     return random_problem(11, 3, 5, support_size=8)

@@ -13,11 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (moment_lps, primal_lp, random_problem, toy_instance, toy_model,
-                      without_cuts)
+from conftest import (all_plans, moment_lps, primal_lp, random_problem, toy_instance,
+                      toy_model, without_cuts)
 from ddrloc.benchmarks import evaluate_plan, gen_normal, train_sp
-from ddrloc.instance import (chords, decision_independent, moment_windows,
-                             plans_under_budget)
+from ddrloc.instance import chords, decision_independent, moment_windows
 from ddrloc.milp import build_dddr, build_sp_saa
 from ddrloc.solvers import (OPTIMAL, branch_and_bound, enumerate_oracle,
                             exact_solve, simplex_solve)
@@ -289,7 +288,7 @@ def _bench_cell(seed, penalty):
     y_dr, _ = enumerate_oracle(inst, flat)
     plans["DR"] = y_dr
     plans["DDDR"], _ = enumerate_oracle(inst, model)
-    ys = plans_under_budget(inst.n_facilities, None)
+    ys = all_plans(inst.n_facilities)
     table = [(y, float(inst.open_cost @ y) + wc)
              for y, wc in zip(ys, worst_case_values(inst, model, ys)) if math.isfinite(wc)]
     reports = {}
@@ -330,7 +329,7 @@ def test_screen_matches_moment_lps_on_criterion_7_instances():
     # The chord screen alone decides emptiness: on every plan of the
     # benchmark instances it agrees with the feasibility of the moment LPs.
     from ddrloc.experiments import ExperimentConfig, generate_instance
-    ys = np.array(plans_under_budget(10, None), dtype=float)
+    ys = np.array(all_plans(10), dtype=float)
     n_empty = 0
     for seed in BENCH_SEEDS:
         inst, model = generate_instance(ExperimentConfig(

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_problem, toy_instance, toy_model
+from conftest import all_plans, random_problem, toy_instance, toy_model
 from ddrloc.benchmarks import (ComparisonConfig, PERCENTILE_LEVELS,
                                ScenarioSet, compare_methods, evaluate_plan,
                                gen_gamma, gen_normal, gen_perturbed,
                                gen_scenarios, order_statistic, sp_objective,
                                sp_sample, train_sp)
 from ddrloc.experiments import ExperimentConfig, generate_instance
-from ddrloc.instance import (apply_robustness_level, plan_moments,
-                             plans_under_budget)
+from ddrloc.instance import apply_robustness_level, plan_moments
 from ddrloc.milp import build_sp_saa
 from ddrloc.solvers import branch_and_bound, simplex_solve
 from ddrloc.transport import second_stage_costs
@@ -166,7 +165,7 @@ def test_train_sp_enumeration_matches_milp():
 def _sp_reference(inst, draws, budget=None):
     """train_sp's ranking, one sp_objective call per plan."""
     best_y, best = None, math.inf
-    for y in map(np.array, plans_under_budget(inst.n_facilities, budget)):
+    for y in all_plans(inst.n_facilities, budget):
         obj = sp_objective(inst, y, draws)
         if obj < best - 1e-12:
             best_y, best = y, obj
@@ -177,7 +176,7 @@ def test_sp_objective_plan_matrix_matches_one_plan_calls(monkeypatch):
     inst, model = random_problem(21, 5, 6)
     draws = sp_sample(model, 12, seed=3)
     for budget in (None, 2):
-        ys = plans_under_budget(inst.n_facilities, budget)
+        ys = all_plans(inst.n_facilities, budget)
         one = np.array([sp_objective(inst, y, draws) for y in ys])
         assert sp_objective(inst, ys, draws).tobytes() == one.tobytes()
         # Three plans a chunk, so plans straddle chunk boundaries; every plan

@@ -6,13 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import ddrloc.solvers
 from ddrloc.cli import main
 from ddrloc.experiments import (FIG2_CUSTOMERS, FIG2_FACILITIES,
                                 ExperimentConfig, fixture_figure2,
                                 generate_instance, run)
 from ddrloc.instance import load_problem, validate
-from ddrloc.solvers import ENUMERATION_LIMIT
 
 
 def test_generate_instance_parameter_ranges():
@@ -116,7 +114,8 @@ def test_cli_gen_solve_evaluate_export(tmp_path, capsys):
     assert main(["solve", "--problem", prob, "--method", "dddr",
                  "--out", plan]) == 0
     doc = json.loads(open(plan).read())
-    assert doc["method"] == "dddr" and "objective" in doc
+    assert sorted(doc) == ["method", "objective", "open_facilities"]
+    assert doc["method"] == "dddr"
 
     assert main(["evaluate", "--problem", prob, "--plan", plan,
                  "--dist", "normal", "--n", "40",
@@ -124,7 +123,7 @@ def test_cli_gen_solve_evaluate_export(tmp_path, capsys):
     lines = open(tmp_path / "eval.csv").read().strip().split("\n")
     assert lines[0] == "statistic,value"
 
-    # export-lp writes the model that solve and compare solve, cuts included
+    # export-lp writes the paper's robust MILP, cuts included
     from ddrloc.milp import build_dddr, export_lp_text
     lp = tmp_path / "m.lp"
     assert main(["export-lp", "--problem", prob, "--out", str(lp), "--budget", "2"]) == 0
@@ -201,6 +200,38 @@ def test_cli_gen_and_evaluate_report_bad_inputs(tmp_path, capsys):
         assert not os.path.exists(out)
 
 
+def test_cli_evaluate_reports_bad_plan_files(tmp_path, capsys):
+    # a plan naming facilities the problem lacks, or naming none, is refused
+    # rather than scored as some other plan
+    prob, plan = _evaluate_setup(tmp_path)
+    capsys.readouterr()
+    for doc, message in (
+            ({"open_facilities": [99, 1]}, "opens facilities the problem lacks: [99]"),
+            ({"open_facilities": ["1", True, 3.0]},
+             "opens facilities the problem lacks: ['1', True, 3.0]"),
+            ({}, "has no open_facilities list"),
+            ({"open_facilities": 1}, "has no open_facilities list"),
+            ([1, 3], "has no open_facilities list")):
+        Path(plan).write_text(json.dumps(doc))
+        assert main(["evaluate", "--problem", prob, "--plan", plan]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"evaluate failed: plan file {plan} ") and message in err
+        assert err.count("\n") == 1
+
+
+def test_cli_reports_unreadable_files(tmp_path, capsys):
+    prob, plan = _evaluate_setup(tmp_path)
+    capsys.readouterr()
+    missing = str(tmp_path / "missing.json")
+    for argv in (["solve", "--problem", missing, "--method", "dddr"],
+                 ["evaluate", "--problem", prob, "--plan", missing],
+                 ["compare", "--config", missing]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]} failed: ") and "No such file" in err
+        assert err.count("\n") == 1
+
+
 def test_cli_compare(tmp_path, capsys):
     cfg = _tiny_config(tmp_path)
     cfg_path = tmp_path / "config.json"
@@ -238,7 +269,7 @@ def test_cli_compare_reports_bad_configs(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
-def test_cli_solve_sp_and_dr(tmp_path, capsys, monkeypatch):
+def test_cli_solve_sp_and_dr(tmp_path, capsys):
     prob = str(tmp_path / "p.json")
     main(["gen", "--size", "3,4", "--seed", "5", "--support", "1,100,8",
           "--out", prob])
@@ -248,46 +279,25 @@ def test_cli_solve_sp_and_dr(tmp_path, capsys, monkeypatch):
                  "--budget", "1"]) == 0
     out = capsys.readouterr().out
     assert "sp: objective" in out and "dr: objective" in out
-    # bad inputs are reported, not raised
+    # bad inputs are reported, not raised, and export-lp writes no file
     assert main(["solve", "--problem", prob, "--method", "sp",
                  "--scenarios", "0"]) == 1
-    # a negative budget is reported the same way by both robust routes, and
-    # export-lp writes no file
-    for limit in (ENUMERATION_LIMIT, 2):      # enumeration, then the MILP
-        monkeypatch.setattr(ddrloc.solvers, "ENUMERATION_LIMIT", limit)
-        assert main(["solve", "--problem", prob, "--method", "dddr",
-                     "--budget", "-1"]) == 1
+    assert main(["solve", "--problem", prob, "--method", "dddr",
+                 "--budget", "-1"]) == 1
     lp = tmp_path / "m.lp"
     assert main(["export-lp", "--problem", prob, "--out", str(lp), "--budget", "-1"]) == 1
     assert not lp.exists()
     err = capsys.readouterr().err
-    assert err.count("solve failed:") == 3 and "at least 1" in err
-    assert err.count("solve failed: budget must be nonnegative, got -1") == 2
+    assert err.count("solve failed:") == 2 and "at least 1" in err
+    assert err.count("solve failed: budget must be nonnegative, got -1") == 1
     assert "export failed: budget must be nonnegative, got -1" in err
 
 
-def test_cli_solve_reports_every_set_empty(tmp_path, capsys, monkeypatch):
+def test_cli_solve_reports_every_set_empty(tmp_path, capsys):
     # baseline means of 20 to 40 on the support 1..10: no plan has a distribution
     prob = str(tmp_path / "p.json")
     assert main(["gen", "--size", "3,4", "--seed", "3", "--support", "1,10,5",
                  "--out", prob]) == 0
-    for limit in (ENUMERATION_LIMIT, 2):      # enumeration, then the MILP
-        monkeypatch.setattr(ddrloc.solvers, "ENUMERATION_LIMIT", limit)
-        assert main(["solve", "--problem", prob, "--method", "dddr"]) == 1
-    err = capsys.readouterr().err
-    assert err.count("solve failed:") == 2
-
-
-def test_cli_solve_reports_empty_ambiguity_set(tmp_path, capsys, monkeypatch):
-    # the row-sum-0.99 instance whose MILP optimum without the chord cuts
-    # has an empty moment set; the cuts are stripped from the built model
-    from conftest import without_cuts
-    monkeypatch.setattr(ddrloc.solvers, "ENUMERATION_LIMIT", 5)   # the MILP at I=6
-    real = ddrloc.solvers.build_dddr
-    monkeypatch.setattr(ddrloc.solvers, "build_dddr",
-                        lambda *args, **kw: without_cuts(real(*args, **kw)))
-    prob = str(tmp_path / "p.json")
-    assert main(["gen", "--size", "6,10", "--seed", "0", "--support", "1,100,12",
-                 "--lambda-row-sum", "0.99", "--out", prob]) == 0
     assert main(["solve", "--problem", prob, "--method", "dddr"]) == 1
-    assert "solve failed: empty ambiguity set" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("solve failed: no plan has a nonempty "
+                                       "ambiguity set\n")

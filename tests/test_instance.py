@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_problem, toy_instance, toy_model
+from conftest import all_plans, random_problem, toy_instance, toy_model
 from ddrloc.instance import (apply_robustness_level, arithmetic_support,
                              big_lambda_matrix, lambda_from_distance,
                              lambda_rho_means, load_problem, moment_windows,
@@ -192,18 +193,29 @@ def test_plans_under_budget_rejects_negative_budget():
     from ddrloc.benchmarks import train_sp
     from ddrloc.solvers import enumerate_oracle
 
-    assert plans_under_budget(2, 0).tolist() == [[0, 0]]
-    # an integer matrix in lexicographic order, the budget filtering rows
-    assert plans_under_budget(2, None).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
-    assert plans_under_budget(3, 1).tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    assert all_plans(2, 0).tolist() == [[0, 0]]
+    # integer matrices in lexicographic order, the budget filtering rows
+    assert all_plans(2).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert all_plans(3, 1).tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]]
     with pytest.raises(ValueError, match="budget must be nonnegative"):
-        plans_under_budget(2, -1)
+        plans_under_budget(2, -1, 4)      # at the call, before any next()
     # and so do the enumerating solvers that read the budget through it
     inst, model = random_problem(12, 3, 4, support_size=7)
     for solve in (lambda: enumerate_oracle(inst, model, budget=-1),
                   lambda: train_sp(inst, model, 5, seed=0, budget=-1)):
         with pytest.raises(ValueError, match="budget must be nonnegative"):
             solve()
+
+
+def test_plans_under_budget_chunks_concatenate_to_the_full_matrix():
+    for n in (1, 4, 5):
+        for budget in (None, 0, 2):
+            full = [p for p in itertools.product((0, 1), repeat=n)
+                    if budget is None or sum(p) <= budget]
+            for chunk in (1, 3, 7, 2 ** n, 2 ** n + 5):
+                parts = list(plans_under_budget(n, budget, chunk))
+                assert all(0 < len(p) <= chunk and p.dtype.kind == "i" for p in parts)
+                assert np.concatenate(parts).tolist() == [list(p) for p in full]
 
 
 def test_unknown_customer_id():

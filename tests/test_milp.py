@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import moment_lps, random_problem, toy_instance, toy_model, without_cuts
+from conftest import (all_plans, moment_lps, random_problem, toy_instance, toy_model,
+                      without_cuts)
 from ddrloc.instance import decision_independent, moment_windows, plans_under_budget
 from ddrloc.milp import (DualBounds, LinearExpr, MilpModel, build_dddr,
                          build_sp_saa, derive_dual_bounds, export_lp_text,
@@ -136,7 +137,7 @@ def test_derived_dual_bounds_dominate_worst_case_dual(recipe, kappa):
                                      lambda_recipe=recipe, lambda_row_sum=row_sum,
                                      rho=2)
         b = derive_dual_bounds(inst, model)
-        ys = plans_under_budget(inst.n_facilities, None)
+        ys = all_plans(inst.n_facilities)
         nonempty = np.isfinite(worst_case_values(inst, model, ys))
         assert nonempty.sum() >= len(ys) // 2
         for y in np.array(ys)[nonempty]:
@@ -169,7 +170,7 @@ def test_gamma2_dropped_only_where_sec_lo_never_binds(kappa):
                                          support_size=k, kappa=kappa,
                                          lambda_recipe=recipe, lambda_row_sum=row_sum,
                                          rho=2)
-            ys = np.array(plans_under_budget(inst.n_facilities, None))
+            ys = all_plans(inst.n_facilities)
             theta = np.array([[theta_values(inst, model, y, jj)
                                for jj in range(inst.n_customers)] for y in ys])
             full, free, ok = _with_and_without_sec_lo(model, moment_windows(model, ys), theta)
@@ -308,7 +309,7 @@ def test_budget_row():
     opened = sum(round(sol.x[nm]) for nm in m.meta["y_vars"])
     assert opened <= 1
     # a negative budget raises, with the enumeration route's message
-    for build in (lambda b: plans_under_budget(4, b),
+    for build in (lambda b: plans_under_budget(4, b, 16),
                   lambda b: build_dddr(inst, model, budget=b),
                   lambda b: build_sp_saa(inst, np.zeros((1, 4)), budget=b)):
         with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):

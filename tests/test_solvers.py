@@ -1,16 +1,15 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import random_problem, toy_instance, without_cuts
+from conftest import all_plans, random_problem, toy_instance, without_cuts
 import ddrloc.solvers
-from ddrloc.instance import plans_under_budget
+import ddrloc.worstcase
 from ddrloc.milp import (DualBounds, LinearExpr, MilpModel, build_dddr,
                          derive_dual_bounds, export_lp_text)
 from ddrloc.solvers import (branch_and_bound, enumerate_oracle, exact_solve,
-                            parse_lp_text, simplex_solve, solve_robust)
+                            parse_lp_text, simplex_solve)
 from ddrloc.transport import h_j_closed_form
 from ddrloc.worstcase import AmbiguityInfeasibleError, worst_case_values
 
@@ -138,18 +137,20 @@ def test_bnb_node_limit_status():
     assert mid.bound <= full.objective < mid.objective
 
 
-def test_enumerate_single_facility_and_guard():
+def test_enumerate_single_facility_and_guard(monkeypatch):
     inst, model = random_problem(33, 1, 3, support_size=6)
     y, obj = enumerate_oracle(inst, model)
-    ys = plans_under_budget(1, None)
+    ys = all_plans(1)
     totals = [float(inst.open_cost @ plan) + wc
               for plan, wc in zip(ys, worst_case_values(inst, model, ys))]
     assert len(totals) == 2 and all(map(math.isfinite, totals))
     assert obj == min(totals) and y.tolist() == ys[np.argmin(totals)].tolist()
+    # at any size a negative budget is refused before a plan is priced
     big_inst, big_model = random_problem(1, 3, 2)
-    with pytest.raises(ValueError):
-        object.__setattr__(big_inst, "facility_ids", tuple(range(25)))
-        enumerate_oracle(big_inst, big_model)
+    object.__setattr__(big_inst, "facility_ids", tuple(range(25)))
+    monkeypatch.setattr(ddrloc.worstcase, "worst_case_values", None)
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        enumerate_oracle(big_inst, big_model, budget=-1)
 
 
 def test_budget_zero_forces_empty_plan():
@@ -215,46 +216,64 @@ def test_exact_solve_reports_empty_set_missed_by_chords(monkeypatch):
     assert len(calls) == 2
 
 
-def test_solve_robust_reports_every_set_empty(monkeypatch):
+def test_every_set_empty_is_reported_by_enumeration_and_milp(monkeypatch):
     # every baseline mean (20 to 40) lies above the support 1..10, so no plan
     # has a distribution: enumeration finds no plan and the cuts leave the
-    # MILP infeasible
+    # MILP infeasible after one branch-and-bound run
     inst, model = random_problem(3, 3, 4, support_size=5, support_max=10.0)
-    assert not any(np.isfinite(worst_case_values(
-        inst, model, list(itertools.product((0, 1), repeat=3)))))
+    assert not any(np.isfinite(worst_case_values(inst, model, all_plans(3))))
+    with pytest.raises(RuntimeError, match="no plan has a nonempty ambiguity set"):
+        enumerate_oracle(inst, model)
     calls = _count_bnb(monkeypatch)
-    for limit in (ddrloc.solvers.ENUMERATION_LIMIT, 2):   # enumeration, then the MILP
-        monkeypatch.setattr(ddrloc.solvers, "ENUMERATION_LIMIT", limit)
-        with pytest.raises(RuntimeError):
-            solve_robust(inst, model)
-    assert len(calls) == 1
+    sol, y, _ = exact_solve(inst, model)
+    assert sol.status == "infeasible" and y is None and len(calls) == 1
 
 
-def test_solve_robust_enumerates_up_to_the_limit(monkeypatch):
-    def no_work(*args, **kw):
-        raise AssertionError("enumeration started")
-
-    # enumerate_oracle refuses past the limit before listing a plan
-    monkeypatch.setattr(ddrloc.solvers, "plans_under_budget", no_work)
-    big_inst, big_model = random_problem(1, 3, 2)
-    object.__setattr__(big_inst, "facility_ids", tuple(range(17)))
-    with pytest.raises(ValueError, match="enumeration limited to 16 facilities"):
-        enumerate_oracle(big_inst, big_model)
-    object.__setattr__(big_inst, "facility_ids", tuple(range(16)))
-    with pytest.raises(AssertionError, match="enumeration started"):
-        enumerate_oracle(big_inst, big_model)
-    monkeypatch.undo()
-    # below the limit solve_robust enumerates; past it, the MILP finds the same plan
+def test_exact_solve_finds_the_enumerated_plan():
     inst, model = random_problem(12, 3, 4, support_size=7)
-    y, obj, info = solve_robust(inst, model)
-    assert info == {"solver": "enumerate"}
-    monkeypatch.setattr(ddrloc.solvers, "ENUMERATION_LIMIT", 3)
-    assert solve_robust(inst, model)[2] == {"solver": "enumerate"}
-    monkeypatch.setattr(ddrloc.solvers, "ENUMERATION_LIMIT", 2)
-    y_milp, obj_milp, info = solve_robust(inst, model)
-    assert info["solver"] == "milp" and info["nodes"] >= 1
-    assert info["bound"] == pytest.approx(obj_milp, rel=1e-6)
-    assert np.array_equal(y_milp, y) and obj_milp == pytest.approx(obj, rel=1e-6)
+    y, obj = enumerate_oracle(inst, model)
+    sol, y_milp, _ = exact_solve(inst, model)
+    assert sol.status == "optimal" and sol.node_count >= 1
+    assert sol.bound == pytest.approx(sol.objective, rel=1e-6)
+    assert np.array_equal(y_milp, y) and sol.objective == pytest.approx(obj, rel=1e-6)
+
+
+def test_enumeration_streams_its_plans_a_chunk_at_a_time(monkeypatch):
+    # At I=17 the oracle never sees more than PLAN_CHUNK plans at once, and
+    # its batches hold every plan once, in lexicographic order.
+    inst, model = random_problem(0, 17, 2)
+    batches = []
+
+    def record(instance, model, ys):
+        batches.append(ys)
+        return np.zeros(len(ys))
+
+    monkeypatch.setattr(ddrloc.worstcase, "worst_case_values", record)
+    y, obj = enumerate_oracle(inst, model)
+    assert max(map(len, batches)) <= ddrloc.worstcase.PLAN_CHUNK
+    codes = np.concatenate(batches) @ (1 << np.arange(16, -1, -1))
+    assert np.array_equal(codes, np.arange(2 ** 17))
+    assert y.tolist() == [0] * 17 and obj == 0.0      # no cost: the empty plan
+    batches.clear()
+    enumerate_oracle(inst, model, budget=2)
+    rows = np.concatenate(batches)
+    assert max(map(len, batches)) <= ddrloc.worstcase.PLAN_CHUNK
+    assert len(rows) == 1 + 17 + 136 and rows.sum(axis=1).max() == 2
+
+
+@pytest.mark.parametrize("budget", [None, 2])
+def test_enumeration_in_chunks_of_three_matches_one_batch(budget, monkeypatch):
+    # Pricing three integer codes at a time gives the plan and the bits of
+    # pricing every plan in one batch.
+    inst, model = random_problem(5, 5, 6, support_size=8, lambda_row_sum=0.99)
+    ys = all_plans(5, budget)
+    totals = [float(inst.open_cost @ y) + wc
+              for y, wc in zip(ys, worst_case_values(inst, model, ys))]
+    best = int(np.argmin(totals))         # the first minimum, as the strict < rule
+    monkeypatch.setattr(ddrloc.worstcase, "PLAN_CHUNK", 3)
+    y, obj = enumerate_oracle(inst, model, budget=budget)
+    assert y.tolist() == ys[best].tolist()
+    assert float(obj).hex() == float(totals[best]).hex()
 
 
 def test_lp_text_round_trip_preserves_optimum(tmp_path):

@@ -13,7 +13,7 @@ from ddrloc.experiments import ExperimentConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ddrloc"
 
-DEFAULTED_PARAMETERS = 39
+DEFAULTED_PARAMETERS = 38
 CLI_OPTIONS = 31
 EXPERIMENT_CONFIG_FIELDS = 20
 COMPARISON_CONFIG_FIELDS = 5

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_problem, toy_instance, toy_model
-from ddrloc.instance import plans_under_budget
+from conftest import all_plans, random_problem, toy_instance, toy_model
 from ddrloc.transport import (PENALTY, h_closed_form, h_j_closed_form,
                               recover_allocation, second_stage_costs,
                               theta_affine, transport_lp_oracle,
@@ -119,7 +118,7 @@ def test_second_stage_costs_vectorization():
     demands = np.maximum(rng.normal(30.0, 30.0, size=(40, 5)), 0.0)
     assert np.any(demands == 0.0)
     for budget in (None, 2):
-        ys = np.array(plans_under_budget(inst.n_facilities, budget))
+        ys = all_plans(inst.n_facilities, budget)
         rows = second_stage_costs(inst, ys, demands)
         assert rows.shape == (len(ys), 40)
         assert rows.tobytes() == second_stage_costs(inst, ys.astype(float), demands).tobytes()

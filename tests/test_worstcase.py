@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import moment_lps, primal_lp, random_problem, toy_instance, toy_model
+from conftest import (all_plans, moment_lps, primal_lp, random_problem, toy_instance,
+                      toy_model)
 from ddrloc.experiments import ExperimentConfig, generate_instance
 from ddrloc.instance import (apply_robustness_level, arithmetic_support, chords,
-                             moment_windows, plans_under_budget)
+                             moment_windows)
 from ddrloc.milp import MilpModel
 from ddrloc.solvers import INFEASIBLE, OPTIMAL, simplex_solve
 from ddrloc.worstcase import (AmbiguityInfeasibleError, ambiguity_feasible,
@@ -390,7 +391,7 @@ def test_plan_prices_the_same_alone_and_in_any_batch(case, monkeypatch):
     # A plan's windows, screen and worst-case value have the same bits alone
     # as in the full batch, and the oracle's chunking does not move them.
     inst, model = _batch_cases()[case]
-    ys = plans_under_budget(inst.n_facilities, None)
+    ys = all_plans(inst.n_facilities)
     windows = np.stack(moment_windows(model, ys), axis=-1)
     values = worst_case_values(inst, model, ys)
     for y, row, value in zip(ys, windows, values):
