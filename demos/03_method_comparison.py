@@ -10,7 +10,7 @@ demand drawn from the moments its own plan induces.
 Run:  python3 demos/03_method_comparison.py
 """
 
-from ddrloc.benchmarks import ComparisonConfig, compare_methods
+from ddrloc.benchmarks import compare_methods
 from ddrloc.experiments import ExperimentConfig, generate_instance
 
 cfg = ExperimentConfig(n_facilities=10, n_customers=20, support_size=20,
@@ -20,8 +20,7 @@ print(f"instance: {inst.n_facilities} candidate facilities, "
       f"{inst.n_customers} customers, demand support of "
       f"{model.support_size} points\n")
 
-result = compare_methods(inst, model, ComparisonConfig(
-    sp_sizes=(20, 100), n_test=1000, seed=7))
+result = compare_methods(inst, model, cfg)
 print(result.to_text())
 
 print("Reading the table: DDDR opens the facilities whose demand pull pays")

@@ -12,12 +12,16 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .instance import (DemandModel, Instance, _as_y, decision_independent,
                        plan_moments, plans_under_budget)
 from .transport import second_stage_costs, unmet_by_customer
+
+if TYPE_CHECKING:
+    from .experiments import ExperimentConfig
 
 __all__ = [
     "ScenarioSet",
@@ -30,7 +34,6 @@ __all__ = [
     "evaluate_plan",
     "order_statistic",
     "stat_lines",
-    "ComparisonConfig",
     "ComparisonResult",
     "compare_methods",
     "sp_sample",
@@ -279,15 +282,6 @@ def train_sp(instance: Instance, model: DemandModel, n_scen: int, seed: int,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ComparisonConfig:
-    sp_sizes: tuple = (20, 100)
-    budget: int | None = None
-    n_test: int = 1000
-    dist: str = "normal"
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class ComparisonResult:
     """Per-method plans and reports, with fixed-format CSV/text rendering."""
 
@@ -319,17 +313,18 @@ class ComparisonResult:
 
 
 def compare_methods(instance: Instance, model: DemandModel,
-                    config: ComparisonConfig = ComparisonConfig()) -> ComparisonResult:
-    """Train SP(n) for each requested size, DR and the decision-dependent
-    robust model, then evaluate every plan on its own test set.
+                    config: ExperimentConfig) -> ComparisonResult:
+    """Train SP(n) for each of the config's ``sp_scenarios`` sizes, DR and
+    the decision-dependent robust model under its ``budget``, then evaluate
+    every plan on its own test set of ``n_test`` ``dist`` scenarios.
 
-    Test sets share a base seed but are generated per plan because the true
-    moments move with the open facilities.
+    Test sets share the config's seed but are generated per plan because the
+    true moments move with the open facilities.
     """
     from .solvers import enumerate_oracle
 
     plans = {}
-    for k, n_scen in enumerate(config.sp_sizes):
+    for k, n_scen in enumerate(config.sp_scenarios):
         plans[f"SP({n_scen})"] = train_sp(instance, model, n_scen,
                                           seed=config.seed + 1000 * (k + 1),
                                           budget=config.budget)

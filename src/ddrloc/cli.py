@@ -76,12 +76,11 @@ def _load_plan(path: str, instance) -> np.ndarray:
                     dtype=int)
 
 
-def _write_plan(path, instance, y, method, objective, extra=None):
+def _write_plan(path, instance, y, method, objective, extra):
     doc = {"method": method,
            "open_facilities": sorted(int(instance.facility_ids[i])
                                      for i in np.flatnonzero(y)),
-           "objective": objective}
-    doc.update(extra or {})
+           "objective": objective, **extra}
     write_atomic(path, json.dumps(doc, indent=1) + "\n")
 
 
@@ -95,7 +94,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     instance, model = load_problem(args.problem)
-    extra = None
+    extra = {}
     if args.method == "sp":
         y = train_sp(instance, model, args.scenarios, seed=args.seed,
                      budget=args.budget)
@@ -132,6 +131,8 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     with open(args.config) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"config file {args.config} is not a JSON object")
     for key in ("seed", "budget", "n_test"):
         val = getattr(args, key)
         if val is not None:

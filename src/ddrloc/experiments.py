@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .benchmarks import PERTURBED_REPS, ComparisonConfig, compare_methods
+from .benchmarks import PERTURBED_REPS, compare_methods
 from .instance import (DemandModel, Instance, _check_budget,
                        apply_robustness_level, arithmetic_support,
                        lambda_from_distance, lambda_rho_means, save_problem,
@@ -57,7 +57,6 @@ class ExperimentConfig:
     sp_scenarios: tuple = (20, 100)
     n_test: int = 1000
     dist: str = "normal"
-    export_lp: bool = False
     out: str = "runs"
 
     def validate(self) -> None:
@@ -85,7 +84,7 @@ class ExperimentConfig:
     def from_dict(doc: dict) -> "ExperimentConfig":
         """Config from a JSON document; ValueError names bad keys and types."""
         json_types = {"int": (int,), "float": (int, float), "int | None": (int, type(None)),
-                      "str": (str,), "bool": (bool,), "tuple": (list, tuple)}
+                      "str": (str,), "tuple": (list, tuple)}
         types = {f.name: json_types[f.type] for f in dataclasses.fields(ExperimentConfig)}
         unknown = sorted(set(doc) - set(types))
         if unknown:
@@ -102,10 +101,11 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def generate_instance(config: ExperimentConfig, seed: int | None = None):
-    """Sample a synthetic (instance, demand model) pair; deterministic in seed."""
+def generate_instance(config: ExperimentConfig):
+    """Sample a synthetic (instance, demand model) pair; deterministic in the
+    config's seed."""
     config.validate()
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     n_i, n_j = config.n_facilities, config.n_customers
     fac_xy = rng.uniform(0.0, 100.0, size=(n_i, 2))
     cus_xy = rng.uniform(0.0, 100.0, size=(n_j, 2))
@@ -146,9 +146,7 @@ def run(config: ExperimentConfig) -> str:
     sufficient to replay the run.
     """
     instance, model = generate_instance(config)     # validates the config
-    result = compare_methods(instance, model, ComparisonConfig(
-        sp_sizes=config.sp_scenarios, budget=config.budget,
-        n_test=config.n_test, dist=config.dist, seed=config.seed))
+    result = compare_methods(instance, model, config)
 
     run_dir = os.path.join(config.out, f"run_{config.digest()}")
     os.makedirs(os.path.join(run_dir, "plans"), exist_ok=True)
@@ -166,12 +164,6 @@ def run(config: ExperimentConfig) -> str:
                      json.dumps(doc, indent=1) + "\n")
     write_atomic(os.path.join(run_dir, "compare.csv"), result.to_csv())
     write_atomic(os.path.join(run_dir, "compare.txt"), result.to_text())
-
-    if config.export_lp:
-        from .milp import build_dddr, export_lp_text
-        m = build_dddr(instance, model, budget=config.budget)   # the model compare solves
-        write_atomic(os.path.join(run_dir, "model.lp"), export_lp_text(m))
-
     manifest = {
         "config": config.to_dict(),
         "config_hash": config.digest(),
@@ -200,20 +192,14 @@ FIG2_CUSTOMERS = (
 )
 
 
-def fixture_figure2(open_cost=None, capacity=None,
-                    penalty: float = 225.0, revenue: float = 150.0) -> Instance:
-    """Fixed 10-facility, 20-customer layout used as a shared test fixture.
+def fixture_figure2() -> Instance:
+    """Fixed 10-facility, 20-customer layout, the sites ``ddrloc fixture`` writes.
 
-    Only the coordinates are pinned; opening costs and capacities default to
-    neutral placeholder ones so callers exercising the cost structure should
-    pass their own arrays.
+    Only the coordinates are pinned.  Opening costs and capacities are
+    placeholder ones, and every customer has penalty 225 and revenue 150.
     """
     n_i, n_j = len(FIG2_FACILITIES), len(FIG2_CUSTOMERS)
-    if open_cost is None:
-        open_cost = np.ones(n_i)
-    if capacity is None:
-        capacity = np.ones(n_i)
     return Instance.from_sites(
-        np.array(FIG2_FACILITIES, dtype=float), open_cost, capacity,
+        np.array(FIG2_FACILITIES, dtype=float), np.ones(n_i), np.ones(n_i),
         np.array(FIG2_CUSTOMERS, dtype=float),
-        penalty=np.full(n_j, penalty), revenue=np.full(n_j, revenue))
+        penalty=np.full(n_j, 225.0), revenue=np.full(n_j, 150.0))

@@ -16,6 +16,8 @@ with ``sum_i lambda_sigma[j, i] < 1`` so the variance stays positive.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import os
 import tempfile
@@ -50,8 +52,8 @@ __all__ = [
 TOL = 1e-9
 
 
-def _frozen(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def _frozen(a) -> np.ndarray:
+    out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -100,20 +102,14 @@ class Instance:
 
     @staticmethod
     def from_sites(facility_coords, open_cost, capacity,
-                   customer_coords, penalty, revenue,
-                   cost_multiplier: float = 1.0,
-                   facility_ids=None, customer_ids=None) -> "Instance":
-        """Build an instance with Euclidean transport costs between sites."""
+                   customer_coords, penalty, revenue) -> "Instance":
+        """Euclidean transport costs between the sites, numbered from 1 in order."""
         fc = np.asarray(facility_coords, dtype=float)
         cc = np.asarray(customer_coords, dtype=float)
         diff = fc[:, None, :] - cc[None, :, :]
-        cost = cost_multiplier * np.hypot(diff[..., 0], diff[..., 1])
-        if facility_ids is None:
-            facility_ids = tuple(range(1, len(fc) + 1))
-        if customer_ids is None:
-            customer_ids = tuple(range(1, len(cc) + 1))
-        return Instance(tuple(facility_ids), fc, np.asarray(open_cost, float),
-                        np.asarray(capacity, float), tuple(customer_ids), cc,
+        cost = np.hypot(diff[..., 0], diff[..., 1])
+        return Instance(tuple(range(1, len(fc) + 1)), fc, np.asarray(open_cost, float),
+                        np.asarray(capacity, float), tuple(range(1, len(cc) + 1)), cc,
                         np.asarray(penalty, float), np.asarray(revenue, float), cost)
 
 
@@ -161,15 +157,7 @@ class DemandModel:
         return len(self.support)
 
     def replace(self, **changes) -> "DemandModel":
-        fields = {
-            "bar_mu": self.bar_mu, "bar_sigma": self.bar_sigma,
-            "lambda_mu": self.lambda_mu, "lambda_sigma": self.lambda_sigma,
-            "support": self.support, "eps_mu": self.eps_mu,
-            "eps_sigma_lo": self.eps_sigma_lo, "eps_sigma_hi": self.eps_sigma_hi,
-            "customer_ids": self.customer_ids,
-        }
-        fields.update(changes)
-        return DemandModel(**fields)
+        return dataclasses.replace(self, **changes)
 
 
 def _as_y(y) -> np.ndarray:
@@ -197,19 +185,28 @@ def _check_budget(budget: int | None):
 
 def plans_under_budget(n: int, budget: int | None, chunk: int):
     """Every 0/1 plan over ``n`` facilities with at most ``budget`` open, in
-    lexicographic order, as (<= chunk, n) integer matrices, each holding the
-    plans among the next ``chunk`` integer codes.  The budget is checked at
-    the call, not at the first ``next()``."""
+    lexicographic order, as integer matrices of ``chunk`` plans (the last may
+    hold fewer).  The integer codes are walked in order, skipping each run of
+    codes that open too many whole.  The budget is checked at the call, not
+    at the first ``next()``."""
     _check_budget(budget)
+    limit = n if budget is None else budget
     bits = np.arange(n - 1, -1, -1)
 
+    def codes():
+        x = 0
+        while x < 2 ** n:
+            if x.bit_count() <= limit:
+                yield x
+                x += 1
+            else:
+                # the codes below x + (x & -x) keep every open bit of x
+                x += x & -x
+
     def chunks():
-        for start in range(0, 2 ** n, chunk):
-            plans = (np.arange(start, min(start + chunk, 2 ** n))[:, None] >> bits) & 1
-            if budget is not None:
-                plans = plans[plans.sum(axis=1) <= budget]
-            if len(plans):
-                yield plans
+        walk = codes()
+        while block := list(itertools.islice(walk, chunk)):
+            yield (np.array(block)[:, None] >> bits) & 1
     return chunks()
 
 
@@ -313,12 +310,12 @@ def lambda_from_distance(instance: Instance, decay_scale: float = 25.0,
     return lam.copy(), lam.copy()
 
 
-def lambda_rho_means(instance: Instance, rho: int, sigma_row_scale: float = 0.99):
+def lambda_rho_means(instance: Instance, rho: int):
     """Uniform 1/rho weights on the rho nearest facilities of each customer.
 
     Ties in distance are broken toward the smaller facility id.  The variance
-    rows are shrunk by ``sigma_row_scale`` because a row sum of exactly 1
-    would drive the variance to zero with every neighborhood open.
+    rows are shrunk by a factor of 0.99 because a row sum of exactly 1 would
+    drive the variance to zero with every neighborhood open.
     """
     n_i = instance.n_facilities
     if not 1 <= rho <= n_i:
@@ -328,7 +325,7 @@ def lambda_rho_means(instance: Instance, rho: int, sigma_row_scale: float = 0.99
     for jj in range(instance.n_customers):
         order = np.lexsort((ids, instance.cost[:, jj]))
         lam_mu[jj, order[:rho]] = 1.0 / rho
-    return lam_mu, sigma_row_scale * lam_mu
+    return lam_mu, 0.99 * lam_mu
 
 
 def apply_robustness_level(model: DemandModel, kappa: float) -> DemandModel:
@@ -414,6 +411,8 @@ def _support_fields(support: np.ndarray) -> dict:
 
 
 def _support_from_fields(d: dict) -> np.ndarray:
+    if not d["step"] > 0:
+        raise ValueError(f"support step must be positive, got {d['step']!r}")
     k = int(round((d["max"] - d["min"]) / d["step"])) + 1
     return arithmetic_support(d["min"], d["max"], k)
 
@@ -449,33 +448,43 @@ def problem_to_dict(instance: Instance, model: DemandModel) -> dict:
     }
 
 
-def problem_from_dict(doc: dict) -> tuple[Instance, DemandModel]:
-    fac = doc["facilities"]
-    cus = doc["customers"]
-    instance = Instance(
-        facility_ids=tuple(f["id"] for f in fac),
-        facility_coords=np.array([[f["x"], f["y"]] for f in fac]),
-        open_cost=np.array([f["f"] for f in fac]),
-        capacity=np.array([f["C"] for f in fac]),
-        customer_ids=tuple(c["id"] for c in cus),
-        customer_coords=np.array([[c["x"], c["y"]] for c in cus]),
-        penalty=np.array([c["p"] for c in cus]),
-        revenue=np.array([c["r"] for c in cus]),
-        cost=np.array(doc["cost"]),
-    )
-    dm = doc["demand"]
-    model = DemandModel(
-        bar_mu=np.array(dm["bar_mu"]),
-        bar_sigma=np.array(dm["bar_sigma"]),
-        lambda_mu=np.array(dm["lambda_mu"]),
-        lambda_sigma=np.array(dm["lambda_sigma"]),
-        support=_support_from_fields(dm["support"]),
-        eps_mu=np.array(dm["eps_mu"]),
-        eps_sigma_lo=np.array(dm["eps_lo"]),
-        eps_sigma_hi=np.array(dm["eps_hi"]),
-        customer_ids=instance.customer_ids,
-    )
-    return instance, model
+def problem_from_dict(doc) -> tuple[Instance, DemandModel]:
+    """Instance and demand model of a problem document.  ValueError names a
+    document that is not a JSON object, a missing key, a value of the wrong
+    type or a support step that is not positive."""
+    if not isinstance(doc, dict):
+        raise ValueError("problem is not a JSON object")
+    try:
+        fac = doc["facilities"]
+        cus = doc["customers"]
+        instance = Instance(
+            facility_ids=tuple(f["id"] for f in fac),
+            facility_coords=np.array([[f["x"], f["y"]] for f in fac]),
+            open_cost=np.array([f["f"] for f in fac]),
+            capacity=np.array([f["C"] for f in fac]),
+            customer_ids=tuple(c["id"] for c in cus),
+            customer_coords=np.array([[c["x"], c["y"]] for c in cus]),
+            penalty=np.array([c["p"] for c in cus]),
+            revenue=np.array([c["r"] for c in cus]),
+            cost=np.array(doc["cost"]),
+        )
+        dm = doc["demand"]
+        model = DemandModel(
+            bar_mu=np.array(dm["bar_mu"]),
+            bar_sigma=np.array(dm["bar_sigma"]),
+            lambda_mu=np.array(dm["lambda_mu"]),
+            lambda_sigma=np.array(dm["lambda_sigma"]),
+            support=_support_from_fields(dm["support"]),
+            eps_mu=np.array(dm["eps_mu"]),
+            eps_sigma_lo=np.array(dm["eps_lo"]),
+            eps_sigma_hi=np.array(dm["eps_hi"]),
+            customer_ids=instance.customer_ids,
+        )
+        return instance, model
+    except KeyError as exc:
+        raise ValueError(f"problem lacks the key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"problem has a value of the wrong type: {exc}") from None
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -78,7 +78,7 @@ class Constraint:
 class MilpModel:
     """Mutable while building; :meth:`seal` freezes it for solving."""
 
-    def __init__(self, name: str = "model"):
+    def __init__(self, name: str):
         self.name = name
         self.variables: list[Variable] = []
         self.constraints: list[Constraint] = []
@@ -157,15 +157,14 @@ class MilpModel:
         m._index = dict(self._index)
         return m
 
-    def with_bounds(self, overrides: dict[str, tuple[float, float]],
-                    relax_binaries: bool = False) -> "MilpModel":
-        """Copy with changed variable bounds (and optionally binaries relaxed)."""
+    def relaxation(self, overrides: dict[str, tuple[float, float]]) -> "MilpModel":
+        """Sealed copy with every variable continuous and the bounds of the
+        variables named in ``overrides`` changed."""
         m = self.copy()
         out = []
         for v in m.variables:
             lo, hi = overrides.get(v.name, (v.lower, v.upper))
-            kind = "continuous" if relax_binaries else v.kind
-            out.append(Variable(v.name, kind, float(lo), float(hi)))
+            out.append(Variable(v.name, "continuous", float(lo), float(hi)))
         m.variables = out
         return m.seal()
 

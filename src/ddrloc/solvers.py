@@ -455,7 +455,7 @@ def branch_and_bound(m: MilpModel, node_limit: int = 200_000) -> MipSolution:
 def enumerate_oracle(instance, model, budget: int | None = None):
     """Exhaustive scan of all feasible plans against the worst-case objective.
 
-    Plans are generated and priced ``worstcase.PLAN_CHUNK`` codes at a time,
+    Plans are generated and priced ``worstcase.PLAN_CHUNK`` plans at a time,
     so memory does not grow with the facility count.  Returns ``(y_star,
     objective)``; ties break lexicographically.  Plans whose ambiguity set is
     empty are skipped: their value is inf.

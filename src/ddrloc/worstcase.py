@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 RAY_TOL = 1e-9
+# A certificate's multipliers and support rows may fall this far short.
+CERT_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -227,12 +229,12 @@ def dual_value(model: DemandModel, y, cert: DualCertificate) -> float:
 
 
 def check_certificate(instance: Instance, model: DemandModel, y,
-                      cert: DualCertificate, tol: float = 1e-7) -> list[str]:
+                      cert: DualCertificate) -> list[str]:
     """Dual-feasibility violations of a certificate (empty list when feasible)."""
     bad = []
     for nm in ("delta1", "delta2", "gamma1", "gamma2"):
         arr = getattr(cert, nm)
-        if np.any(arr < -tol):
+        if np.any(arr < -CERT_TOL):
             bad.append(f"{nm} has negative entries")
     d = model.support
     for jj, cid in enumerate(instance.customer_ids):
@@ -241,7 +243,7 @@ def check_certificate(instance: Instance, model: DemandModel, y,
                + (cert.delta1[jj] - cert.delta2[jj]) * d
                + (cert.gamma1[jj] - cert.gamma2[jj]) * d ** 2)
         worst = float(np.min(lhs - theta))
-        if worst < -tol:
+        if worst < -CERT_TOL:
             bad.append(f"customer {cid}: support constraint violated by {-worst:.3g}")
     return bad
 

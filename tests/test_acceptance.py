@@ -388,7 +388,7 @@ def test_criterion_10_evaluation_oracle():
         rep = evaluate_plan(inst, y, scen)
         m = build_sp_saa(inst, scen)
         over = {nm: (float(v), float(v)) for nm, v in zip(m.meta["y_vars"], y)}
-        sol = simplex_solve(m.with_bounds(over, relax_binaries=True))
+        sol = simplex_solve(m.relaxation(over))
         worst = max(worst, abs(sol.objective - rep.mean_objective)
                     / max(1.0, abs(sol.objective)))
     report(10, worst < 1e-6,

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import all_plans, random_problem, toy_instance, toy_model
-from ddrloc.benchmarks import (ComparisonConfig, PERCENTILE_LEVELS,
-                               ScenarioSet, compare_methods, evaluate_plan,
-                               gen_gamma, gen_normal, gen_perturbed,
-                               gen_scenarios, order_statistic, sp_objective,
-                               sp_sample, train_sp)
+from ddrloc.benchmarks import (PERCENTILE_LEVELS, ScenarioSet,
+                               compare_methods, evaluate_plan, gen_gamma,
+                               gen_normal, gen_perturbed, gen_scenarios,
+                               order_statistic, sp_objective, sp_sample,
+                               train_sp)
 from ddrloc.experiments import ExperimentConfig, generate_instance
 from ddrloc.instance import apply_robustness_level, plan_moments
 from ddrloc.milp import build_sp_saa
@@ -146,7 +146,7 @@ def test_evaluate_matches_restricted_scenario_lp():
     rep = evaluate_plan(inst, y, scen)
     m = build_sp_saa(inst, scen)
     over = {nm: (float(v), float(v)) for nm, v in zip(m.meta["y_vars"], y)}
-    sol = simplex_solve(m.with_bounds(over, relax_binaries=True))
+    sol = simplex_solve(m.relaxation(over))
     assert sol.objective == pytest.approx(rep.mean_objective, rel=1e-9)
 
 
@@ -243,8 +243,8 @@ def test_train_sp_pinned_on_criterion_7_configs(seed, plans):
 
 def test_compare_methods_output_shape():
     inst, model = random_problem(10, 4, 6, support_size=8)
-    result = compare_methods(inst, model, ComparisonConfig(
-        sp_sizes=(5, 10), n_test=100, seed=2))
+    result = compare_methods(inst, model, ExperimentConfig(
+        sp_scenarios=(5, 10), n_test=100, seed=2))
     assert result.methods == ("SP(5)", "SP(10)", "DR", "DDDR")
     csv = result.to_csv()
     lines = csv.strip().split("\n")
@@ -258,6 +258,6 @@ def test_compare_methods_dr_equals_dddr_without_dependence():
     inst, model = random_problem(15, 3, 4, support_size=8)
     flat = model.replace(lambda_mu=np.zeros_like(model.lambda_mu),
                          lambda_sigma=np.zeros_like(model.lambda_sigma))
-    result = compare_methods(inst, flat, ComparisonConfig(
-        sp_sizes=(5,), n_test=50, seed=1))
+    result = compare_methods(inst, flat, ExperimentConfig(
+        sp_scenarios=(5,), n_test=50, seed=1))
     assert result.plans["DR"] == result.plans["DDDR"]

@@ -247,10 +247,11 @@ def test_cli_compare_reports_bad_configs(tmp_path, capsys):
     wrong = "config values of the wrong type"
     for extra, message in (
             ({"solver": "auto"}, "unknown config keys: solver"),
+            ({"export_lp": False}, "unknown config keys: export_lp"),
             ({"bogus": 1}, "unknown config keys: bogus"),
             ({"sp_scenarios": 5, "n_facilities": "4"},
              f"{wrong}: n_facilities, sp_scenarios"),
-            ({"export_lp": 1, "budget": 1.5}, f"{wrong}: budget, export_lp"),
+            ({"lambda_recipe": 1, "budget": 1.5}, f"{wrong}: budget, lambda_recipe"),
             ({"n_facilities": True, "kappa": False}, f"{wrong}: kappa, n_facilities"),
             ({"sp_scenarios": [5, "10"]},
              "every SP sample size must be an integer of at least 1"),
@@ -264,6 +265,12 @@ def test_cli_compare_reports_bad_configs(tmp_path, capsys):
         cfg_path.write_text(json.dumps({**cfg, **extra}))
         assert main(["compare", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"compare failed: {message}\n"
+    # a document that is not an object is refused before any override
+    for doc, args in (([1, 2], []), (5, []), ([1, 2], ["--seed", "3"])):
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["compare", "--config", str(cfg_path), *args]) == 1
+        assert capsys.readouterr().err == (f"compare failed: config file {cfg_path} "
+                                           "is not a JSON object\n")
     # a config that fails validation, generation or the solve leaves no run
     # directory behind
     assert not (tmp_path / "runs").exists()
@@ -291,6 +298,25 @@ def test_cli_solve_sp_and_dr(tmp_path, capsys):
     assert err.count("solve failed:") == 2 and "at least 1" in err
     assert err.count("solve failed: budget must be nonnegative, got -1") == 1
     assert "export failed: budget must be nonnegative, got -1" in err
+
+
+def test_cli_solve_reports_malformed_problem_files(tmp_path, capsys):
+    prob = tmp_path / "p.json"
+    assert main(["gen", "--size", "3,4", "--support", "1,100,8", "--out", str(prob)]) == 0
+    good = json.loads(prob.read_text())
+    zero_step = json.loads(prob.read_text())
+    zero_step["demand"]["support"]["step"] = 0
+    capsys.readouterr()
+    for doc, message in (
+            ({}, "problem lacks the key 'facilities'"),
+            ({**good, "demand": {}}, "problem lacks the key 'bar_mu'"),
+            ([], "problem is not a JSON object"),
+            ({**good, "facilities": 5}, "problem has a value of the wrong type: "),
+            (zero_step, "support step must be positive, got 0")):
+        prob.write_text(json.dumps(doc))
+        assert main(["solve", "--problem", str(prob), "--method", "dddr"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"solve failed: {message}") and err.count("\n") == 1
 
 
 def test_cli_solve_reports_every_set_empty(tmp_path, capsys):

@@ -208,14 +208,21 @@ def test_plans_under_budget_rejects_negative_budget():
 
 
 def test_plans_under_budget_chunks_concatenate_to_the_full_matrix():
-    for n in (1, 4, 5):
-        for budget in (None, 0, 2):
+    for n in (1, 4, 5, 10):
+        for budget in (None, 0, 2, 7):
             full = [p for p in itertools.product((0, 1), repeat=n)
                     if budget is None or sum(p) <= budget]
-            for chunk in (1, 3, 7, 2 ** n, 2 ** n + 5):
+            for chunk in (1, 3, 7, 100, 2 ** n, 2 ** n + 5):
                 parts = list(plans_under_budget(n, budget, chunk))
-                assert all(0 < len(p) <= chunk and p.dtype.kind == "i" for p in parts)
+                # every chunk but the last is full
+                assert all(len(p) == chunk for p in parts[:-1])
+                assert 0 < len(parts[-1]) <= chunk
+                assert all(p.dtype.kind == "i" for p in parts)
                 assert np.concatenate(parts).tolist() == [list(p) for p in full]
+    # a small budget walks the plans, not the 2^40 codes
+    parts = list(plans_under_budget(40, 1, 1024))
+    assert len(parts) == 1
+    assert parts[0].tolist() == [[0] * 40] + np.eye(40, dtype=int)[::-1].tolist()
 
 
 def test_unknown_customer_id():

@@ -100,7 +100,7 @@ def test_lambda_zero_reduces_to_dr():
 def _restricted_value(m, y):
     """The MILP's objective with the plan pinned to ``y``, binaries relaxed."""
     over = {nm: (float(v), float(v)) for nm, v in zip(m.meta["y_vars"], y)}
-    sol = simplex_solve(m.with_bounds(over, relax_binaries=True))
+    sol = simplex_solve(m.relaxation(over))
     assert sol.status == "optimal"
     return sol.objective
 
@@ -328,7 +328,7 @@ def test_sp_saa_zero_demand_and_restriction():
     y = np.array([1, 0, 1])
     m2 = build_sp_saa(inst, demands)
     over = {nm: (float(v), float(v)) for nm, v in zip(m2.meta["y_vars"], y)}
-    sol2 = simplex_solve(m2.with_bounds(over, relax_binaries=True))
+    sol2 = simplex_solve(m2.relaxation(over))
     want = float(inst.open_cost @ y + second_stage_costs(inst, y, demands).mean())
     assert sol2.objective == pytest.approx(want, rel=1e-9)
 

@@ -90,7 +90,7 @@ def test_transport_duals_expose_marginal_source():
 def test_simplex_deterministic_pivot_sequence():
     inst, model = random_problem(14, 3, 4, support_size=6)
     m = build_dddr(inst, model, bounds=DualBounds.uniform(4, 100.0))
-    relaxed = m.with_bounds({}, relax_binaries=True)
+    relaxed = m.relaxation({})
     a = simplex_solve(relaxed)
     b = simplex_solve(relaxed)
     assert a.pivots == b.pivots
@@ -105,7 +105,7 @@ def test_bnb_on_fully_fixed_model_equals_simplex():
     m.set_objective(LinearExpr({y: 2.0, x: -1.0}))
     m.seal()
     mip = branch_and_bound(m)
-    lp = simplex_solve(m.with_bounds({}, relax_binaries=True))
+    lp = simplex_solve(m.relaxation({}))
     assert mip.objective == pytest.approx(lp.objective)
     assert mip.bound <= mip.objective + 1e-6
 
@@ -263,7 +263,7 @@ def test_enumeration_streams_its_plans_a_chunk_at_a_time(monkeypatch):
 
 @pytest.mark.parametrize("budget", [None, 2])
 def test_enumeration_in_chunks_of_three_matches_one_batch(budget, monkeypatch):
-    # Pricing three integer codes at a time gives the plan and the bits of
+    # Pricing three plans at a time gives the plan and the bits of
     # pricing every plan in one batch.
     inst, model = random_problem(5, 5, 6, support_size=8, lambda_row_sum=0.99)
     ys = all_plans(5, budget)

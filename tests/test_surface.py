@@ -8,15 +8,14 @@ import ast
 import dataclasses
 from pathlib import Path
 
-from ddrloc.benchmarks import ComparisonConfig
 from ddrloc.experiments import ExperimentConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ddrloc"
 
-DEFAULTED_PARAMETERS = 38
+DEFAULTED_PARAMETERS = 23
 CLI_OPTIONS = 31
-EXPERIMENT_CONFIG_FIELDS = 20
-COMPARISON_CONFIG_FIELDS = 5
+EXPERIMENT_CONFIG_FIELDS = 19
+PUBLIC_NAMES = 66
 
 
 def _trees():
@@ -45,4 +44,10 @@ def test_cli_option_count_is_pinned():
 def test_config_field_counts_are_pinned():
     # a config field is a knob that no parameter default or option counts
     assert len(dataclasses.fields(ExperimentConfig)) == EXPERIMENT_CONFIG_FIELDS
-    assert len(dataclasses.fields(ComparisonConfig)) == COMPARISON_CONFIG_FIELDS
+
+
+def test_public_name_count_is_pinned():
+    # every name ddrloc/__init__.py imports from its modules for callers
+    n = sum(len(node.names) for node in ast.walk(_trees()["__init__.py"])
+            if isinstance(node, ast.ImportFrom))
+    assert n == PUBLIC_NAMES
