@@ -8,6 +8,8 @@ certificate that proves the worst case is really the worst case.
 Run:  python3 demos/01_recourse_and_worst_case.py
 """
 
+import sys
+
 import numpy as np
 
 from ddrloc import (ambiguity_feasible, check_certificate, h_closed_form,
@@ -56,7 +58,9 @@ for y in ([0, 0], [1, 0], [1, 1]):
                     for d, p in zip(model.support, dist.pi[0]) if p > 1e-9}
     print(f"  y={y}  feasible={bool(ok)}  primal {wc:8.2f}  dual {dual:8.2f}")
     print(f"         adversary's distribution: {support_mass}")
-    check_certificate(inst, model, y, cert)   # raises if the proof is wrong
+    bad = check_certificate(inst, model, y, cert)
+    if bad:
+        sys.exit(f"certificate at y={y} is not dual feasible: {bad}")
 
 print("\nThe primal/dual agreement is strong duality of the per-customer")
 print("moment LP; the certificate check verifies feasibility of the dual")

@@ -4,8 +4,8 @@ A solver library for a two-stage facility location problem where the
 demand distribution is only known through mean and second-moment windows,
 and those moments shift with the set of opened facilities.  Includes the
 closed-form recourse, the inner worst-case LPs and their duals, the exact
-MILP reformulation with McCormick envelopes and feasibility cuts, small
-deterministic LP/MILP solvers, and out-of-sample benchmarking utilities.
+MILP reformulation with McCormick envelopes and feasibility cuts, LP/MILP
+solvers on HiGHS, and out-of-sample benchmarking utilities.
 """
 
 __version__ = "0.1.0"

@@ -95,6 +95,8 @@ class MilpModel:
         if name in self._index:
             raise ValueError(f"duplicate variable name {name!r}")
         if kind == "binary":
+            if lower != 0.0 or upper not in (1.0, INF):
+                raise ValueError(f"binary variable {name!r} takes bounds 0 and 1")
             lower, upper = 0.0, 1.0
         elif kind != "continuous":
             raise ValueError(f"unknown variable kind {kind!r}")

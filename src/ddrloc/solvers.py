@@ -1,17 +1,13 @@
-"""Numerical kernels: primal simplex, branch-and-bound, enumeration oracle.
+"""Numerical kernels: model LPs, branch-and-bound, the lockstep simplex.
 
-The tableau simplex is self-contained and deterministic.  Its core steps a
-batch of same-shaped tableaux in lockstep under the same pivot rules, so a
-block's pivots do not depend on its batch.  :func:`simplex_solve` runs it
-on one model and reports dual values; it serves the transportation and dual
-moment LPs and is the reference LP path in tests.  The value oracle's
-moment LPs go through the batch entry, many blocks at a time.
-
-Branch-and-bound solves the MILPs with scipy's HiGHS backend for the LP
-relaxations.  :func:`enumerate_oracle` is the robust solve: it prices every
-plan, a chunk at a time.  :func:`exact_solve`, its cross-check, solves the
-paper's robust MILP once at derived dual bounds and checks its plan with the
-value oracle; :func:`parse_lp_text` reads back an exported model.
+HiGHS (via scipy) solves every model LP: :func:`simplex_solve` with dual
+values, :func:`branch_and_bound` for the MILPs' relaxations.  The value
+oracle's moment LPs go through a separate tableau simplex that steps a batch
+of tableaux in lockstep, so a block gets the same bits alone as in any batch.
+:func:`enumerate_oracle` is the robust solve: it prices every plan, a chunk
+at a time.  :func:`exact_solve`, its cross-check, solves the paper's robust
+MILP once at derived dual bounds and checks its plan with the value oracle;
+:func:`parse_lp_text` reads back an exported model.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,7 +48,6 @@ class LpSolution:
     x: np.ndarray | None              # aligned with model.variables
     duals: np.ndarray | None          # aligned with model.constraints
     objective: float
-    pivots: list = field(default_factory=list)   # (leaving, entering) column history
     _names: tuple = ()
 
     def value(self, name: str) -> float:
@@ -72,111 +67,76 @@ class MipSolution:
 
 
 # ---------------------------------------------------------------------------
-# Standard-form conversion
+# Model LPs (HiGHS)
 # ---------------------------------------------------------------------------
 
-class _StandardForm:
-    """min c.u  s.t.  A u (sense) b,  u >= 0, built from a MilpModel.
+def _scipy_arrays(m: MilpModel):
+    """``linprog``'s ``(c, A_ub, b_ub, A_eq, b_eq, bounds)``; ``>=`` rows negated."""
+    idx = {v.name: i for i, v in enumerate(m.variables)}
+    n = len(m.variables)
+    c = np.zeros(n)
+    for name, a in m.objective.coeffs.items():
+        c[idx[name]] += a
+    b_ub, b_eq = [], []
+    data_ub, data_eq = ([], [], []), ([], [], [])
+    for con in m.constraints:
+        if con.sense == "=":
+            r = len(b_eq)
+            b_eq.append(con.rhs)
+            store = data_eq
+        else:
+            sgn = 1.0 if con.sense == "<=" else -1.0
+            r = len(b_ub)
+            b_ub.append(sgn * con.rhs)
+            store = data_ub
+        for name, a in con.coeffs.items():
+            store[0].append(r)
+            store[1].append(idx[name])
+            store[2].append(a if con.sense != ">=" else -a)
+    A_ub = sp.csr_matrix((data_ub[2], (data_ub[0], data_ub[1])),
+                         shape=(len(b_ub), n)) if b_ub else None
+    A_eq = sp.csr_matrix((data_eq[2], (data_eq[0], data_eq[1])),
+                         shape=(len(b_eq), n)) if b_eq else None
+    bounds = [(v.lower, v.upper) for v in m.variables]
+    return c, A_ub, np.array(b_ub), A_eq, np.array(b_eq), bounds
 
-    Variables with finite lower bounds are shifted; free variables are split;
-    finite upper bounds become extra rows appended after the model rows.
+
+def _highs(c, A_ub, b_ub, A_eq, b_eq, bounds, presolve):
+    """HiGHS on :func:`_scipy_arrays`' output: ``(status, linprog result)``.
+
+    Presolve can move an exact zero of the optimum by a rounding error, so
+    :func:`simplex_solve` turns it off; :func:`branch_and_bound` keeps the
+    branching path that presolve's choice of optimal vertex gives it.
     """
-
-    def __init__(self, m: MilpModel):
-        if m.binary_names():
-            raise ValueError("simplex_solve handles continuous models only; "
-                             "relax binaries first")
-        self.model = m
-        cols = []           # (var_idx, sign) per standard-form column
-        col_of = {}         # var_idx -> (pos_col, neg_col or None)
-        shift = np.zeros(m.n_variables)
-        for vi, v in enumerate(m.variables):
-            if v.lower == -math.inf:
-                col_of[vi] = (len(cols), len(cols) + 1)
-                cols.append((vi, 1.0))
-                cols.append((vi, -1.0))
-            else:
-                shift[vi] = v.lower
-                col_of[vi] = (len(cols), None)
-                cols.append((vi, 1.0))
-        n = len(cols)
-        rows, senses, rhs = [], [], []
-        for c in m.constraints:
-            r = np.zeros(n)
-            b = c.rhs
-            for name, a in c.coeffs.items():
-                vi = m.var_index(name)
-                pos, neg = col_of[vi]
-                r[pos] += a
-                if neg is not None:
-                    r[neg] -= a
-                b -= a * shift[vi]
-            rows.append(r)
-            senses.append(c.sense)
-            rhs.append(b)
-        self.n_model_rows = len(rows)
-        for vi, v in enumerate(m.variables):
-            if v.upper != math.inf:
-                r = np.zeros(n)
-                pos, neg = col_of[vi]
-                r[pos] = 1.0
-                if neg is not None:
-                    r[neg] = -1.0
-                rows.append(r)
-                senses.append("<=")
-                rhs.append(v.upper - shift[vi])
-        self.A = np.array(rows) if rows else np.zeros((0, n))
-        self.b = np.array(rhs)
-        self.senses = senses
-        self.c = np.zeros(n)
-        for name, a in m.objective.coeffs.items():
-            vi = m.var_index(name)
-            pos, neg = col_of[vi]
-            self.c[pos] += a
-            if neg is not None:
-                self.c[neg] -= a
-        self.const = m.objective.constant + sum(
-            m.objective.coeffs.get(v.name, 0.0) * shift[vi]
-            for vi, v in enumerate(m.variables))
-        self.cols = cols
-        self.shift = shift
-
-    def recover_x(self, u: np.ndarray) -> np.ndarray:
-        x = self.shift.copy()
-        for (vi, sign), val in zip(self.cols, u):
-            x[vi] += sign * val
-        return x
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub if len(b_ub) else None,
+                  A_eq=A_eq, b_eq=b_eq if len(b_eq) else None,
+                  bounds=bounds, method="highs", options={"presolve": presolve})
+    if res.status == 2:
+        return "infeasible", res
+    if res.status == 3:
+        return "unbounded", res
+    if not res.success:
+        raise RuntimeError(f"LP backend failure: {res.message}")
+    return "optimal", res
 
 
 def simplex_solve(m: MilpModel) -> LpSolution:
-    """Two-phase primal simplex with Bland anti-cycling and dual recovery.
-
-    Deterministic: Dantzig pricing with lowest-index tie-breaks, switching
-    permanently to Bland's rule after a degenerate stall.  The pivoting is
-    :func:`_lockstep_simplex` on a batch of one tableau.
-    """
-    sf = _StandardForm(m)
+    """HiGHS on a continuous model; ``duals[i]`` is d(objective)/d(rhs of row i)."""
+    if m.binary_names():
+        raise ValueError("simplex_solve handles continuous models only; "
+                         "relax binaries first")
     names = tuple(v.name for v in m.variables)
-    T0, b, basis, artificial, flip = _initial_tableau(sf.A, sf.b[None], sf.senses)
-    status, u, obj, steps = _lockstep_simplex(T0.copy(), b, basis, artificial, sf.c[None])
-    pivots = [(int(leaving[0]), int(entering[0])) for _, leaving, entering in steps]
-    if status[0] == INFEASIBLE:
-        return LpSolution("infeasible", None, None, math.inf, pivots, names)
-    if status[0] == UNBOUNDED:
-        return LpSolution("unbounded", None, None, -math.inf, pivots, names)
-
-    # Duals from the optimal basis: solve B^T ypi = c_B on the pre-pivot data,
-    # then undo the row sign flips.  Bound rows are dropped from the report.
-    basis = basis[0]
-    c_basis = np.concatenate([sf.c, np.zeros(T0.shape[2] - len(sf.c))])[basis]
-    B = T0[0][:, basis]
-    try:
-        ypi = np.linalg.solve(B.T, c_basis)
-    except np.linalg.LinAlgError:
-        ypi, *_ = np.linalg.lstsq(B.T, c_basis, rcond=None)
-    duals = (ypi * flip)[: sf.n_model_rows]
-    return LpSolution("optimal", sf.recover_x(u[0]), duals, float(obj[0] + sf.const),
-                      pivots, names)
+    status, res = _highs(*_scipy_arrays(m), False)
+    if status == "infeasible":
+        return LpSolution("infeasible", None, None, math.inf, names)
+    if status == "unbounded":
+        return LpSolution("unbounded", None, None, -math.inf, names)
+    eq = np.array([con.sense == "=" for con in m.constraints], dtype=bool)
+    duals = np.empty(len(eq))
+    duals[eq], duals[~eq] = res.eqlin.marginals, res.ineqlin.marginals
+    duals *= [-1.0 if con.sense == ">=" else 1.0 for con in m.constraints]
+    return LpSolution("optimal", res.x, duals, float(res.fun + m.objective.constant),
+                      names)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +153,8 @@ def _simplex_batch(A, b, senses, c):
     ``A`` (m, n) and the row senses are shared, ``b`` is (B, m) and ``c``
     is (B, n).  Blocks with the same rows of negative right-hand side share
     a tableau shape and are stepped together by :func:`_lockstep_simplex`,
-    so each block gets exactly the pivots, values and status that
-    :func:`simplex_solve` gives it alone.  Returns
+    so each block gets the same pivots, values and status alone as in any
+    batch.  Returns
     ``(status, u, objective)`` with codes OPTIMAL, INFEASIBLE, UNBOUNDED;
     ``u`` and ``objective`` are meaningful only where the status is OPTIMAL.
     """
@@ -204,8 +164,8 @@ def _simplex_batch(A, b, senses, c):
     patterns, group = np.unique(b < 0, axis=0, return_inverse=True)
     for g in range(len(patterns)):
         sel = np.flatnonzero(group.ravel() == g)
-        tableau = _initial_tableau(A, b[sel], senses)[:4]
-        status[sel], u[sel], obj[sel], _ = _lockstep_simplex(*tableau, c[sel])
+        status[sel], u[sel], obj[sel] = _lockstep_simplex(
+            *_initial_tableau(A, b[sel], senses), c[sel])
     return status, u, obj
 
 
@@ -217,9 +177,9 @@ def _initial_tableau(A, b, senses):
     make b >= 0 and their senses flipped.  Then comes one slack (+1,
     ``<=``) or surplus (-1, ``>=``) column per inequality row and one
     artificial column per row that is not ``<=``, each in row order.
-    Returns ``(T, b, basis, artificial, flip)``: the basis starts at each
-    ``<=`` row's slack and at every other row's artificial, ``artificial``
-    masks the artificial columns, and ``flip`` holds the row signs.
+    Returns ``(T, b, basis, artificial)``: the basis starts at each ``<=``
+    row's slack and at every other row's artificial, and ``artificial``
+    masks the artificial columns.
     """
     n_blocks, (n_rows, n_struct) = len(b), A.shape
     flip = np.where(b[0] < 0, -1.0, 1.0)
@@ -238,30 +198,28 @@ def _initial_tableau(A, b, senses):
     start = [slack[r] if s == "<=" else art[r] for r, s in enumerate(senses)]
     artificial = np.zeros(T.shape[2], dtype=bool)
     artificial[list(art.values())] = True
-    return T, b * flip, np.tile(np.array(start, dtype=int), (n_blocks, 1)), artificial, flip
+    return T, b * flip, np.tile(np.array(start, dtype=int), (n_blocks, 1)), artificial
 
 
 def _lockstep_simplex(T, b, basis, artificial, c):
     """Two-phase primal simplex on a batch of same-shaped tableaux, in lockstep.
 
-    Every block follows the rules of :func:`simplex_solve` on its own:
-    phase 1 on the artificials, then artificials driven out of the basis
+    Every block follows the same rules on its own: phase 1 on the
+    artificials, then artificials driven out of the basis
     where a nonzero non-artificial entry allows, then phase 2 on the cost
     ``c`` (B, n_struct) with the artificials blocked.  Each reduction over
     rows is a stacked ``matmul``, which rounds exactly as one block's
     vector-matrix product does, so a block's pivots do not depend on its
     batch.  ``T``, ``b`` and ``basis`` are updated in place.  Returns
-    ``(status, u, objective, steps)``: the status codes, the structural
-    values, ``c . u`` per block, and one ``(blocks, leaving, entering)``
-    entry per pivot step.
+    ``(status, u, objective)``: the status codes, the structural values and
+    ``c . u`` per block.
     """
     n_blocks, n_rows, n_total = T.shape
     status = np.full(n_blocks, OPTIMAL)
-    steps: list = []
     live = np.arange(n_blocks)
     if artificial.any():
         c1 = np.broadcast_to(artificial.astype(float), (n_blocks, n_total))
-        _run(T, b, basis, c1, np.zeros(n_total, dtype=bool), live, status, steps)
+        _run(T, b, basis, c1, np.zeros(n_total, dtype=bool), live, status)
         left = (artificial[basis].astype(float)[:, None, :] @ b[:, :, None])[:, 0, 0]
         status[(status != OPTIMAL) | (left > FEAS_TOL)] = INFEASIBLE
         live = np.flatnonzero(status == OPTIMAL)
@@ -273,7 +231,6 @@ def _lockstep_simplex(T, b, basis, artificial, c):
             k = live[go]
             if k.size:
                 Tk, bk, j = T[k], b[k], nz[go].argmax(axis=1)
-                steps.append((k, basis[k, r], j))
                 _pivot(Tk, bk, np.arange(k.size), np.full(k.size, r), j)
                 T[k], b[k] = Tk, bk
                 basis[k, r] = j
@@ -281,11 +238,11 @@ def _lockstep_simplex(T, b, basis, artificial, c):
     n_struct = c.shape[1]
     c2 = np.zeros((n_blocks, n_total))
     c2[:, :n_struct] = c
-    _run(T, b, basis, c2, artificial, live, status, steps)
+    _run(T, b, basis, c2, artificial, live, status)
     u = np.zeros((n_blocks, n_total))
     np.put_along_axis(u, basis, b, axis=1)
     u = np.ascontiguousarray(u[:, :n_struct])
-    return status, u, (c[:, None, :] @ u[:, :, None])[:, 0, 0], steps
+    return status, u, (c[:, None, :] @ u[:, :, None])[:, 0, 0]
 
 
 def _pivot(T, b, n, r, j):
@@ -303,7 +260,7 @@ def _pivot(T, b, n, r, j):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _run(T, b, basis, c, blocked, live, status, steps):
+def _run(T, b, basis, c, blocked, live, status):
     """Pivot blocks ``live`` to optimality of ``c`` over their (T, b, basis).
 
     Dantzig pricing (lowest index among ties) over the unblocked columns,
@@ -345,7 +302,6 @@ def _run(T, b, basis, c, blocked, live, status, steps):
         ratios = np.where(pos, bw / col, np.inf)
         tied = ratios <= ratios.min(axis=1, keepdims=True) + 1e-12
         r = np.where(tied, bas, n_total).argmin(axis=1)
-        steps.append((live, bas[n, r], j))
         zrow -= zrow[n, j][:, None] * _pivot(Tw, bw, n, r, j)
         bas[n, r] = j
         obj = (cw[n[:, None], bas][:, None, :] @ bw[:, :, None])[:, 0, 0]
@@ -357,37 +313,8 @@ def _run(T, b, basis, c, blocked, live, status, steps):
 
 
 # ---------------------------------------------------------------------------
-# scipy LP bridge (HiGHS)
+# Branch-and-bound
 # ---------------------------------------------------------------------------
-
-def _scipy_arrays(m: MilpModel):
-    idx = {v.name: i for i, v in enumerate(m.variables)}
-    n = len(m.variables)
-    c = np.zeros(n)
-    for name, a in m.objective.coeffs.items():
-        c[idx[name]] += a
-    b_ub, b_eq = [], []
-    data_ub, data_eq = ([], [], []), ([], [], [])
-    for con in m.constraints:
-        if con.sense == "=":
-            r = len(b_eq)
-            b_eq.append(con.rhs)
-            store = data_eq
-        else:
-            sgn = 1.0 if con.sense == "<=" else -1.0
-            r = len(b_ub)
-            b_ub.append(sgn * con.rhs)
-            store = data_ub
-        for name, a in con.coeffs.items():
-            store[0].append(r)
-            store[1].append(idx[name])
-            store[2].append(a if con.sense != ">=" else -a)
-    A_ub = sp.csr_matrix((data_ub[2], (data_ub[0], data_ub[1])),
-                         shape=(len(b_ub), n)) if b_ub else None
-    A_eq = sp.csr_matrix((data_eq[2], (data_eq[0], data_eq[1])),
-                         shape=(len(b_eq), n)) if b_eq else None
-    return c, A_ub, np.array(b_ub), A_eq, np.array(b_eq)
-
 
 def branch_and_bound(m: MilpModel, node_limit: int = 200_000) -> MipSolution:
     """Best-bound branch-and-bound on the binary variables, HiGHS relaxations.
@@ -399,25 +326,7 @@ def branch_and_bound(m: MilpModel, node_limit: int = 200_000) -> MipSolution:
     """
     bin_idx = [m.var_index(nm) for nm in m.binary_names()]
     names = [v.name for v in m.variables]
-    c, A_ub, b_ub, A_eq, b_eq = _scipy_arrays(m)
-    base_bounds = [(v.lower if v.lower != -math.inf else -np.inf,
-                    v.upper if v.upper != math.inf else np.inf) for v in m.variables]
-
-    def relax(fixings: dict[int, float]):
-        bounds = list(base_bounds)
-        for i, val in fixings.items():
-            bounds[i] = (val, val)
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub if len(b_ub) else None,
-                      A_eq=A_eq, b_eq=b_eq if len(b_eq) else None,
-                      bounds=bounds, method="highs")
-        if res.status == 2:
-            return "infeasible", None, math.inf
-        if res.status == 3:
-            return "unbounded", None, -math.inf
-        if not res.success:
-            raise RuntimeError(f"LP backend failure: {res.message}")
-        return "optimal", res.x, float(res.fun + m.objective.constant)
-
+    *arrays, base_bounds = _scipy_arrays(m)
     inc_x, inc_obj = None, math.inf
     nodes = 0
     tick = itertools.count()
@@ -425,8 +334,14 @@ def branch_and_bound(m: MilpModel, node_limit: int = 200_000) -> MipSolution:
     while heap and heap[0][0] < inc_obj - ABS_GAP and nodes < node_limit:
         _, _, fixings = heapq.heappop(heap)
         nodes += 1
-        status, x, obj = relax(fixings)
-        if status != "optimal" or obj >= inc_obj - ABS_GAP:
+        bounds = list(base_bounds)
+        for i, val in fixings.items():
+            bounds[i] = (val, val)
+        status, res = _highs(*arrays, bounds, True)
+        if status != "optimal":
+            continue
+        x, obj = res.x, float(res.fun + m.objective.constant)
+        if obj >= inc_obj - ABS_GAP:
             continue
         fracs = np.array([abs(x[i] - round(x[i])) for i in bin_idx])
         if np.all(fracs <= INT_TOL):

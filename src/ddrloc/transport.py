@@ -157,7 +157,7 @@ def recover_allocation(instance: Instance, y, d) -> Allocation:
 
 
 def transport_lp_oracle(instance: Instance, y, d) -> float:
-    """Second-stage cost via a plain LP solve; test-side ground truth."""
+    """Second-stage cost via a HiGHS LP solve; test-side ground truth."""
     from .milp import LinearExpr, MilpModel
     from .solvers import simplex_solve
 

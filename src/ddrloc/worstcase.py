@@ -137,9 +137,9 @@ def _moment_lps(instance: Instance, model: DemandModel, ys: np.ndarray, windows,
 
     Builds the tableau of each block's LP over the support probabilities
     (rows in ``_MOMENT_SENSES`` order, cost -theta) straight from arrays and
-    solves them ``LP_CHUNK_POINTS // K`` blocks at a time through
-    :func:`~ddrloc.solvers._simplex_batch`, which gives each block the
-    pivots of a lone :func:`~ddrloc.solvers.simplex_solve` call.  Returns
+    solves them ``LP_CHUNK_POINTS // K`` blocks at a time through the
+    lockstep kernel :func:`~ddrloc.solvers._simplex_batch`, which gives each
+    block the same bits alone as in any batch.  Returns
     ``(values, pi)``: each plan's worst case and, with ``with_pi``, the
     (N, |J|, K) adversarial probabilities.  The plans must pass the chord
     screen, which is exact, so an infeasible LP raises RuntimeError.
@@ -160,13 +160,13 @@ def _moment_lps(instance: Instance, model: DemandModel, ys: np.ndarray, windows,
         n, jj = np.divmod(blocks, n_j)
         consts = (instance.capacity * ys[n][:, None, :] * gaps[jj]).sum(axis=2)
         theta = _theta(d, cand[jj], consts, instance.revenue[jj][:, None])
-        # The standard form adds each cost to 0.0, which turns -0.0 into 0.0.
+        # 0.0 - theta, not -theta: a zero cost is +0.0.
         status, u, obj = _simplex_batch(rows, rhs[blocks], _MOMENT_SENSES, 0.0 - theta)
         if np.any(status != OPTIMAL):
             raise RuntimeError("a moment LP is infeasible although the chord screen passed")
         neg_value[blocks] = obj
         if with_pi:
-            pi[blocks] = 0.0 + u   # as recover_x adds
+            pi[blocks] = 0.0 + u   # no probability reads -0.0
     neg_value = neg_value.reshape(n_plans, n_j)
     values = np.zeros(n_plans)
     for col in neg_value.T:            # in customer order: the sum's bits depend on it

@@ -76,8 +76,10 @@ def without_cuts(m):
 def primal_lp(support, theta, window):
     """Moment LP of one customer over the support probabilities, as a model.
 
-    The value oracle builds the same rows, with the same ``float ** 2``
-    coefficients, as one tableau per block (``worstcase._moment_lps``).
+    ``simplex_solve`` solves it with HiGHS, an engine apart from the value
+    oracle, which builds the same rows, with the same ``float ** 2``
+    coefficients, as one lockstep-simplex tableau per block
+    (``worstcase._moment_lps``).
     """
     from ddrloc.milp import LinearExpr, MilpModel
     m_lo, m_hi, s_lo, s_hi = window

@@ -162,6 +162,18 @@ def test_train_sp_enumeration_matches_milp():
     assert obj_enum == pytest.approx(sol.objective, rel=1e-9)
 
 
+def test_train_sp_scenario_milp_route_finds_the_best_plan():
+    # Beyond 14 facilities train_sp solves the scenario MILP; its plan must
+    # reach the lowest sp_objective among the plans under the budget.
+    inst, model = random_problem(5, 15, 6)
+    draws = sp_sample(model, 20, seed=7)
+    for budget in (None, 2, 1):
+        y = train_sp(inst, model, 20, seed=7, budget=budget)
+        assert budget is None or y.sum() <= budget
+        best = sp_objective(inst, all_plans(inst.n_facilities, budget), draws).min()
+        assert sp_objective(inst, y, draws) == pytest.approx(best, rel=1e-9)
+
+
 def _sp_reference(inst, draws, budget=None):
     """train_sp's ranking, one sp_objective call per plan."""
     best_y, best = None, math.inf

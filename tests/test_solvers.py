@@ -93,19 +93,40 @@ def test_simplex_deterministic_pivot_sequence():
     relaxed = m.relaxation({})
     a = simplex_solve(relaxed)
     b = simplex_solve(relaxed)
-    assert a.pivots == b.pivots
+    assert a.x.tobytes() == b.x.tobytes()
     assert a.objective == b.objective
 
 
+def test_relaxed_dddr_at_derived_bounds_is_truly_optimal():
+    # Phase 1 of a dense tableau simplex pivots on elements near 1e-9 here and
+    # can end "optimal" (2599.618) at a point 11.08 off row dual_3_2_0.
+    inst, model = random_problem(14, 3, 4, support_size=6)
+    m = build_dddr(inst, model, bounds=derive_dual_bounds(inst, model)).relaxation({})
+    sol = simplex_solve(m)
+    assert sol.status == "optimal"
+    x = sol.assignment()
+    for con in m.constraints:
+        lhs = sum(a * x[v] for v, a in con.coeffs.items())
+        gap = {"<=": lhs - con.rhs, ">=": con.rhs - lhs, "=": abs(lhs - con.rhs)}[con.sense]
+        assert gap <= 1e-6, con.name
+    for v in m.variables:
+        assert v.lower - 1e-6 <= x[v.name] <= v.upper + 1e-6, v.name
+    assert sol.objective == pytest.approx(-653.9079762520068, rel=1e-9)
+
+
 def test_bnb_on_fully_fixed_model_equals_simplex():
+    with pytest.raises(ValueError, match="'y'"):
+        MilpModel("bad").add_variable("y", kind="binary", lower=1.0, upper=1.0)
     m = MilpModel("fixed")
-    y = m.add_variable("y", kind="binary", lower=1.0, upper=1.0)
+    y = m.add_variable("y", kind="binary")
     x = m.add_variable("x", upper=10.0)
+    m.add_constraint("fix_y", {y: 1.0}, ">=", 1.0)
     m.add_constraint("c", {y: 1.0, x: 1.0}, "<=", 4.0)
     m.set_objective(LinearExpr({y: 2.0, x: -1.0}))
     m.seal()
     mip = branch_and_bound(m)
     lp = simplex_solve(m.relaxation({}))
+    assert mip.objective == pytest.approx(-1.0)
     assert mip.objective == pytest.approx(lp.objective)
     assert mip.bound <= mip.objective + 1e-6
 

@@ -12,7 +12,7 @@ from ddrloc.experiments import ExperimentConfig, generate_instance
 from ddrloc.instance import (apply_robustness_level, arithmetic_support, chords,
                              moment_windows)
 from ddrloc.milp import MilpModel
-from ddrloc.solvers import INFEASIBLE, OPTIMAL, simplex_solve
+from ddrloc.solvers import INFEASIBLE, OPTIMAL, _simplex_batch, simplex_solve
 from ddrloc.worstcase import (AmbiguityInfeasibleError, ambiguity_feasible,
                               check_certificate, dual_value, extreme_rays,
                               worst_case_dual, worst_case_expectation,
@@ -271,18 +271,27 @@ def test_empty_set_missed_by_rays_is_reported_by_every_route():
 
 
 def _per_block_reference(inst, model, ys, windows):
-    """One simplex_solve(primal_lp) per (plan, customer): values and pi."""
+    """A one-block _simplex_batch call on the rows of primal_lp per (plan,
+    customer): values and pi."""
     values = np.zeros(len(ys))
     pi = np.zeros((len(ys), inst.n_customers, model.support_size))
     for n, y in enumerate(ys):
         for jj in range(inst.n_customers):
-            sol = simplex_solve(primal_lp(model.support, theta_values(inst, model, y, jj),
-                                           [w[n, jj] for w in windows]))
-            if sol.status == "optimal":
-                values[n] -= sol.objective
-                pi[n, jj] = sol.x
+            lp = primal_lp(model.support, theta_values(inst, model, y, jj),
+                           [w[n, jj] for w in windows])
+            rows = np.array([[con.coeffs.get(v.name, 0.0) for v in lp.variables]
+                             for con in lp.constraints])
+            cost = np.zeros((1, lp.n_variables))
+            for v, a in lp.objective.coeffs.items():
+                cost[0, lp.var_index(v)] += a
+            status, u, obj = _simplex_batch(
+                rows, np.array([[con.rhs for con in lp.constraints]]),
+                [con.sense for con in lp.constraints], cost)
+            if status[0] == OPTIMAL:
+                values[n] -= obj[0]
+                pi[n, jj] = 0.0 + u[0]
             else:
-                assert sol.status == "infeasible"
+                assert status[0] == INFEASIBLE
                 values[n] = math.inf
                 pi[n, jj] = np.nan
     return values, pi
@@ -306,8 +315,8 @@ def _lockstep_cases():
 
 
 def test_lockstep_moment_lps_match_simplex_solve(monkeypatch):
-    # The batched route agrees bit for bit with one simplex_solve per block:
-    # value and pi.  An infeasible block gets simplex_solve's status from
+    # The batched route agrees bit for bit with one lone block per LP: value
+    # and pi.  An infeasible block gets the lone block's status from
     # _simplex_batch, and _moment_lps, which runs behind the exact chord
     # screen, raises on it.
     flipped = infeasible = 0
