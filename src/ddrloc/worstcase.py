@@ -11,6 +11,11 @@ The value oracle :func:`worst_case_values` screens the plans with the chord
 test, builds the tableau of every remaining (plan, customer) moment LP from
 arrays and solves them a chunk at a time in one lockstep tableau simplex;
 :func:`worst_case_expectation` takes that route with its one plan.
+
+Two closed-form lower bounds on a plan's robust objective serve the robust
+solve, :func:`~ddrloc.solvers.enumerate_oracle`, which prices only the plans
+they cannot rule out: Jensen's inequality at the ends of each customer's
+achievable means, and a mixture of two-point distributions in the set.
 """
 
 from __future__ import annotations
@@ -125,10 +130,18 @@ def ambiguity_feasible(instance: Instance, model: DemandModel, y) -> Feasibility
 # Support points (blocks x K) stepped together per lockstep batch; bounds the
 # tableau memory.  A chunk holds max(1, LP_CHUNK_POINTS // K) blocks.
 LP_CHUNK_POINTS = 12_800
-# Plans priced per chunk by worst_case_values and enumerate_oracle; bounds their memory.
+# Plans per chunk of worst_case_values and of enumerate_oracle's bound passes;
+# bounds their memory.
 PLAN_CHUNK = 1024
 # Rows of one customer's moment LP: mass, mean_hi, mean_lo, sec_hi, sec_lo.
 _MOMENT_SENSES = ("=", "<=", ">=", "<=", ">=")
+
+
+def _candidates(instance: Instance):
+    """:func:`~ddrloc.transport._candidate_gaps` of every customer, stacked:
+    ``cand`` (|J|, |I|+1) and ``gaps`` (|J|, |I|+1, |I|)."""
+    return (np.array(a) for a in zip(*(_candidate_gaps(instance, jj)
+                                       for jj in range(instance.n_customers))))
 
 
 def _moment_lps(instance: Instance, model: DemandModel, ys: np.ndarray, windows,
@@ -148,8 +161,7 @@ def _moment_lps(instance: Instance, model: DemandModel, ys: np.ndarray, windows,
     n_plans, n_j = len(ys), instance.n_customers
     sq = [dk ** 2 for dk in d.tolist()]   # float ** 2, as tests/conftest.primal_lp, not x * x
     rows = np.array([np.ones(len(d)), d, d, sq, sq])
-    cand, gaps = (np.array(a) for a in zip(*(_candidate_gaps(instance, jj)
-                                             for jj in range(n_j))))
+    cand, gaps = _candidates(instance)
     m_lo, m_hi, s_lo, s_hi = windows
     rhs = np.stack([np.ones_like(m_lo), m_hi, m_lo, s_hi, s_lo], axis=-1).reshape(-1, 5)
     neg_value = np.empty(n_plans * n_j)
@@ -267,3 +279,106 @@ def worst_case_values(instance: Instance, model: DemandModel, ys) -> np.ndarray:
         ok = np.all(chord_slacks(model.support, windows, 1.0) >= -RAY_TOL, axis=(1, 2))
         part[ok] = _moment_lps(instance, model, chunk[ok], tuple(w[ok] for w in windows))[0]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Closed-form lower bounds for the robust solve
+# ---------------------------------------------------------------------------
+
+def _mean_intervals(model: DemandModel, windows):
+    """Each customer's achievable means ``(a, b)``, arrays of the windows' shape.
+
+    On the support d_0 < ... < d_{K-1}, L is the lower hull of (d, d^2), the
+    piecewise-linear interpolant of d^2, and f(m) = (d_0 + d_{K-1}) m -
+    d_0 d_{K-1} is the down-chord; the (E d, E d^2) pairs of distributions
+    on the support fill L(m) <= s <= f(m) (Karlin & Studden, 1966).  So a
+    mean m is some distribution's in the set of windows (m_lo, m_hi, s_lo,
+    s_hi) exactly when m is in [m_lo, m_hi], L(m) <= s_hi and f(m) >= s_lo:
+    when a <= m <= b with a = max(m_lo, d_0, f^-1(s_lo)) and b = min(m_hi,
+    d_{K-1}, L^-1(s_hi)).  L^-1 extends its end edges linearly, so ``a > b``
+    exactly when a chord of :func:`~ddrloc.instance.chords` fails.
+    """
+    d = model.support
+    lo, hi = d[0], d[-1]
+    m_lo, m_hi, s_lo, s_hi = windows
+    k = np.clip(np.searchsorted(d ** 2, s_hi, side="right") - 1, 0, len(d) - 2)
+    p, q = d[k], d[k + 1]
+    a = np.maximum(np.maximum(m_lo, lo), (s_lo + lo * hi) / (lo + hi))
+    b = np.minimum(np.minimum(m_hi, hi), (s_hi + p * q) / (p + q))
+    return a, b
+
+
+def _plan_theta(instance: Instance, ys):
+    """theta_j under each plan of ``ys`` (P, |I|), as a function of one
+    demand per (plan, customer), shape (P, |J|).
+
+    A demand axis of a few points last would make every step of
+    :func:`~ddrloc.transport._theta` loop over a few elements, so each call
+    takes one.
+    """
+    cand, gaps = _candidates(instance)
+    consts = ((ys * instance.capacity) @ gaps.reshape(-1, instance.n_facilities).T
+              ).reshape((len(ys),) + cand.shape)
+    revenue = instance.revenue[:, None]
+    return lambda m: _theta(m[..., None], cand, consts, revenue)[..., 0]
+
+
+def _jensen_bounds(instance: Instance, model: DemandModel, ys):
+    """``(kept, bound)``: the plans whose ambiguity sets may be nonempty, and
+    for each kept plan a lower bound on its robust objective.
+
+    A plan is dropped only when some customer has ``a > b`` by more than
+    ``RAY_TOL * (1 + 1 / (d_0 + d_1))``.  The screen lets each chord fall
+    ``RAY_TOL`` short, which moves an end of [a, b] by at most ``RAY_TOL``
+    along the mean axes or ``RAY_TOL / (d_0 + d_1)`` along the flattest
+    chord, so every plan the screen passes is kept; a kept plan that it
+    fails is priced as inf.
+
+    The bound is Jensen's inequality: theta_j is convex, so every
+    distribution in the set has E theta_j >= theta_j(its mean), and every
+    mean in [a, b] is some distribution's.  The worst case is therefore at
+    least max(theta_j(a), theta_j(b)), summed over customers, plus the
+    opening cost.
+    """
+    d = model.support
+    a, b = _mean_intervals(model, moment_windows(model, ys))
+    kept = np.all(a <= b + RAY_TOL * (1.0 + 1.0 / (d[0] + d[1])), axis=1)
+    ys = ys[kept]
+    theta = _plan_theta(instance, ys)
+    return kept, ys @ instance.open_cost + np.maximum(theta(a[kept]), theta(b[kept])).sum(axis=1)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _mixture_bounds(instance: Instance, model: DemandModel, ys):
+    """A lower bound on each plan's robust objective, at least its Jensen bound.
+
+    At a mean m in [a, b], the distribution on the two support points around
+    m has second moment L(m), and the one on d_0 and d_{K-1} has f(m).  Both
+    have mean m, so a mixture of them with E d^2 = min(s_hi, f(m)) lies in
+    the set: that second moment is at least s_lo because m >= a and at least
+    L(m) because m <= b.  Its E theta_j is a lower bound on the worst case,
+    and at m = a or b it is at least theta_j(m) by Jensen's inequality.  The
+    bound takes the best of m in {a, b, (a + b) / 2} for each customer, in
+    the manner of the Edmundson-Madansky bound (Madansky, Ann. Math. Stat.
+    30, 1959), plus the opening cost.
+    """
+    d = model.support
+    lo, hi = d[0], d[-1]
+    windows = moment_windows(model, ys)
+    a, b = _mean_intervals(model, windows)
+    theta = _plan_theta(instance, ys)
+    theta_lo, theta_hi = theta(np.full(a.shape, lo)), theta(np.full(a.shape, hi))
+    best = np.full(a.shape, -np.inf)
+    for m in (a, b, 0.5 * (a + b)):
+        k = np.clip(np.searchsorted(d, m, side="right") - 1, 0, len(d) - 2)
+        p, q = d[k], d[k + 1]
+        t = np.clip((m - p) / (q - p), 0.0, 1.0)
+        u = np.clip((m - lo) / (hi - lo), 0.0, 1.0)
+        inner = (1.0 - t) * p ** 2 + t * q ** 2                 # L(m)
+        chord = (1.0 - u) * lo ** 2 + u * hi ** 2               # f(m)
+        w = np.where(chord > inner, np.clip((np.minimum(windows[3], chord) - inner)
+                                            / (chord - inner), 0.0, 1.0), 0.0)
+        value = ((1.0 - w) * ((1.0 - t) * theta(p) + t * theta(q))
+                 + w * ((1.0 - u) * theta_lo + u * theta_hi))
+        best = np.maximum(best, value)
+    return ys @ instance.open_cost + best.sum(axis=1)

@@ -152,6 +152,38 @@ def test_exact_solve_matches_enumeration_at_row_sum_099():
     assert worst < 1e-6
 
 
+@pytest.mark.slow
+def test_every_route_agrees_across_the_generated_regimes():
+    # 24 instances at I=4, J=8, seed 3: the distance recipe at row sums 0.5
+    # and 0.99 and rho-means with rho=2, x kappa 0 and 0.1 x K 12 and 100 x
+    # budget none and 2, each also as its DR model.  The MILP finds the
+    # enumeration plan, bound-ordered enumeration gives the plan and bits of
+    # pricing every plan, and HiGHS's dual of the winner's inner problem
+    # matches the lockstep primal.
+    recipes = ({"lambda_row_sum": 0.5}, {"lambda_row_sum": 0.99},
+               {"lambda_recipe": "rho-means", "rho": 2})
+    worst = dual_gap = 0.0
+    for recipe, kappa, k, budget in itertools.product(recipes, (0.0, 0.1), (12, 100),
+                                                      (None, 2)):
+        inst, dddr = random_problem(3, 4, 8, support_size=k, kappa=kappa, **recipe)
+        for model in (dddr, decision_independent(dddr)):
+            where = (recipe, kappa, k, budget, model is dddr)
+            y, obj = enumerate_oracle(inst, model, budget)
+            ys = all_plans(4, budget)
+            totals = [float(inst.open_cost @ p) + wc
+                      for p, wc in zip(ys, worst_case_values(inst, model, ys))]
+            best = int(np.argmin(totals))
+            assert y.tolist() == ys[best].tolist(), where
+            assert float(obj).hex() == float(totals[best]).hex(), where
+            sol, y_milp, _ = exact_solve(inst, model, budget)
+            assert sol.status == "optimal" and np.array_equal(y_milp, y), where
+            worst = max(worst, abs(sol.objective - obj) / max(1.0, abs(obj)))
+            primal = worst_case_expectation(inst, model, y)[0]
+            dual = worst_case_dual(inst, model, y)[0]
+            dual_gap = max(dual_gap, abs(primal - dual) / max(1.0, abs(primal)))
+    assert worst < 1e-9 and dual_gap < 1e-6, (worst, dual_gap)
+
+
 # ---------------------------------------------------------------------------
 # Criterion 3: strong duality of the inner problem
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import all_plans, random_problem, toy_instance, without_cuts
+from conftest import all_plans, random_problem, toy_instance, toy_model, without_cuts
 import ddrloc.solvers
 import ddrloc.worstcase
 from ddrloc.milp import (DualBounds, LinearExpr, MilpModel, build_dddr,
@@ -87,7 +87,7 @@ def test_transport_duals_expose_marginal_source():
                         min(0.0, inst.cost[i, j] - c_star), abs=1e-7)
 
 
-def test_simplex_deterministic_pivot_sequence():
+def test_simplex_solve_repeats_bit_for_bit():
     inst, model = random_problem(14, 3, 4, support_size=6)
     m = build_dddr(inst, model, bounds=DualBounds.uniform(4, 100.0))
     relaxed = m.relaxation({})
@@ -259,27 +259,71 @@ def test_exact_solve_finds_the_enumerated_plan():
     assert np.array_equal(y_milp, y) and sol.objective == pytest.approx(obj, rel=1e-6)
 
 
-def test_enumeration_streams_its_plans_a_chunk_at_a_time(monkeypatch):
-    # At I=17 the oracle never sees more than PLAN_CHUNK plans at once, and
-    # its batches hold every plan once, in lexicographic order.
-    inst, model = random_problem(0, 17, 2)
+def _record_pricing(monkeypatch):
+    """The plan batches enumerate_oracle hands the value oracle, in order."""
     batches = []
+    real = ddrloc.worstcase.worst_case_values
+    monkeypatch.setattr(ddrloc.worstcase, "worst_case_values",
+                        lambda instance, model, ys: batches.append(ys) or real(instance, model, ys))
+    return batches
 
-    def record(instance, model, ys):
-        batches.append(ys)
-        return np.zeros(len(ys))
 
-    monkeypatch.setattr(ddrloc.worstcase, "worst_case_values", record)
+def test_enumeration_streams_its_plans_a_chunk_at_a_time(monkeypatch):
+    # At I=17 the oracle never sees more than PLAN_CHUNK plans at once and
+    # never prices a plan twice, and the bounds leave it a few of the 2^17
+    # plans.  The answer is the plan and the bits that pricing every plan
+    # gives: the empty plan, at the value pinned below (4.5 s to price all).
+    inst, model = random_problem(0, 17, 2)
+    batches = _record_pricing(monkeypatch)
     y, obj = enumerate_oracle(inst, model)
-    assert max(map(len, batches)) <= ddrloc.worstcase.PLAN_CHUNK
     codes = np.concatenate(batches) @ (1 << np.arange(16, -1, -1))
-    assert np.array_equal(codes, np.arange(2 ** 17))
-    assert y.tolist() == [0] * 17 and obj == 0.0      # no cost: the empty plan
-    batches.clear()
-    enumerate_oracle(inst, model, budget=2)
-    rows = np.concatenate(batches)
     assert max(map(len, batches)) <= ddrloc.worstcase.PLAN_CHUNK
-    assert len(rows) == 1 + 17 + 136 and rows.sum(axis=1).max() == 2
+    assert len(set(codes.tolist())) == len(codes) <= 4 * ddrloc.solvers.PRICE_BATCH
+    assert y.tolist() == [0] * 17 and float(obj).hex() == "0x1.3e47393b57e0ep+12"
+    batches.clear()
+    y, obj = enumerate_oracle(inst, model, budget=2)
+    rows = np.concatenate(batches)
+    codes = rows @ (1 << np.arange(16, -1, -1))
+    assert max(map(len, batches)) <= ddrloc.worstcase.PLAN_CHUNK
+    assert len(set(codes.tolist())) == len(codes) < 1 + 17 + 136
+    assert rows.sum(axis=1).max() <= 2
+    ys = all_plans(17, 2)
+    totals = [float(inst.open_cost @ p) + wc
+              for p, wc in zip(ys, worst_case_values(inst, model, ys))]
+    best = int(np.argmin(totals))
+    assert y.tolist() == ys[best].tolist() and float(obj).hex() == float(totals[best]).hex()
+
+
+def test_enumeration_tie_rule(monkeypatch):
+    # Facilities 1 and 2 are identical and either one alone is optimal, with
+    # the same bits: the tie goes to the first tied plan in enumeration
+    # order, (0, 1, 0).
+    cost = [[10.0, 20.0, 30.0, 15.0], [10.0, 20.0, 30.0, 15.0], [5.0, 5.0, 5.0, 5.0]]
+    inst = toy_instance(cost=cost, capacity=[1000.0] * 3, penalty=[225.0] * 4,
+                        revenue=[150.0] * 4, open_cost=[100.0, 100.0, 1e6])
+    model = toy_model(inst, [30.0] * 4, [30.0] * 4)
+    ys = np.array([[0, 1, 0], [1, 0, 0]])
+    a, b = (float(inst.open_cost @ p) + wc
+            for p, wc in zip(ys, worst_case_values(inst, model, ys)))
+    assert a == b
+    for budget in (None, 1):
+        assert enumerate_oracle(inst, model, budget=budget)[0].tolist() == [0, 1, 0]
+    # Priced one plan at a time, with (1, 0, 0)'s Jensen bound lowered (it
+    # stays a lower bound), the later plan becomes the incumbent first; the
+    # earlier one still takes the tie.
+    real = ddrloc.worstcase._jensen_bounds
+
+    def lowered(instance, model, chunk):
+        kept, bound = real(instance, model, chunk)
+        bound[(chunk[kept] == [1, 0, 0]).all(axis=1)] -= 1.0
+        return kept, bound
+
+    monkeypatch.setattr(ddrloc.worstcase, "_jensen_bounds", lowered)
+    monkeypatch.setattr(ddrloc.solvers, "PRICE_BATCH", 1)
+    batches = _record_pricing(monkeypatch)
+    y, obj = enumerate_oracle(inst, model)
+    assert batches[0].tolist() == [[1, 0, 0]] and [0, 1, 0] in np.concatenate(batches).tolist()
+    assert y.tolist() == [0, 1, 0] and obj == a
 
 
 @pytest.mark.parametrize("budget", [None, 2])

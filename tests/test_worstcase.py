@@ -10,14 +10,15 @@ from conftest import (all_plans, moment_lps, primal_lp, random_problem, toy_inst
                       toy_model)
 from ddrloc.experiments import ExperimentConfig, generate_instance
 from ddrloc.instance import (apply_robustness_level, arithmetic_support, chords,
-                             moment_windows)
+                             decision_independent, moment_windows)
 from ddrloc.milp import MilpModel
-from ddrloc.solvers import INFEASIBLE, OPTIMAL, _simplex_batch, simplex_solve
+from ddrloc.solvers import (INFEASIBLE, OPTIMAL, _simplex_batch, enumerate_oracle,
+                            simplex_solve)
 from ddrloc.worstcase import (AmbiguityInfeasibleError, ambiguity_feasible,
                               check_certificate, dual_value, extreme_rays,
                               worst_case_dual, worst_case_expectation,
-                              worst_case_values, _moment_lps,
-                              theta_values)
+                              worst_case_values, _jensen_bounds, _mixture_bounds,
+                              _moment_lps, theta_values)
 
 
 def test_two_point_support_forces_half_half():
@@ -314,7 +315,7 @@ def _lockstep_cases():
                           eps_mu=[6.0, 5.0], eps_lo=[0.5, 0.9], eps_hi=[1.5, 1.1])
 
 
-def test_lockstep_moment_lps_match_simplex_solve(monkeypatch):
+def test_lockstep_moment_lps_match_lone_blocks(monkeypatch):
     # The batched route agrees bit for bit with one lone block per LP: value
     # and pi.  An infeasible block gets the lone block's status from
     # _simplex_batch, and _moment_lps, which runs behind the exact chord
@@ -411,3 +412,64 @@ def test_plan_prices_the_same_alone_and_in_any_batch(case, monkeypatch):
             assert worst_case_expectation(inst, model, y)[0].hex() == value.hex()
     monkeypatch.setattr("ddrloc.worstcase.PLAN_CHUNK", 3)
     assert worst_case_values(inst, model, ys).tobytes() == values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The bounds of the bound-ordered enumeration
+# ---------------------------------------------------------------------------
+
+# The bounds use other arithmetic than the value oracle, so where one is tight
+# it may come out above the oracle by a rounding error (about 1e-16 relative
+# measured), far inside enumerate_oracle's BOUND_SLACK of 1e-9.
+BOUND_ROUNDING = 1e-12
+
+
+def _bound_cases():
+    """``(id, instance, model, budget)`` over the regimes the bounds must hold in."""
+    pinned = []
+    for name in ("oracle_values.json", "oracle_values_repro.json"):
+        for case in json.loads((Path(__file__).parent / "data" / name).read_text()):
+            if case["config"] not in pinned:
+                pinned.append(case["config"])
+    for n, config in enumerate(pinned):
+        yield f"pinned{n}", *generate_instance(ExperimentConfig(**config)), None
+    # the row-sum-0.99 repro at kappa 1e-9: windows at the edge of emptiness
+    inst, model = generate_instance(ExperimentConfig(**pinned[1]))
+    yield "repro-kappa1e-9", inst, apply_robustness_level(model, 1e-9), None
+    for seed in range(10):                      # criterion 7's instances
+        yield f"crit7-{seed}", *generate_instance(ExperimentConfig(
+            n_facilities=10, n_customers=20, support_size=20, seed=seed,
+            lambda_row_sum=0.99)), None
+    for kappa, row_sum, k in itertools.product((0.0, 0.1), (0.5, 0.99), (12, 20, 100)):
+        inst, model = random_problem(k, 6, 8, support_size=k, kappa=kappa,
+                                     lambda_row_sum=row_sum)
+        yield f"k{k}-kappa{kappa}-rs{row_sum}", inst, model, None
+        yield f"k{k}-kappa{kappa}-rs{row_sum}-dr", inst, decision_independent(model), None
+    inst, model = random_problem(4, 8, 8, support_size=20, kappa=0.1, lambda_row_sum=0.99)
+    yield "budget3", inst, model, 3
+    inst, model = random_problem(5, 6, 8, support_size=12, lambda_recipe="rho-means", rho=2)
+    yield "rho-means", inst, model, None
+
+
+_BOUND_CASES = {case[0]: case[1:] for case in _bound_cases()}
+
+
+@pytest.mark.parametrize("case", list(_BOUND_CASES))
+def test_bounds_hold_and_enumeration_matches_pricing_every_plan(case):
+    # On every plan: the interval test gives the chord screen's verdict, and
+    # Jensen <= mixture <= worst case up to BOUND_ROUNDING.  Bound-ordered
+    # enumeration returns the plan and the bits of pricing every plan.
+    inst, model, budget = _BOUND_CASES[case]
+    ys = all_plans(inst.n_facilities, budget)
+    wc = worst_case_values(inst, model, ys)
+    totals = np.array([float(inst.open_cost @ y) + v for y, v in zip(ys, wc)])
+    kept, jensen = _jensen_bounds(inst, model, ys)
+    assert np.array_equal(kept, np.isfinite(wc))
+    mixture = _mixture_bounds(inst, model, ys[kept])
+    tol = BOUND_ROUNDING * np.maximum(1.0, np.abs(totals[kept]))
+    assert np.all(jensen <= mixture + tol)
+    assert np.all(mixture <= totals[kept] + tol)
+    y, obj = enumerate_oracle(inst, model, budget)
+    best = int(np.argmin(totals))
+    assert y.tolist() == ys[best].tolist()
+    assert float(obj).hex() == float(totals[best]).hex()
