@@ -15,20 +15,18 @@ from .instance import (DemandModel, Instance, apply_robustness_level,
                        chords, decision_independent, lambda_from_distance,
                        lambda_rho_means, load_problem, moment_windows,
                        plan_moments, save_problem, validate)
-from .transport import (PENALTY, Allocation, h_closed_form, h_j_closed_form,
-                        recover_allocation, second_stage_costs, theta_affine,
-                        transport_lp_oracle, unmet_by_customer)
+from .transport import (PENALTY, h_closed_form, h_j_closed_form,
+                        second_stage_costs, transport_lp_oracle,
+                        unmet_by_customer)
 from .worstcase import (AmbiguityInfeasibleError, DualCertificate,
                         FeasibilityReport, WorstCaseDistribution,
-                        ambiguity_feasible, check_certificate, dual_value,
-                        extreme_rays, worst_case_dual, worst_case_expectation,
-                        worst_case_values)
+                        ambiguity_feasible, check_certificate, worst_case_dual,
+                        worst_case_expectation, worst_case_values)
 from .milp import (DualBounds, LinearExpr, MilpModel, build_dddr, build_sp_saa,
                    derive_dual_bounds, export_lp_text, mccormick_bilinear,
                    mccormick_trilinear, model_stats)
 from .solvers import (LpSolution, MipSolution, branch_and_bound,
-                      enumerate_oracle, exact_solve, parse_lp_text,
-                      simplex_solve)
+                      enumerate_oracle, exact_solve, simplex_solve)
 from .benchmarks import (ComparisonResult, EvaluationReport, ScenarioSet,
                          compare_methods, evaluate_plan, gen_gamma, gen_normal,
                          gen_perturbed, gen_scenarios, train_sp)

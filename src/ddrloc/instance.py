@@ -396,6 +396,12 @@ def validate(instance: Instance, model: DemandModel | None = None) -> list[str]:
     return v
 
 
+def _check_valid(instance: Instance, model: DemandModel):
+    violations = validate(instance, model)
+    if violations:
+        raise ValueError("invalid problem data: " + "; ".join(violations))
+
+
 # ---------------------------------------------------------------------------
 # Serialization (JSON; lossless at double precision)
 # ---------------------------------------------------------------------------
@@ -411,10 +417,14 @@ def _support_fields(support: np.ndarray) -> dict:
 
 
 def _support_from_fields(d: dict) -> np.ndarray:
-    if not d["step"] > 0:
-        raise ValueError(f"support step must be positive, got {d['step']!r}")
-    k = int(round((d["max"] - d["min"]) / d["step"])) + 1
-    return arithmetic_support(d["min"], d["max"], k)
+    lo, hi, step = d["min"], d["max"], d["step"]
+    if not step > 0:
+        raise ValueError(f"support step must be positive, got {step!r}")
+    k = int(round((hi - lo) / step)) + 1
+    if k > 1 and abs((hi - lo) / (k - 1) - step) > TOL * step:
+        raise ValueError(f"support step {step!r} does not divide min {lo!r} to "
+                         f"max {hi!r} into equal parts")
+    return arithmetic_support(lo, hi, k)
 
 
 def sites_to_dict(instance: Instance) -> dict:
@@ -451,7 +461,8 @@ def problem_to_dict(instance: Instance, model: DemandModel) -> dict:
 def problem_from_dict(doc) -> tuple[Instance, DemandModel]:
     """Instance and demand model of a problem document.  ValueError names a
     document that is not a JSON object, a missing key, a value of the wrong
-    type or a support step that is not positive."""
+    type, a support step that is not positive or does not divide the support
+    range, or data that :func:`validate` rejects."""
     if not isinstance(doc, dict):
         raise ValueError("problem is not a JSON object")
     try:
@@ -480,11 +491,12 @@ def problem_from_dict(doc) -> tuple[Instance, DemandModel]:
             eps_sigma_hi=np.array(dm["eps_hi"]),
             customer_ids=instance.customer_ids,
         )
-        return instance, model
     except KeyError as exc:
         raise ValueError(f"problem lacks the key {exc.args[0]!r}") from None
     except TypeError as exc:
         raise ValueError(f"problem has a value of the wrong type: {exc}") from None
+    _check_valid(instance, model)
+    return instance, model
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import (Instance, DemandModel, _check_budget, big_lambda_matrix,
-                       chord_slacks, validate)
+from .instance import (Instance, DemandModel, _check_budget, _check_valid,
+                       big_lambda_matrix, chord_slacks)
 from .transport import _candidate_gaps, _theta_pieces
 
 __all__ = [
@@ -150,26 +150,6 @@ class MilpModel:
     def binary_names(self) -> list[str]:
         return [v.name for v in self.variables if v.kind == "binary"]
 
-    def copy(self) -> "MilpModel":
-        m = MilpModel(self.name)
-        m.variables = list(self.variables)
-        m.constraints = list(self.constraints)
-        m.objective = LinearExpr(self.objective.coeffs, self.objective.constant)
-        m.meta = dict(self.meta)
-        m._index = dict(self._index)
-        return m
-
-    def relaxation(self, overrides: dict[str, tuple[float, float]]) -> "MilpModel":
-        """Sealed copy with every variable continuous and the bounds of the
-        variables named in ``overrides`` changed."""
-        m = self.copy()
-        out = []
-        for v in m.variables:
-            lo, hi = overrides.get(v.name, (v.lower, v.upper))
-            out.append(Variable(v.name, "continuous", float(lo), float(hi)))
-        m.variables = out
-        return m.seal()
-
 
 @dataclass(frozen=True)
 class DualBounds:
@@ -186,10 +166,6 @@ class DualBounds:
             if not np.all(np.isfinite(arr) & (arr >= 0)):
                 raise ValueError(f"{name} must be finite and nonnegative")
             object.__setattr__(self, name, arr)
-
-    @staticmethod
-    def uniform(n_customers: int, value: float) -> "DualBounds":
-        return DualBounds(*(np.full(n_customers, float(value)) for _ in range(4)))
 
 
 def derive_dual_bounds(instance: Instance, model: DemandModel) -> DualBounds:
@@ -333,9 +309,7 @@ def build_dddr(instance: Instance, model: DemandModel,
     support rows or the objective.  ``budget`` caps the number of open
     facilities; a negative one raises ValueError.
     """
-    violations = validate(instance, model)
-    if violations:
-        raise ValueError("invalid problem data: " + "; ".join(violations))
+    _check_valid(instance, model)
     _check_budget(budget)
     n_i, n_j = instance.n_facilities, instance.n_customers
     if bounds is None:
@@ -381,7 +355,7 @@ def build_dddr(instance: Instance, model: DemandModel,
                     obj.add(w, sign * form[1 + n_i + p])
 
         # Support constraints of the dualized inner problem: one row per
-        # support point and candidate marginal source (theta_affine's pieces).
+        # support point and candidate marginal source (_theta_pieces).
         pieces = [(i_star, slope, [-float(v) for v in coeff])
                   for i_star, slope, coeff in _theta_pieces(instance, jj)]
         for k in range(len(d)):
@@ -487,8 +461,8 @@ def _terms(coeffs: dict[str, float], order: dict[str, int]) -> str:
 def export_lp_text(m: MilpModel) -> str:
     """Render the model in LP text format, deterministically ordered.
 
-    The objective constant is carried in a comment line; the re-import helper
-    in the solvers module restores it.
+    The LP format has no objective constant, so it is carried in a comment
+    line.
     """
     order = {v.name: i for i, v in enumerate(m.variables)}
     lines = [f"\\ Problem: {_clean(m.name)}"]

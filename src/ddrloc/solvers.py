@@ -8,8 +8,7 @@ of tableaux in lockstep, so a block gets the same bits alone as in any batch.
 below in closed form, a chunk at a time, and prices only the plans whose
 bound can beat the best plan priced.  :func:`exact_solve`, its cross-check,
 solves the paper's robust MILP once at derived dual bounds and checks its
-plan with the value oracle; :func:`parse_lp_text` reads back an exported
-model.
+plan with the value oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .instance import plans_under_budget
-from .milp import LinearExpr, MilpModel, build_dddr, derive_dual_bounds
+from .milp import MilpModel, build_dddr, derive_dual_bounds
 
 __all__ = [
     "LpSolution",
@@ -33,7 +32,6 @@ __all__ = [
     "branch_and_bound",
     "enumerate_oracle",
     "exact_solve",
-    "parse_lp_text",
 ]
 
 PIVOT_TOL = 1e-9
@@ -57,13 +55,6 @@ class LpSolution:
     x: np.ndarray | None              # aligned with model.variables
     duals: np.ndarray | None          # aligned with model.constraints
     objective: float
-    _names: tuple = ()
-
-    def value(self, name: str) -> float:
-        return float(self.x[self._names.index(name)])
-
-    def assignment(self) -> dict[str, float]:
-        return {n: float(v) for n, v in zip(self._names, self.x)}
 
 
 @dataclass
@@ -134,18 +125,16 @@ def simplex_solve(m: MilpModel) -> LpSolution:
     if m.binary_names():
         raise ValueError("simplex_solve handles continuous models only; "
                          "relax binaries first")
-    names = tuple(v.name for v in m.variables)
     status, res = _highs(*_scipy_arrays(m), False)
     if status == "infeasible":
-        return LpSolution("infeasible", None, None, math.inf, names)
+        return LpSolution("infeasible", None, None, math.inf)
     if status == "unbounded":
-        return LpSolution("unbounded", None, None, -math.inf, names)
+        return LpSolution("unbounded", None, None, -math.inf)
     eq = np.array([con.sense == "=" for con in m.constraints], dtype=bool)
     duals = np.empty(len(eq))
     duals[eq], duals[~eq] = res.eqlin.marginals, res.ineqlin.marginals
     duals *= [-1.0 if con.sense == ">=" else 1.0 for con in m.constraints]
-    return LpSolution("optimal", res.x, duals, float(res.fun + m.objective.constant),
-                      names)
+    return LpSolution("optimal", res.x, duals, float(res.fun + m.objective.constant))
 
 
 # ---------------------------------------------------------------------------
@@ -461,90 +450,3 @@ def exact_solve(instance, model, budget: int | None = None):
         raise RuntimeError(f"MILP value {sol.objective!r} disagrees with the value "
                            f"oracle's {value!r} at plan {y.tolist()}")
     return sol, y, bounds
-
-
-# ---------------------------------------------------------------------------
-# LP text import
-# ---------------------------------------------------------------------------
-
-def parse_lp_text(text: str) -> MilpModel:
-    """Minimal reader for the LP text emitted by :func:`export_lp_text`.
-
-    It is the only route by which the tests check that an exported model
-    keeps its optimum: scipy ships no LP-format reader, and the HiGHS reader
-    (``highspy``) is not a dependency.
-    """
-    import re as _re
-
-    m = MilpModel("imported")
-    const = 0.0
-    section = None
-    pending_rows = []
-    term_re = _re.compile(r"([+-])\s*([0-9.eE+-]+)\s+([A-Za-z0-9_]+)")
-    var_bounds: dict[str, tuple[float, float]] = {}
-    binaries: set[str] = set()
-    obj_terms: dict[str, float] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("\\"):
-            if "Objective constant:" in line:
-                const = float(line.split(":")[1])
-            continue
-        low = line.lower()
-        if low in ("minimize", "subject to", "bounds", "binaries", "end"):
-            section = low
-            continue
-        if section == "minimize":
-            body = line.split(":", 1)[1]
-            for sgn, num, var in term_re.findall(" " + _norm_terms(body)):
-                obj_terms[var] = obj_terms.get(var, 0.0) + float(sgn + num)
-        elif section == "subject to":
-            name, body = line.split(":", 1)
-            mt = _re.search(r"(<=|>=|=)\s*([0-9.eE+-]+)\s*$", body)
-            sense, rhs = mt.group(1), float(mt.group(2))
-            lhs = body[: mt.start()]
-            coeffs = {}
-            for sgn, num, var in term_re.findall(" " + _norm_terms(lhs)):
-                coeffs[var] = coeffs.get(var, 0.0) + float(sgn + num)
-            pending_rows.append((name.strip(), coeffs, sense, rhs))
-        elif section == "bounds":
-            if line.endswith(" free"):
-                var_bounds[line.split()[0]] = (-math.inf, math.inf)
-            else:
-                parts = line.replace("<=", " ").split()
-                if len(parts) == 3:
-                    lo, var, hi = parts
-                    var_bounds[var] = (float(lo) if lo != "-inf" else -math.inf, float(hi))
-                elif len(parts) == 2:
-                    var_bounds[parts[1]] = (float(parts[0]), math.inf)
-        elif section == "binaries":
-            binaries.update(line.split())
-
-    seen: dict[str, None] = {}
-    for var in obj_terms:
-        seen.setdefault(var)
-    for _, coeffs, _, _ in pending_rows:
-        for var in coeffs:
-            seen.setdefault(var)
-    for var in list(var_bounds) + sorted(binaries):
-        seen.setdefault(var)
-    for var in seen:
-        if var in binaries:
-            m.add_variable(var, kind="binary")
-        else:
-            lo, hi = var_bounds.get(var, (0.0, math.inf))
-            m.add_variable(var, lower=lo, upper=hi)
-    for name, coeffs, sense, rhs in pending_rows:
-        m.add_constraint(name, coeffs, sense, rhs)
-    m.set_objective(LinearExpr(obj_terms, const))
-    return m.seal()
-
-
-def _norm_terms(body: str) -> str:
-    """Ensure every term starts with an explicit sign for the regex."""
-    body = body.strip()
-    if body and body[0] not in "+-":
-        body = "+ " + body
-    return body

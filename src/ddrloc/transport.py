@@ -9,35 +9,21 @@ the demand, where ``i* = 0`` stands for the penalty column with cost
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .instance import DemandModel, Instance, _as_y
+from .instance import Instance, _as_y
 
 __all__ = [
     "PENALTY",
-    "Allocation",
     "h_j_closed_form",
     "h_closed_form",
     "second_stage_costs",
     "unmet_by_customer",
-    "recover_allocation",
     "transport_lp_oracle",
-    "theta_affine",
 ]
 
 # Candidate index of the penalty "source" in the closed-form maximum.
 PENALTY = 0
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """Shipments x[i, j], unmet demand s[j] and the resulting cost."""
-
-    x: np.ndarray
-    s: np.ndarray
-    value: float
 
 
 def _candidate_gaps(instance: Instance, jj: int):
@@ -130,32 +116,6 @@ def unmet_by_customer(instance: Instance, y, demands: np.ndarray) -> np.ndarray:
     return np.maximum(demands - open_cap, 0.0)
 
 
-def recover_allocation(instance: Instance, y, d) -> Allocation:
-    """Optimal primal allocation: per customer, fill facilities by ascending cost.
-
-    Every transport cost is below the penalty, so each customer ships as much
-    as open capacity allows (cheapest facilities first, ties to smaller id)
-    and only the remainder is penalized.
-    """
-    d = np.asarray(d, dtype=float)
-    yv = _as_y(y)
-    n_i, n_j = instance.n_facilities, instance.n_customers
-    x = np.zeros((n_i, n_j))
-    s = np.zeros(n_j)
-    ids = np.asarray(instance.facility_ids)
-    for jj in range(n_j):
-        remaining = d[jj]
-        for i in np.lexsort((ids, instance.cost[:, jj])):
-            if remaining <= 0:
-                break
-            ship = min(remaining, instance.capacity[i] * yv[i])
-            x[i, jj] = ship
-            remaining -= ship
-        s[jj] = max(remaining, 0.0)
-    value = float((instance.cost * x).sum() + instance.penalty @ s - instance.revenue @ d)
-    return Allocation(x=x, s=s, value=value)
-
-
 def transport_lp_oracle(instance: Instance, y, d) -> float:
     """Second-stage cost via a HiGHS LP solve; test-side ground truth."""
     from .milp import LinearExpr, MilpModel
@@ -186,25 +146,13 @@ def transport_lp_oracle(instance: Instance, y, d) -> float:
     return sol.objective
 
 
-def theta_affine(instance: Instance, model: DemandModel, j: int, k: int):
-    """Affine family whose pointwise maximum over candidates is theta_jk(y).
-
-    One entry per candidate ``i*`` in penalty-then-facility order:
-    ``(i_star, const, coeff)`` with value ``const + coeff @ y`` equal to
-    ``(c_{i*j} - r_j) d_k + sum_{i: c_ij < c_{i*j}} C_i (c_ij - c_{i*j}) y_i``.
-    """
-    if not 0 <= k < model.support_size:
-        raise IndexError(f"support index {k} out of range")
-    d_k = float(model.support[k])
-    return [(i_star, float(slope * d_k), coeff)
-            for i_star, slope, coeff in _theta_pieces(instance, instance.customer_index(j))]
-
-
 def _theta_pieces(instance: Instance, jj: int):
-    """The support-point-free part of :func:`theta_affine` at column ``jj``.
+    """Affine pieces whose pointwise maximum is theta_jk(y) at column ``jj``.
 
-    One ``(i_star, slope, coeff)`` per candidate: the piece's constant at
-    support point ``d_k`` is ``slope * d_k``.
+    One ``(i_star, slope, coeff)`` per candidate ``i*``, in penalty-then-facility
+    order.  At support point ``d_k`` the piece is ``slope * d_k + coeff @ y``,
+    that is ``(c_{i*j} - r_j) d_k + sum_{i: c_ij < c_{i*j}} C_i (c_ij - c_{i*j})
+    y_i``.
     """
     cand, gaps = _candidate_gaps(instance, jj)
     return [(PENALTY if t == 0 else instance.facility_ids[t - 1],

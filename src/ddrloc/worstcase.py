@@ -4,8 +4,8 @@ For a fixed plan the adversary chooses, independently per customer, a
 distribution on the finite support whose mean and second moment lie in the
 decision-dependent windows.  Each customer therefore contributes a small LP
 over the support probabilities; the total worst case is the sum.  The dual
-of that LP, its extreme rays, and the chord test, which is exact and the
-only test of emptiness, live here as well.
+of that LP and the chord test, which is exact and the only test of
+emptiness, live here as well.
 
 The value oracle :func:`worst_case_values` screens the plans with the chord
 test, builds the tableau of every remaining (plan, customer) moment LP from
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import (DemandModel, Instance, chord_slacks, chords,
-                       moment_windows)
+from .instance import DemandModel, Instance, chord_slacks, moment_windows
 from .milp import LinearExpr, MilpModel
 from .solvers import OPTIMAL, _simplex_batch
 from .transport import _candidate_gaps, _candidate_terms, _theta
@@ -39,9 +38,7 @@ __all__ = [
     "theta_values",
     "worst_case_expectation",
     "worst_case_dual",
-    "dual_value",
     "check_certificate",
-    "extreme_rays",
     "ambiguity_feasible",
     "worst_case_values",
 ]
@@ -73,7 +70,7 @@ class DualCertificate:
 @dataclass(frozen=True)
 class FeasibilityReport:
     feasible: bool
-    violations: tuple      # (customer id, ray number in extreme_rays, from 1; slack)
+    violations: tuple      # (customer id, chord number in chords, from 1; slack)
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -97,18 +94,8 @@ def theta_values(instance: Instance, model: DemandModel, y, jj: int) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Extreme rays and feasibility
+# Feasibility
 # ---------------------------------------------------------------------------
-
-def extreme_rays(support) -> list[tuple[float, float, float, float, float]]:
-    """The recession directions (alpha, delta1, delta2, gamma1, gamma2).
-
-    One per chord ``(a, b, c)`` of :func:`~ddrloc.instance.chords`, in its
-    order: ``(a, b+, b-, c+, c-)``, the quadratic split into the dual rows.
-    """
-    return [(a, max(0.0, b), max(0.0, -b), max(0.0, c), max(0.0, -c))
-            for a, b, c in chords(support)]
-
 
 def _screen(instance: Instance, model: DemandModel, windows) -> FeasibilityReport:
     """The chord test of :func:`ambiguity_feasible` on one plan's windows."""
@@ -228,16 +215,9 @@ def worst_case_dual(instance: Instance, model: DemandModel, y):
         if sol.status != "optimal":
             raise RuntimeError(f"dual moment LP is {sol.status}")
         for nm in cert:
-            cert[nm][jj] = sol.value(nm)
+            cert[nm][jj] = sol.x[m.var_index(nm)]
         total += sol.objective
     return total, DualCertificate(**cert)
-
-
-def dual_value(model: DemandModel, y, cert: DualCertificate) -> float:
-    """Dual objective at a given certificate; an upper bound when feasible."""
-    m_lo, m_hi, s_lo, s_hi = (w[0] for w in moment_windows(model, y))
-    return float(np.sum(cert.alpha + cert.delta1 * m_hi - cert.delta2 * m_lo
-                        + cert.gamma1 * s_hi - cert.gamma2 * s_lo))
 
 
 def check_certificate(instance: Instance, model: DemandModel, y,

@@ -13,16 +13,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (all_plans, moment_lps, primal_lp, random_problem, toy_instance,
-                      toy_model, without_cuts)
+from conftest import (all_plans, extreme_rays, moment_lps, primal_lp, random_problem,
+                      relaxation, toy_instance, toy_model, without_cuts)
 from ddrloc.benchmarks import evaluate_plan, gen_normal, train_sp
 from ddrloc.instance import chords, decision_independent, moment_windows
 from ddrloc.milp import build_dddr, build_sp_saa
 from ddrloc.solvers import (OPTIMAL, branch_and_bound, enumerate_oracle,
                             exact_solve, simplex_solve)
 from ddrloc.transport import h_closed_form, second_stage_costs, transport_lp_oracle
-from ddrloc.worstcase import (ambiguity_feasible, extreme_rays,
-                              theta_values, worst_case_dual,
+from ddrloc.worstcase import (ambiguity_feasible, theta_values, worst_case_dual,
                               worst_case_expectation, worst_case_values)
 
 
@@ -420,7 +419,7 @@ def test_criterion_10_evaluation_oracle():
         rep = evaluate_plan(inst, y, scen)
         m = build_sp_saa(inst, scen)
         over = {nm: (float(v), float(v)) for nm, v in zip(m.meta["y_vars"], y)}
-        sol = simplex_solve(m.relaxation(over))
+        sol = simplex_solve(relaxation(m, over))
         worst = max(worst, abs(sol.objective - rep.mean_objective)
                     / max(1.0, abs(sol.objective)))
     report(10, worst < 1e-6,

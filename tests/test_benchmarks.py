@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import all_plans, random_problem, toy_instance, toy_model
+from conftest import all_plans, random_problem, relaxation, toy_instance, toy_model
 from ddrloc.benchmarks import (PERCENTILE_LEVELS, ScenarioSet,
                                compare_methods, evaluate_plan, gen_gamma,
                                gen_normal, gen_perturbed, gen_scenarios,
@@ -146,7 +146,7 @@ def test_evaluate_matches_restricted_scenario_lp():
     rep = evaluate_plan(inst, y, scen)
     m = build_sp_saa(inst, scen)
     over = {nm: (float(v), float(v)) for nm, v in zip(m.meta["y_vars"], y)}
-    sol = simplex_solve(m.relaxation(over))
+    sol = simplex_solve(relaxation(m, over))
     assert sol.objective == pytest.approx(rep.mean_objective, rel=1e-9)
 
 

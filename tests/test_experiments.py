@@ -304,15 +304,26 @@ def test_cli_solve_reports_malformed_problem_files(tmp_path, capsys):
     prob = tmp_path / "p.json"
     assert main(["gen", "--size", "3,4", "--support", "1,100,8", "--out", str(prob)]) == 0
     good = json.loads(prob.read_text())
-    zero_step = json.loads(prob.read_text())
-    zero_step["demand"]["support"]["step"] = 0
+
+    def edited(edit):
+        doc = json.loads(prob.read_text())
+        edit(doc)
+        return doc
+
     capsys.readouterr()
     for doc, message in (
             ({}, "problem lacks the key 'facilities'"),
             ({**good, "demand": {}}, "problem lacks the key 'bar_mu'"),
             ([], "problem is not a JSON object"),
             ({**good, "facilities": 5}, "problem has a value of the wrong type: "),
-            (zero_step, "support step must be positive, got 0")):
+            (edited(lambda d: d["demand"]["support"].update(step=0)),
+             "support step must be positive, got 0"),
+            (edited(lambda d: d["demand"]["support"].update(step=7)),
+             "support step 7 does not divide min 1.0 to max 100.0 into equal parts"),
+            (edited(lambda d: d["demand"].update(lambda_sigma=[[1.0, 0.5, 0.5]] * 4)),
+             "invalid problem data: customer 1: variance dependency row sums to 2, "),
+            (edited(lambda d: d["customers"][2].update(p=0.5)),
+             "invalid problem data: pair (1, 3): penalty not strictly greater")):
         prob.write_text(json.dumps(doc))
         assert main(["solve", "--problem", str(prob), "--method", "dddr"]) == 1
         err = capsys.readouterr().err

@@ -5,8 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import (all_plans, moment_lps, random_problem, toy_instance, toy_model,
-                      without_cuts)
+from conftest import (all_plans, dual_value, extreme_rays, moment_lps, random_problem,
+                      relaxation, toy_instance, toy_model, uniform_bounds, without_cuts)
 from ddrloc.instance import decision_independent, moment_windows, plans_under_budget
 from ddrloc.milp import (DualBounds, LinearExpr, MilpModel, build_dddr,
                          build_sp_saa, derive_dual_bounds, export_lp_text,
@@ -14,9 +14,8 @@ from ddrloc.milp import (DualBounds, LinearExpr, MilpModel, build_dddr,
 from ddrloc.solvers import (OPTIMAL, branch_and_bound, enumerate_oracle, exact_solve,
                             simplex_solve)
 from ddrloc.transport import second_stage_costs
-from ddrloc.worstcase import (DualCertificate, dual_value, extreme_rays,
-                              theta_values, worst_case_dual, worst_case_expectation,
-                              worst_case_values)
+from ddrloc.worstcase import (DualCertificate, theta_values, worst_case_dual,
+                              worst_case_expectation, worst_case_values)
 
 
 def _holds(rows, assignment):
@@ -100,7 +99,7 @@ def test_lambda_zero_reduces_to_dr():
 def _restricted_value(m, y):
     """The MILP's objective with the plan pinned to ``y``, binaries relaxed."""
     over = {nm: (float(v), float(v)) for nm, v in zip(m.meta["y_vars"], y)}
-    sol = simplex_solve(m.relaxation(over))
+    sol = simplex_solve(relaxation(m, over))
     assert sol.status == "optimal"
     return sol.objective
 
@@ -111,7 +110,7 @@ def test_restriction_matches_inner_dual_value():
     # derived dual bounds and at bounds far above them.
     inst, model = random_problem(12, 3, 4, support_size=7, kappa=0.1)
     derived = without_cuts(build_dddr(inst, model))
-    wide = without_cuts(build_dddr(inst, model, bounds=DualBounds.uniform(4, 1e6)))
+    wide = without_cuts(build_dddr(inst, model, bounds=uniform_bounds(4, 1e6)))
     for y in ([1, 0, 1], [0, 1, 0], [1, 1, 1]):
         wc, _ = worst_case_expectation(inst, model, np.array(y))
         want = float(inst.open_cost @ np.array(y)) + wc
@@ -119,7 +118,7 @@ def test_restriction_matches_inner_dual_value():
         assert _restricted_value(wide, y) == pytest.approx(want, rel=1e-6)
     # bounds below the dual optimum truncate the inner dual: the restricted
     # value is no longer the worst case
-    tight = without_cuts(build_dddr(inst, model, bounds=DualBounds.uniform(4, 1e-4)))
+    tight = without_cuts(build_dddr(inst, model, bounds=uniform_bounds(4, 1e-4)))
     wc, _ = worst_case_expectation(inst, model, np.array([1, 1, 1]))
     want = float(inst.open_cost.sum()) + wc
     assert _restricted_value(tight, [1, 1, 1]) > want + 1.0
@@ -328,7 +327,7 @@ def test_sp_saa_zero_demand_and_restriction():
     y = np.array([1, 0, 1])
     m2 = build_sp_saa(inst, demands)
     over = {nm: (float(v), float(v)) for nm, v in zip(m2.meta["y_vars"], y)}
-    sol2 = simplex_solve(m2.relaxation(over))
+    sol2 = simplex_solve(relaxation(m2, over))
     want = float(inst.open_cost @ y + second_stage_costs(inst, y, demands).mean())
     assert sol2.objective == pytest.approx(want, rel=1e-9)
 
@@ -338,10 +337,10 @@ def test_binding_dual_bounds_flag():
     # binding bounds truncate the inner dual and change it.
     inst, model = random_problem(5, 3, 4, support_size=6)
     _, obj_ref = enumerate_oracle(inst, model)
-    for bounds in (None, DualBounds.uniform(4, 1e6)):
+    for bounds in (None, uniform_bounds(4, 1e6)):
         sol = branch_and_bound(build_dddr(inst, model, bounds=bounds))
         assert sol.objective == pytest.approx(obj_ref, rel=1e-9)
-    tight = branch_and_bound(build_dddr(inst, model, bounds=DualBounds.uniform(4, 1e-4)))
+    tight = branch_and_bound(build_dddr(inst, model, bounds=uniform_bounds(4, 1e-4)))
     assert tight.objective > obj_ref + 1.0
     # A bound of 0 leaves its multiplier out of the model, envelopes and all;
     # a negative bound is rejected.
@@ -352,13 +351,13 @@ def test_binding_dual_bounds_flag():
     assert not any(n.startswith(("gamma2_", "G_2_", "P_2_")) for n in names)
     assert branch_and_bound(no_g2).objective == pytest.approx(obj_ref, rel=1e-9)
     with pytest.raises(ValueError):
-        DualBounds.uniform(4, -1.0)
+        uniform_bounds(4, -1.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-12])
 def test_dual_bounds_reject_nonfinite_or_negative(value):
     with pytest.raises(ValueError):
-        DualBounds.uniform(3, value)
+        uniform_bounds(3, value)
     ok = np.ones(3)
     with pytest.raises(ValueError):
         DualBounds(ok, ok, ok, np.array([1.0, value, 1.0]))

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import all_plans, random_problem, toy_instance, toy_model, without_cuts
+from conftest import (all_plans, parse_lp_text, random_problem, relaxation, toy_instance,
+                      toy_model, uniform_bounds, without_cuts)
 import ddrloc.solvers
 import ddrloc.worstcase
-from ddrloc.milp import (DualBounds, LinearExpr, MilpModel, build_dddr,
-                         derive_dual_bounds, export_lp_text)
+from ddrloc.milp import (LinearExpr, MilpModel, build_dddr, derive_dual_bounds,
+                         export_lp_text)
 from ddrloc.solvers import (branch_and_bound, enumerate_oracle, exact_solve,
-                            parse_lp_text, simplex_solve)
+                            simplex_solve)
 from ddrloc.transport import h_j_closed_form
 from ddrloc.worstcase import AmbiguityInfeasibleError, worst_case_values
 
@@ -23,10 +24,11 @@ def _simplex_max_lp(coeffs):
 
 
 def test_max_over_probability_simplex_picks_best_coefficient():
-    sol = simplex_solve(_simplex_max_lp([3.0, 7.0, 5.0]))
+    m = _simplex_max_lp([3.0, 7.0, 5.0])
+    sol = simplex_solve(m)
     assert sol.status == "optimal"
     assert -sol.objective == pytest.approx(7.0)
-    assert sol.value("pi_1") == pytest.approx(1.0)
+    assert sol.x[m.var_index("pi_1")] == pytest.approx(1.0)
 
 
 def test_infeasible_and_unbounded_statuses():
@@ -89,8 +91,8 @@ def test_transport_duals_expose_marginal_source():
 
 def test_simplex_solve_repeats_bit_for_bit():
     inst, model = random_problem(14, 3, 4, support_size=6)
-    m = build_dddr(inst, model, bounds=DualBounds.uniform(4, 100.0))
-    relaxed = m.relaxation({})
+    m = build_dddr(inst, model, bounds=uniform_bounds(4, 100.0))
+    relaxed = relaxation(m, {})
     a = simplex_solve(relaxed)
     b = simplex_solve(relaxed)
     assert a.x.tobytes() == b.x.tobytes()
@@ -101,16 +103,16 @@ def test_relaxed_dddr_at_derived_bounds_is_truly_optimal():
     # Phase 1 of a dense tableau simplex pivots on elements near 1e-9 here and
     # can end "optimal" (2599.618) at a point 11.08 off row dual_3_2_0.
     inst, model = random_problem(14, 3, 4, support_size=6)
-    m = build_dddr(inst, model, bounds=derive_dual_bounds(inst, model)).relaxation({})
+    m = relaxation(build_dddr(inst, model, bounds=derive_dual_bounds(inst, model)), {})
     sol = simplex_solve(m)
     assert sol.status == "optimal"
-    x = sol.assignment()
+    x = sol.x
     for con in m.constraints:
-        lhs = sum(a * x[v] for v, a in con.coeffs.items())
+        lhs = sum(a * x[m.var_index(v)] for v, a in con.coeffs.items())
         gap = {"<=": lhs - con.rhs, ">=": con.rhs - lhs, "=": abs(lhs - con.rhs)}[con.sense]
         assert gap <= 1e-6, con.name
-    for v in m.variables:
-        assert v.lower - 1e-6 <= x[v.name] <= v.upper + 1e-6, v.name
+    for v, xv in zip(m.variables, x):
+        assert v.lower - 1e-6 <= xv <= v.upper + 1e-6, v.name
     assert sol.objective == pytest.approx(-653.9079762520068, rel=1e-9)
 
 
@@ -125,7 +127,7 @@ def test_bnb_on_fully_fixed_model_equals_simplex():
     m.set_objective(LinearExpr({y: 2.0, x: -1.0}))
     m.seal()
     mip = branch_and_bound(m)
-    lp = simplex_solve(m.relaxation({}))
+    lp = simplex_solve(relaxation(m, {}))
     assert mip.objective == pytest.approx(-1.0)
     assert mip.objective == pytest.approx(lp.objective)
     assert mip.bound <= mip.objective + 1e-6
@@ -142,7 +144,7 @@ def test_bnb_infeasible_status():
 
 def test_bnb_node_limit_status():
     inst, model = random_problem(0, 4, 6, support_size=10)
-    m = build_dddr(inst, model, bounds=DualBounds.uniform(6, 100.0))
+    m = build_dddr(inst, model, bounds=uniform_bounds(6, 100.0))
     full = branch_and_bound(m)
     assert full.status == "optimal" and full.bound == full.objective
     # stopped before any incumbent: no plan, but a real open bound
@@ -209,7 +211,7 @@ def test_exact_solve_checks_the_incumbent_with_the_oracle(monkeypatch):
     # bounds that truncate the inner dual inflate the MILP value, which the
     # oracle check must catch
     monkeypatch.setattr(ddrloc.solvers, "derive_dual_bounds",
-                        lambda instance, model: DualBounds.uniform(4, 1e-4))
+                        lambda instance, model: uniform_bounds(4, 1e-4))
     with pytest.raises(RuntimeError, match="value oracle"):
         exact_solve(inst, model)
 
@@ -356,8 +358,8 @@ def test_lp_text_round_trip_preserves_optimum(tmp_path):
 
 
 def test_lp_solution_invariants():
-    sol = simplex_solve(_simplex_max_lp([1.0, 2.0]))
-    x = sol.x
+    m = _simplex_max_lp([1.0, 2.0])
+    x = simplex_solve(m).x
     assert np.all(x >= -1e-8)
     assert abs(x.sum() - 1.0) < 1e-8
-    assert sol.assignment()["pi_1"] == pytest.approx(1.0)
+    assert x[m.var_index("pi_1")] == pytest.approx(1.0)

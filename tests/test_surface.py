@@ -10,12 +10,13 @@ from pathlib import Path
 
 from ddrloc.experiments import ExperimentConfig
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ddrloc"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ddrloc"
 
 DEFAULTED_PARAMETERS = 23
 CLI_OPTIONS = 31
 EXPERIMENT_CONFIG_FIELDS = 19
-PUBLIC_NAMES = 66
+PUBLIC_NAMES = 60
 
 
 def _trees():
@@ -46,8 +47,27 @@ def test_config_field_counts_are_pinned():
     assert len(dataclasses.fields(ExperimentConfig)) == EXPERIMENT_CONFIG_FIELDS
 
 
-def test_public_name_count_is_pinned():
+def _public_names():
     # every name ddrloc/__init__.py imports from its modules for callers
-    n = sum(len(node.names) for node in ast.walk(_trees()["__init__.py"])
-            if isinstance(node, ast.ImportFrom))
-    assert n == PUBLIC_NAMES
+    return [alias.asname or alias.name for node in ast.walk(_trees()["__init__.py"])
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def test_public_name_count_is_pinned():
+    assert len(_public_names()) == PUBLIC_NAMES
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a name is used when some module of the package other than __init__, a
+    # demo or the benchmark loads it, by name or as an attribute
+    trees = [tree for name, tree in _trees().items() if name != "__init__.py"]
+    trees += [ast.parse(p.read_text())
+              for d in ("demos", "bench") for p in sorted((ROOT / d).glob("*.py"))]
+    loaded = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert [n for n in _public_names() if n not in loaded] == []

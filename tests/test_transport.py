@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_plans, random_problem, toy_instance, toy_model
-from ddrloc.transport import (PENALTY, h_closed_form, h_j_closed_form,
-                              recover_allocation, second_stage_costs,
-                              theta_affine, transport_lp_oracle,
+from conftest import all_plans, random_problem, recover_allocation, toy_instance
+from ddrloc.transport import (PENALTY, _theta_pieces, h_closed_form, h_j_closed_form,
+                              second_stage_costs, transport_lp_oracle,
                               unmet_by_customer)
 
 
@@ -137,12 +136,12 @@ def test_unmet_is_shortfall_against_open_capacity():
     np.testing.assert_allclose(alloc.s, s, atol=1e-9)
 
 
-def test_theta_affine_family():
+def test_theta_pieces_family():
     inst, model = random_problem(6, 3, 4)
     jj = 0
     cid = inst.customer_ids[jj]
-    fam = theta_affine(inst, model, cid, 2)
     d_k = model.support[2]
+    fam = [(i_star, slope * d_k, coeff) for i_star, slope, coeff in _theta_pieces(inst, jj)]
     # penalty member: constant (p - r) d_k, strictly negative coefficients
     i0, const0, coeff0 = fam[0]
     assert i0 == PENALTY
@@ -158,5 +157,3 @@ def test_theta_affine_family():
         best = max(c + w @ y for _, c, w in fam)
         h, _ = h_j_closed_form(inst, y, cid, float(d_k))
         assert best == pytest.approx(h, abs=1e-9)
-    with pytest.raises(IndexError):
-        theta_affine(inst, model, cid, len(model.support))

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (all_plans, moment_lps, primal_lp, random_problem, toy_instance,
-                      toy_model)
+from conftest import (all_plans, dual_value, extreme_rays, moment_lps, primal_lp,
+                      random_problem, toy_instance, toy_model)
 from ddrloc.experiments import ExperimentConfig, generate_instance
 from ddrloc.instance import (apply_robustness_level, arithmetic_support, chords,
                              decision_independent, moment_windows)
@@ -15,10 +15,10 @@ from ddrloc.milp import MilpModel
 from ddrloc.solvers import (INFEASIBLE, OPTIMAL, _simplex_batch, enumerate_oracle,
                             simplex_solve)
 from ddrloc.worstcase import (AmbiguityInfeasibleError, ambiguity_feasible,
-                              check_certificate, dual_value, extreme_rays,
-                              worst_case_dual, worst_case_expectation,
-                              worst_case_values, _jensen_bounds, _mixture_bounds,
-                              _moment_lps, theta_values)
+                              check_certificate, worst_case_dual,
+                              worst_case_expectation, worst_case_values,
+                              _jensen_bounds, _mixture_bounds, _moment_lps,
+                              theta_values)
 
 
 def test_two_point_support_forces_half_half():
