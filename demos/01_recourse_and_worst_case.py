@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from ddrloc import (ambiguity_feasible, check_certificate, h_closed_form,
+from ddrloc import (ambiguity_feasible, check_certificate, second_stage_costs,
                     transport_lp_oracle, worst_case_dual,
                     worst_case_expectation)
 from ddrloc.instance import Instance, DemandModel, arithmetic_support
@@ -32,7 +32,6 @@ inst = Instance(
 # Demand lives on {0, 5, ..., 50}.  Opening facility 1 lifts the mean by
 # 20% and trims the variance by 10% (demand attraction).
 model = DemandModel(
-    customer_ids=(1,),
     bar_mu=np.array([20.0]), bar_sigma=np.array([8.0]),
     lambda_mu=np.array([[0.2], [0.0]]).T,
     lambda_sigma=np.array([[0.1], [0.0]]).T,
@@ -44,7 +43,7 @@ model = DemandModel(
 print("== Recourse cost for a fixed plan and demand ==")
 for y in ([0, 0], [1, 0], [1, 1]):
     for d in (10.0, 40.0):
-        h = h_closed_form(inst, y, [d])
+        h = second_stage_costs(inst, y, [d])[0]
         lp = transport_lp_oracle(inst, y, [d])
         print(f"  y={y} d={d:5.1f}  closed form {h:9.2f}   LP {lp:9.2f}"
               f"   (diff {abs(h - lp):.1e})")

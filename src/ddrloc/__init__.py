@@ -15,8 +15,7 @@ from .instance import (DemandModel, Instance, apply_robustness_level,
                        chords, decision_independent, lambda_from_distance,
                        lambda_rho_means, load_problem, moment_windows,
                        plan_moments, save_problem, validate)
-from .transport import (PENALTY, h_closed_form, h_j_closed_form,
-                        second_stage_costs, transport_lp_oracle,
+from .transport import (second_stage_costs, transport_lp_oracle,
                         unmet_by_customer)
 from .worstcase import (AmbiguityInfeasibleError, DualCertificate,
                         FeasibilityReport, WorstCaseDistribution,

@@ -51,10 +51,9 @@ SP_CHUNK_ELEMENTS = 1 << 15
 
 @dataclass(frozen=True)
 class ScenarioSet:
-    """Demand scenarios (n, |J|) with probabilities and provenance."""
+    """Equally likely demand scenarios (n, |J|) and their provenance."""
 
     demands: np.ndarray
-    probabilities: np.ndarray
     seed: int
     generator: str
 
@@ -62,10 +61,6 @@ class ScenarioSet:
         n = self.demands.shape[0]
         if n < 1:
             raise ValueError("need at least one scenario")
-        if len(self.probabilities) != n:
-            raise ValueError("probabilities do not match scenario count")
-        if abs(self.probabilities.sum() - 1.0) > 1e-9:
-            raise ValueError("probabilities must sum to one")
         if np.any(self.demands < 0):
             raise ValueError("demands must be nonnegative")
 
@@ -88,10 +83,6 @@ class EvaluationReport:
     unmet: np.ndarray = field(repr=False)
 
 
-def _uniform(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / n)
-
-
 def _plan_moments(model: DemandModel, y_hat, n: int):
     """Mean and standard deviation under the plan, for ``n`` >= 1 scenarios."""
     if n < 1:
@@ -107,7 +98,7 @@ def gen_normal(model: DemandModel, y_hat, n: int = 1000, seed: int = 0) -> Scena
     mu, sigma = _plan_moments(model, y_hat, n)
     rng = np.random.default_rng(seed)
     draws = rng.normal(mu, sigma, size=(n, len(mu)))
-    return ScenarioSet(np.maximum(draws, 0.0), _uniform(n), seed, "normal")
+    return ScenarioSet(np.maximum(draws, 0.0), seed, "normal")
 
 
 def gen_gamma(model: DemandModel, y_hat, n: int = 1000, seed: int = 0) -> ScenarioSet:
@@ -119,7 +110,7 @@ def gen_gamma(model: DemandModel, y_hat, n: int = 1000, seed: int = 0) -> Scenar
     shape = mu / theta
     rng = np.random.default_rng(seed)
     draws = rng.gamma(shape, theta, size=(n, len(mu)))
-    return ScenarioSet(draws, _uniform(n), seed, "gamma")
+    return ScenarioSet(draws, seed, "gamma")
 
 
 def gen_perturbed(model: DemandModel, y_hat, n: int = 1000, seed: int = 0) -> ScenarioSet:
@@ -154,7 +145,7 @@ def gen_perturbed(model: DemandModel, y_hat, n: int = 1000, seed: int = 0) -> Sc
         blocks.append(rng.normal(rep_mu, rep_sigma,
                                  size=(n // PERTURBED_REPS, len(mu))))
     draws = np.maximum(np.vstack(blocks), 0.0)
-    return ScenarioSet(draws, _uniform(n), seed, "perturbed")
+    return ScenarioSet(draws, seed, "perturbed")
 
 
 def gen_scenarios(model: DemandModel, y_hat, dist: str, n: int, seed: int) -> ScenarioSet:
@@ -269,8 +260,7 @@ def train_sp(instance: Instance, model: DemandModel, n_scen: int, seed: int,
         return best_y.copy()
     from .milp import build_sp_saa
     from .solvers import branch_and_bound
-    scen = ScenarioSet(draws, _uniform(n_scen), seed, "normal")
-    m = build_sp_saa(instance, scen, budget=budget)
+    m = build_sp_saa(instance, draws, budget=budget)
     sol = branch_and_bound(m)
     if sol.status != "optimal":
         raise RuntimeError(f"scenario MILP ended {sol.status}")

@@ -129,8 +129,7 @@ def generate_instance(config: ExperimentConfig):
         support=arithmetic_support(config.support_min, config.support_max,
                                    config.support_size),
         eps_mu=np.zeros(n_j),
-        eps_sigma_lo=np.ones(n_j), eps_sigma_hi=np.ones(n_j),
-        customer_ids=instance.customer_ids)
+        eps_sigma_lo=np.ones(n_j), eps_sigma_hi=np.ones(n_j))
     model = apply_robustness_level(model, config.kappa)
     problems = validate(instance, model)
     if problems:

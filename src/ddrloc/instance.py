@@ -94,12 +94,6 @@ class Instance:
     def n_customers(self) -> int:
         return len(self.customer_ids)
 
-    def customer_index(self, cid: int) -> int:
-        try:
-            return self.customer_ids.index(cid)
-        except ValueError:
-            raise KeyError(f"unknown customer id {cid!r}") from None
-
     @staticmethod
     def from_sites(facility_coords, open_cost, capacity,
                    customer_coords, penalty, revenue) -> "Instance":
@@ -131,18 +125,11 @@ class DemandModel:
     eps_mu: np.ndarray              # (|J|,)
     eps_sigma_lo: np.ndarray        # (|J|,)
     eps_sigma_hi: np.ndarray        # (|J|,)
-    customer_ids: tuple[int, ...] = ()
 
     def __post_init__(self):
         for name in ("bar_mu", "bar_sigma", "lambda_mu", "lambda_sigma",
                      "support", "eps_mu", "eps_sigma_lo", "eps_sigma_hi"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
-        if not self.customer_ids:
-            object.__setattr__(self, "customer_ids",
-                               tuple(range(1, len(self.bar_mu) + 1)))
-        else:
-            object.__setattr__(self, "customer_ids",
-                               tuple(int(j) for j in self.customer_ids))
 
     @property
     def n_customers(self) -> int:
@@ -368,14 +355,21 @@ def validate(instance: Instance, model: DemandModel | None = None) -> list[str]:
     if model is None:
         return v
 
-    if model.n_customers != inst.n_customers or model.n_facilities != inst.n_facilities:
-        v.append("demand model dimensions do not match the instance")
-        return v
+    n_j, n_i = inst.n_customers, inst.n_facilities
+    shapes = {"bar_mu": (n_j,), "bar_sigma": (n_j,), "eps_mu": (n_j,),
+              "eps_sigma_lo": (n_j,), "eps_sigma_hi": (n_j,),
+              "lambda_mu": (n_j, n_i), "lambda_sigma": (n_j, n_i)}
+    wrong = [f"{name} has shape {getattr(model, name).shape}, not {shape}"
+             for name, shape in shapes.items() if getattr(model, name).shape != shape]
+    if model.support.ndim != 1:
+        wrong.append("support must be one-dimensional")
+    if wrong:
+        return v + [f"demand model: {w}" for w in wrong]
     if np.any(model.bar_mu < 0) or np.any(model.bar_sigma < 0):
         v.append("empirical moments must be nonnegative")
     rows = model.lambda_sigma.sum(axis=1)
     for j in np.flatnonzero(rows >= 1.0 - TOL):
-        v.append(f"customer {model.customer_ids[j]}: variance dependency row sums to "
+        v.append(f"customer {inst.customer_ids[j]}: variance dependency row sums to "
                  f"{rows[j]:.6g}, must stay strictly below 1")
     for name, lam in (("lambda_mu", model.lambda_mu), ("lambda_sigma", model.lambda_sigma)):
         if np.any(lam < -TOL) or np.any(lam > 1.0 + TOL):
@@ -489,7 +483,6 @@ def problem_from_dict(doc) -> tuple[Instance, DemandModel]:
             eps_mu=np.array(dm["eps_mu"]),
             eps_sigma_lo=np.array(dm["eps_lo"]),
             eps_sigma_hi=np.array(dm["eps_hi"]),
-            customer_ids=instance.customer_ids,
         )
     except KeyError as exc:
         raise ValueError(f"problem lacks the key {exc.args[0]!r}") from None

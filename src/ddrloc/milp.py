@@ -24,7 +24,7 @@ import numpy as np
 
 from .instance import (Instance, DemandModel, _check_budget, _check_valid,
                        big_lambda_matrix, chord_slacks)
-from .transport import _candidate_gaps, _theta_pieces
+from .transport import _pieces
 
 __all__ = [
     "LinearExpr",
@@ -195,8 +195,7 @@ def derive_dual_bounds(instance: Instance, model: DemandModel) -> DualBounds:
     affine form in (y, Y).
     """
     d = model.support
-    slopes = np.array([_candidate_gaps(instance, jj)[0] - instance.revenue[jj]
-                       for jj in range(instance.n_customers)])
+    slopes = _pieces(instance)[0] - instance.revenue[:, None]
     s_max, s_min = slopes.max(axis=1), slopes.min(axis=1)
     big_gamma = ((s_max - s_min) / np.min(d[2:] - d[:-2]) if len(d) > 2
                  else np.zeros_like(s_max))
@@ -324,6 +323,9 @@ def build_dddr(instance: Instance, model: DemandModel,
     cids = instance.customer_ids
     pairs, forms = _window_forms(model)
     windows = [f.tolist() for f in forms]
+    cand, gaps = _pieces(instance)
+    slopes = (cand - instance.revenue[:, None]).tolist()
+    neg_coeffs = (-(instance.capacity * gaps)).tolist()
 
     y = [m.add_variable(f"y_{fid}", kind="binary") for fid in fids]
     obj = LinearExpr()
@@ -354,19 +356,17 @@ def build_dddr(instance: Instance, model: DemandModel,
                     _add_all(m, mccormick_trilinear(w, dv[h], y[l], y[mm], 0.0, ubs[h]))
                     obj.add(w, sign * form[1 + n_i + p])
 
-        # Support constraints of the dualized inner problem: one row per
-        # support point and candidate marginal source (_theta_pieces).
-        pieces = [(i_star, slope, [-float(v) for v in coeff])
-                  for i_star, slope, coeff in _theta_pieces(instance, jj)]
-        for k in range(len(d)):
-            dk = float(d[k])
-            for i_star, slope, neg_coeff in pieces:
+        # Support rows of the dualized inner problem: one per support point and
+        # candidate marginal source i* of transport._pieces (0 the penalty,
+        # else a facility id), alpha + dual terms - sum_i C_i gaps[i*, i] y_i
+        # >= (c_{i*j} - r_j) d_k.
+        for k, dk in enumerate(d.tolist()):
+            for i_star, slope, neg_coeff in zip((0,) + fids, slopes[jj], neg_coeffs[jj]):
                 row = LinearExpr({alpha: 1.0, **{dv[h]: sign * dk ** moment
                                                  for h, sign, _, _, moment in terms}})
                 for v, a in zip(y, neg_coeff):
                     row.add(v, a)
-                m.add_constraint(f"dual_{cid}_{k}_{i_star}", row, ">=",
-                                 float(slope * dk))
+                m.add_constraint(f"dual_{cid}_{k}_{i_star}", row, ">=", slope * dk)
 
     # Plan products, then one chord cut per customer and hull edge.
     Y = [m.add_variable(f"Y_{fids[l]}_{fids[mm]}", upper=1.0) for l, mm in pairs]
@@ -390,18 +390,16 @@ def build_dddr(instance: Instance, model: DemandModel,
     return m.seal()
 
 
-def build_sp_saa(instance: Instance, scenarios, budget: int | None = None) -> MilpModel:
+def build_sp_saa(instance: Instance, demands, budget: int | None = None) -> MilpModel:
     """Sample-average stochastic program with the plan as a decision.
 
-    ``scenarios`` needs ``demands`` of shape (n, |J|) and optionally
-    ``probabilities``; probabilities default to uniform.  A negative
-    ``budget`` raises ValueError.
+    ``demands`` is an (n, |J|) matrix of equally likely scenarios.  A
+    negative ``budget`` raises ValueError.
     """
     _check_budget(budget)
-    demands = np.atleast_2d(np.asarray(getattr(scenarios, "demands", scenarios), float))
-    probs = getattr(scenarios, "probabilities", None)
+    demands = np.atleast_2d(np.asarray(demands, float))
     n_w = demands.shape[0]
-    probs = np.full(n_w, 1.0 / n_w) if probs is None else np.asarray(probs, float)
+    probs = np.full(n_w, 1.0 / n_w)
     n_i, n_j = instance.n_facilities, instance.n_customers
     if demands.shape[1] != n_j:
         raise ValueError("scenario demand width does not match the customer count")

@@ -1,10 +1,13 @@
 """Second-stage transportation/penalty cost for a fixed plan and demand.
 
 For one customer the recourse LP (ship from open facilities, penalize the
-rest, collect revenue on realized demand) has a closed-form optimum: the
-maximum over candidate "marginal sources" ``i*`` of an affine function of
-the demand, where ``i* = 0`` stands for the penalty column with cost
-``p_j``.  The closed form is checked against a plain LP solve in the tests.
+rest, collect revenue on realized demand) has a closed-form optimum theta_j:
+a maximum of affine pieces in the demand, one per candidate marginal
+source.  :func:`_pieces` builds the candidate table of every customer once,
+:func:`_intercepts` prices its pieces under plans and :func:`_theta` takes
+the maximum; the scenario costs, the value oracle, its bounds and the
+MILP's support rows all read that table.  The closed form is checked
+against a plain LP solve in the tests.
 """
 
 from __future__ import annotations
@@ -14,29 +17,41 @@ import numpy as np
 from .instance import Instance, _as_y
 
 __all__ = [
-    "PENALTY",
-    "h_j_closed_form",
-    "h_closed_form",
     "second_stage_costs",
     "unmet_by_customer",
     "transport_lp_oracle",
 ]
 
-# Candidate index of the penalty "source" in the closed-form maximum.
-PENALTY = 0
 
+def _pieces(instance: Instance):
+    """The candidate table of every customer: ``(cand, gaps)``, C-contiguous.
 
-def _candidate_gaps(instance: Instance, jj: int):
-    """Candidate marginal sources of the closed form at customer column ``jj``.
+    ``cand`` (|J|, |I|+1) holds the candidates' unit costs over i* = 0..|I|,
+    penalty ``p_j`` first, then ``c_ij``; ``gaps`` (|J|, |I|+1, |I|) holds
+    ``gaps[j, i*, i] = min(c_ij - cand[j, i*], 0)``, what a unit of facility
+    ``i``'s capacity saves against candidate ``i*``.  Under plan ``y`` the
+    piece of candidate i* at demand d is ``(c_{i*j} - r_j) d + sum_i C_i
+    gaps[j, i*, i] y_i``, that is ``(c_{i*j} - r_j) d + sum_{i: c_ij <
+    c_{i*j}} C_i (c_ij - c_{i*j}) y_i``, and theta_j(d; y) is the largest.
 
-    Returns ``(cand, gaps)``: ``cand`` holds the candidates' unit costs over
-    i* = 0..|I|, penalty ``p_j`` first, then ``c_ij``; ``gaps[i*, i] =
-    min(c_ij - cand[i*], 0)`` is what a unit of facility ``i``'s capacity
-    saves against candidate ``i*``.
+    The costs are copied C-contiguous first: gaps built from the transposed
+    view inherit its strides, and :func:`_intercepts`' sum over facilities
+    then rounds differently from ten facilities on.
     """
-    c = instance.cost[:, jj]
-    cand = np.concatenate(([instance.penalty[jj]], c))
-    return cand, np.minimum(c[None, :] - cand[:, None], 0.0)
+    cost = np.ascontiguousarray(instance.cost.T)
+    cand = np.concatenate((instance.penalty[:, None], cost), axis=1)
+    return cand, np.minimum(cost[:, None, :] - cand[:, :, None], 0.0)
+
+
+def _intercepts(instance: Instance, gaps, ys):
+    """Intercepts of the pieces of ``gaps`` under plans ``ys``.
+
+    ``gaps`` is :func:`_pieces`' table or a slice of it with facilities on
+    its last axis; its leading axes broadcast against those of ``ys``, so a
+    plan matrix (P, |I|) against one customer's (|I|+1, |I|) gives (P,
+    |I|+1), every row with the bits of its plan alone.
+    """
+    return (instance.capacity * _as_y(ys)[..., None, :] * gaps).sum(axis=-1)
 
 
 def _theta(d, cand, consts, revenue):
@@ -54,41 +69,6 @@ def _theta(d, cand, consts, revenue):
     return vals.max(axis=-2) - revenue * d
 
 
-def _candidate_terms(instance: Instance, y, jj: int):
-    """Slopes and intercepts of the closed form's affine pieces under plan ``y``.
-
-    A plan matrix ``y`` of shape (P, |I|) gives intercepts of shape (P, |I|+1),
-    each row with the bits of its plan alone.
-    """
-    cand, gaps = _candidate_gaps(instance, jj)
-    return cand, (instance.capacity * _as_y(y)[..., None, :] * gaps).sum(axis=-1)
-
-
-def h_j_closed_form(instance: Instance, y, j: int, d: float):
-    """Cost at customer id ``j`` for demand ``d``; also the maximizing candidate.
-
-    Returns ``(value, i_star)`` with ``i_star`` a facility id or ``PENALTY``.
-    Ties in the maximum break toward the smaller candidate index, penalty first.
-    """
-    if d < 0:
-        raise ValueError("demand must be nonnegative")
-    jj = instance.customer_index(j)
-    cand, consts = _candidate_terms(instance, y, jj)
-    vals = cand * d + consts
-    k = int(np.argmax(vals))                    # argmax returns the first maximizer
-    i_star = PENALTY if k == 0 else instance.facility_ids[k - 1]
-    return float(vals[k] - instance.revenue[jj] * d), i_star
-
-
-def h_closed_form(instance: Instance, y, d) -> float:
-    """Total second-stage cost: sum of the per-customer closed forms."""
-    d = np.asarray(d, dtype=float)
-    total = 0.0
-    for jj, cid in enumerate(instance.customer_ids):
-        total += h_j_closed_form(instance, y, cid, float(d[jj]))[0]
-    return total
-
-
 def second_stage_costs(instance: Instance, y, demands: np.ndarray) -> np.ndarray:
     """Vectorized closed form over a scenario matrix of shape (n, |J|).
 
@@ -98,10 +78,11 @@ def second_stage_costs(instance: Instance, y, demands: np.ndarray) -> np.ndarray
     callers with many plans pass them in chunks.
     """
     demands = np.atleast_2d(np.asarray(demands, dtype=float))
+    cand, gaps = _pieces(instance)
     out = np.zeros(np.shape(y)[:-1] + demands.shape[:1])
     for jj in range(instance.n_customers):
-        cand, consts = _candidate_terms(instance, y, jj)
-        out += _theta(demands[:, jj], cand, consts, instance.revenue[jj])
+        out += _theta(demands[:, jj], cand[jj], _intercepts(instance, gaps[jj], y),
+                      instance.revenue[jj])
     return out
 
 
@@ -144,17 +125,3 @@ def transport_lp_oracle(instance: Instance, y, d) -> float:
     if sol.status != "optimal":
         raise RuntimeError(f"transport LP unexpectedly {sol.status}")
     return sol.objective
-
-
-def _theta_pieces(instance: Instance, jj: int):
-    """Affine pieces whose pointwise maximum is theta_jk(y) at column ``jj``.
-
-    One ``(i_star, slope, coeff)`` per candidate ``i*``, in penalty-then-facility
-    order.  At support point ``d_k`` the piece is ``slope * d_k + coeff @ y``,
-    that is ``(c_{i*j} - r_j) d_k + sum_{i: c_ij < c_{i*j}} C_i (c_ij - c_{i*j})
-    y_i``.
-    """
-    cand, gaps = _candidate_gaps(instance, jj)
-    return [(PENALTY if t == 0 else instance.facility_ids[t - 1],
-             c_star - instance.revenue[jj], instance.capacity * gaps[t])
-            for t, c_star in enumerate(cand)]

@@ -28,14 +28,14 @@ import numpy as np
 from .instance import DemandModel, Instance, chord_slacks, moment_windows
 from .milp import LinearExpr, MilpModel
 from .solvers import OPTIMAL, _simplex_batch
-from .transport import _candidate_gaps, _candidate_terms, _theta
+from .transport import _intercepts, _pieces, _theta
 
 __all__ = [
     "WorstCaseDistribution",
     "DualCertificate",
     "AmbiguityInfeasibleError",
     "FeasibilityReport",
-    "theta_values",
+    "support_theta",
     "worst_case_expectation",
     "worst_case_dual",
     "check_certificate",
@@ -87,10 +87,12 @@ class AmbiguityInfeasibleError(ValueError):
             f"violated with slack {worst[2]:.6g}")
 
 
-def theta_values(instance: Instance, model: DemandModel, y, jj: int) -> np.ndarray:
-    """Second-stage cost at customer column ``jj`` for every support point."""
-    cand, consts = _candidate_terms(instance, y, jj)
-    return _theta(model.support, cand, consts, instance.revenue[jj])
+def support_theta(instance: Instance, model: DemandModel, y) -> np.ndarray:
+    """Second-stage cost theta_j(d_k; y) of every customer at every support
+    point under plan ``y``, shape (|J|, K)."""
+    cand, gaps = _pieces(instance)
+    return _theta(model.support, cand, _intercepts(instance, gaps, y),
+                  instance.revenue[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +126,6 @@ PLAN_CHUNK = 1024
 _MOMENT_SENSES = ("=", "<=", ">=", "<=", ">=")
 
 
-def _candidates(instance: Instance):
-    """:func:`~ddrloc.transport._candidate_gaps` of every customer, stacked:
-    ``cand`` (|J|, |I|+1) and ``gaps`` (|J|, |I|+1, |I|)."""
-    return (np.array(a) for a in zip(*(_candidate_gaps(instance, jj)
-                                       for jj in range(instance.n_customers))))
-
-
 def _moment_lps(instance: Instance, model: DemandModel, ys: np.ndarray, windows,
                 with_pi: bool = False):
     """Every (plan, customer) moment LP of a batch, given the plans' windows.
@@ -148,7 +143,7 @@ def _moment_lps(instance: Instance, model: DemandModel, ys: np.ndarray, windows,
     n_plans, n_j = len(ys), instance.n_customers
     sq = [dk ** 2 for dk in d.tolist()]   # float ** 2, as tests/conftest.primal_lp, not x * x
     rows = np.array([np.ones(len(d)), d, d, sq, sq])
-    cand, gaps = _candidates(instance)
+    cand, gaps = _pieces(instance)
     m_lo, m_hi, s_lo, s_hi = windows
     rhs = np.stack([np.ones_like(m_lo), m_hi, m_lo, s_hi, s_lo], axis=-1).reshape(-1, 5)
     neg_value = np.empty(n_plans * n_j)
@@ -157,8 +152,8 @@ def _moment_lps(instance: Instance, model: DemandModel, ys: np.ndarray, windows,
     for start in range(0, n_plans * n_j, chunk):
         blocks = np.arange(start, min(start + chunk, n_plans * n_j))
         n, jj = np.divmod(blocks, n_j)
-        consts = (instance.capacity * ys[n][:, None, :] * gaps[jj]).sum(axis=2)
-        theta = _theta(d, cand[jj], consts, instance.revenue[jj][:, None])
+        theta = _theta(d, cand[jj], _intercepts(instance, gaps[jj], ys[n]),
+                       instance.revenue[jj][:, None])
         # 0.0 - theta, not -theta: a zero cost is +0.0.
         status, u, obj = _simplex_batch(rows, rhs[blocks], _MOMENT_SENSES, 0.0 - theta)
         if np.any(status != OPTIMAL):
@@ -197,8 +192,8 @@ def worst_case_dual(instance: Instance, model: DemandModel, y):
     cert = {nm: np.zeros(n_j) for nm in ("alpha", "delta1", "delta2", "gamma1", "gamma2")}
     total = 0.0
     windows = np.stack([w[0] for w in moment_windows(model, y)], axis=1).tolist()
-    for jj, (m_lo, m_hi, s_lo, s_hi) in enumerate(windows):
-        theta = theta_values(instance, model, y, jj)
+    for jj, ((m_lo, m_hi, s_lo, s_hi), theta) in enumerate(
+            zip(windows, support_theta(instance, model, y))):
         m = MilpModel(f"moment_dual_{jj}")
         a = m.add_variable("alpha", lower=-math.inf)
         d1 = m.add_variable("delta1")
@@ -229,12 +224,10 @@ def check_certificate(instance: Instance, model: DemandModel, y,
         if np.any(arr < -CERT_TOL):
             bad.append(f"{nm} has negative entries")
     d = model.support
-    for jj, cid in enumerate(instance.customer_ids):
-        theta = theta_values(instance, model, y, jj)
-        lhs = (cert.alpha[jj]
-               + (cert.delta1[jj] - cert.delta2[jj]) * d
-               + (cert.gamma1[jj] - cert.gamma2[jj]) * d ** 2)
-        worst = float(np.min(lhs - theta))
+    for cid, theta, alpha, beta, gamma in zip(
+            instance.customer_ids, support_theta(instance, model, y), cert.alpha,
+            cert.delta1 - cert.delta2, cert.gamma1 - cert.gamma2):
+        worst = float(np.min(alpha + beta * d + gamma * d ** 2 - theta))
         if worst < -CERT_TOL:
             bad.append(f"customer {cid}: support constraint violated by {-worst:.3g}")
     return bad
@@ -294,9 +287,12 @@ def _plan_theta(instance: Instance, ys):
 
     A demand axis of a few points last would make every step of
     :func:`~ddrloc.transport._theta` loop over a few elements, so each call
-    takes one.
+    takes one.  The intercepts come from one matrix product, not from
+    :func:`~ddrloc.transport._intercepts`: a bound needs no bits that hold
+    for a plan alone, and the elementwise form would make a (P, |J|, |I|+1,
+    |I|) temporary.
     """
-    cand, gaps = _candidates(instance)
+    cand, gaps = _pieces(instance)
     consts = ((ys * instance.capacity) @ gaps.reshape(-1, instance.n_facilities).T
               ).reshape((len(ys),) + cand.shape)
     revenue = instance.revenue[:, None]

@@ -41,7 +41,6 @@ def toy_model(instance, bar_mu, bar_sigma, lambda_mu=None, lambda_sigma=None,
         eps_mu=np.zeros(n_j) if eps_mu is None else np.asarray(eps_mu, float),
         eps_sigma_lo=np.ones(n_j) if eps_lo is None else np.asarray(eps_lo, float),
         eps_sigma_hi=np.ones(n_j) if eps_hi is None else np.asarray(eps_hi, float),
-        customer_ids=instance.customer_ids,
     )
 
 

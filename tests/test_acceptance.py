@@ -20,8 +20,8 @@ from ddrloc.instance import chords, decision_independent, moment_windows
 from ddrloc.milp import build_dddr, build_sp_saa
 from ddrloc.solvers import (OPTIMAL, branch_and_bound, enumerate_oracle,
                             exact_solve, simplex_solve)
-from ddrloc.transport import h_closed_form, second_stage_costs, transport_lp_oracle
-from ddrloc.worstcase import (ambiguity_feasible, theta_values, worst_case_dual,
+from ddrloc.transport import second_stage_costs, transport_lp_oracle
+from ddrloc.worstcase import (ambiguity_feasible, support_theta, worst_case_dual,
                               worst_case_expectation, worst_case_values)
 
 
@@ -44,7 +44,7 @@ def test_criterion_1_closed_form_vs_lp_oracle():
         inst, _ = random_problem(trial, n_i, n_j)
         y = rng.integers(0, 2, size=n_i)
         d = rng.uniform(0, 120, size=n_j)
-        diff = abs(h_closed_form(inst, y, d) - transport_lp_oracle(inst, y, d))
+        diff = abs(second_stage_costs(inst, y, d)[0] - transport_lp_oracle(inst, y, d))
         worst = max(worst, diff)
     elapsed = time.time() - start
     report(1, worst < 1e-6 and elapsed < 10,
@@ -124,7 +124,7 @@ def test_criterion_5_cut_validity_and_feasibility_agreement():
                           support=(1.0, 100.0, 8), eps_mu=[kappa * abs(mu)],
                           eps_lo=[1.0 - kappa], eps_hi=[1.0 + kappa])
         ray_ok = ambiguity_feasible(inst, model, [0]).feasible
-        theta = theta_values(inst, model, np.array([0]), 0)
+        theta = support_theta(inst, model, np.array([0]))[0]
         window = [w[0, 0] for w in moment_windows(model, [0])]
         lp_ok = simplex_solve(primal_lp(model.support, theta, window)).status == "optimal"
         agree += ray_ok == lp_ok
@@ -417,7 +417,7 @@ def test_criterion_10_evaluation_oracle():
         y = rng.integers(0, 2, size=n_i)
         scen = gen_normal(model, y, n=int(rng.integers(2, 8)), seed=trial)
         rep = evaluate_plan(inst, y, scen)
-        m = build_sp_saa(inst, scen)
+        m = build_sp_saa(inst, scen.demands)
         over = {nm: (float(v), float(v)) for nm, v in zip(m.meta["y_vars"], y)}
         sol = simplex_solve(relaxation(m, over))
         worst = max(worst, abs(sol.objective - rep.mean_objective)

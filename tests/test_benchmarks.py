@@ -18,11 +18,9 @@ from ddrloc.transport import second_stage_costs
 
 def test_scenario_set_invariants():
     with pytest.raises(ValueError):
-        ScenarioSet(np.ones((0, 2)), np.ones(0), 0, "normal")
+        ScenarioSet(np.ones((0, 2)), 0, "normal")
     with pytest.raises(ValueError):
-        ScenarioSet(np.ones((2, 2)), np.array([0.7, 0.7]), 0, "normal")
-    with pytest.raises(ValueError):
-        ScenarioSet(-np.ones((2, 2)), np.array([0.5, 0.5]), 0, "normal")
+        ScenarioSet(-np.ones((2, 2)), 0, "normal")
     # and the generators refuse an empty or negative request before drawing
     _, model = random_problem(1, 3, 4)
     for gen in (gen_normal, gen_gamma, gen_perturbed):
@@ -111,11 +109,11 @@ def test_order_statistic_convention():
 def test_evaluate_plan_trivial_cases():
     inst, model = random_problem(6, 3, 4)
     y = np.array([1, 1, 0])
-    zeros = ScenarioSet(np.zeros((4, 4)), np.full(4, 0.25), 0, "manual")
+    zeros = ScenarioSet(np.zeros((4, 4)), 0, "manual")
     rep = evaluate_plan(inst, y, zeros)
     assert rep.mean_objective == pytest.approx(float(inst.open_cost @ y))
     assert rep.mean_unmet == 0.0
-    one = ScenarioSet(np.full((1, 4), 30.0), np.ones(1), 0, "manual")
+    one = ScenarioSet(np.full((1, 4), 30.0), 0, "manual")
     rep1 = evaluate_plan(inst, y, one)
     assert rep1.std_objective == 0.0
     assert all(v == rep1.mean_objective
@@ -133,7 +131,7 @@ def test_evaluate_plan_statistics_structure():
     assert ps == sorted(ps, reverse=True)
     # permutation invariance
     perm = np.random.default_rng(0).permutation(300)
-    shuffled = ScenarioSet(scen.demands[perm], scen.probabilities, 0, "manual")
+    shuffled = ScenarioSet(scen.demands[perm], 0, "manual")
     rep2 = evaluate_plan(inst, y, shuffled)
     assert rep2.mean_objective == pytest.approx(rep.mean_objective)
     assert rep2.objective_percentiles == rep.objective_percentiles
@@ -144,7 +142,7 @@ def test_evaluate_matches_restricted_scenario_lp():
     y = np.array([0, 1, 1])
     scen = gen_normal(model, y, n=6, seed=13)
     rep = evaluate_plan(inst, y, scen)
-    m = build_sp_saa(inst, scen)
+    m = build_sp_saa(inst, scen.demands)
     over = {nm: (float(v), float(v)) for nm, v in zip(m.meta["y_vars"], y)}
     sol = simplex_solve(relaxation(m, over))
     assert sol.objective == pytest.approx(rep.mean_objective, rel=1e-9)

@@ -323,7 +323,15 @@ def test_cli_solve_reports_malformed_problem_files(tmp_path, capsys):
             (edited(lambda d: d["demand"].update(lambda_sigma=[[1.0, 0.5, 0.5]] * 4)),
              "invalid problem data: customer 1: variance dependency row sums to 2, "),
             (edited(lambda d: d["customers"][2].update(p=0.5)),
-             "invalid problem data: pair (1, 3): penalty not strictly greater")):
+             "invalid problem data: pair (1, 3): penalty not strictly greater"),
+            (edited(lambda d: d["demand"].update(lambda_sigma=[[0.1] * 4] * 4)),
+             "invalid problem data: demand model: lambda_sigma has shape (4, 4), not (4, 3)"),
+            (edited(lambda d: d["demand"].update(lambda_mu=[0.1] * 12)),
+             "invalid problem data: demand model: lambda_mu has shape (12,), not (4, 3)"),
+            (edited(lambda d: d["demand"].update(eps_mu=[0.0] * 5)),
+             "invalid problem data: demand model: eps_mu has shape (5,), not (4,)"),
+            (edited(lambda d: d["demand"].update(bar_sigma=[1.0] * 3)),
+             "invalid problem data: demand model: bar_sigma has shape (3,), not (4,)")):
         prob.write_text(json.dumps(doc))
         assert main(["solve", "--problem", str(prob), "--method", "dddr"]) == 1
         err = capsys.readouterr().err

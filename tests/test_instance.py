@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -10,8 +11,8 @@ from conftest import all_plans, random_problem, toy_instance, toy_model
 from ddrloc.instance import (apply_robustness_level, arithmetic_support,
                              big_lambda_matrix, lambda_from_distance,
                              lambda_rho_means, load_problem, moment_windows,
-                             plans_under_budget, save_problem, validate)
-from ddrloc.transport import h_j_closed_form
+                             plans_under_budget, problem_from_dict,
+                             problem_to_dict, save_problem, validate)
 
 
 def two_facility_model():
@@ -187,6 +188,8 @@ def test_validate_flags_negative_support():
     model = toy_model(inst, bar_mu=[10.0], bar_sigma=[5.0], support=(-1.0, 100.0, 10))
     assert validate(inst, model) == ["support points must be nonnegative"]
     assert validate(inst, toy_model(inst, [10.0], [5.0], support=(0.0, 100.0, 10))) == []
+    assert validate(inst, model.replace(support=[[1.0, 2.0, 3.0]])) == [
+        "demand model: support must be one-dimensional"]
 
 
 def test_plans_under_budget_rejects_negative_budget():
@@ -226,9 +229,23 @@ def test_plans_under_budget_chunks_concatenate_to_the_full_matrix():
 
 
 def test_unknown_customer_id():
-    inst, _ = two_facility_model()
-    with pytest.raises(KeyError):
-        h_j_closed_form(inst, [0, 0], 99, 1.0)
+    # Customers are known by their ids, not their positions: validate names
+    # the customer it rejects by id, and a problem document whose customer
+    # has no id, or one that is not an integer, does not load.
+    inst, model = two_facility_model()
+    inst = dataclasses.replace(inst, customer_ids=(99,), revenue=np.array([-1.0]))
+    model = model.replace(lambda_sigma=np.array([[0.6, 0.4]]))
+    assert validate(inst, model) == [
+        "customer 99: revenue must be nonnegative",
+        "customer 99: variance dependency row sums to 1, must stay strictly below 1"]
+    doc = problem_to_dict(*random_problem(3, 2, 3))
+    del doc["customers"][1]["id"]
+    with pytest.raises(ValueError, match="problem lacks the key 'id'"):
+        problem_from_dict(doc)
+    for bad, msg in (("abc", "invalid literal for int"), (None, "wrong type")):
+        doc["customers"][1]["id"] = bad
+        with pytest.raises(ValueError, match=msg):
+            problem_from_dict(doc)
 
 
 def test_serialization_round_trip(tmp_path):

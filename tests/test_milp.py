@@ -14,7 +14,7 @@ from ddrloc.milp import (DualBounds, LinearExpr, MilpModel, build_dddr,
 from ddrloc.solvers import (OPTIMAL, branch_and_bound, enumerate_oracle, exact_solve,
                             simplex_solve)
 from ddrloc.transport import second_stage_costs
-from ddrloc.worstcase import (DualCertificate, theta_values, worst_case_dual,
+from ddrloc.worstcase import (DualCertificate, support_theta, worst_case_dual,
                               worst_case_expectation, worst_case_values)
 
 
@@ -170,8 +170,7 @@ def test_gamma2_dropped_only_where_sec_lo_never_binds(kappa):
                                          lambda_recipe=recipe, lambda_row_sum=row_sum,
                                          rho=2)
             ys = all_plans(inst.n_facilities)
-            theta = np.array([[theta_values(inst, model, y, jj)
-                               for jj in range(inst.n_customers)] for y in ys])
+            theta = np.array([support_theta(inst, model, y) for y in ys])
             full, free, ok = _with_and_without_sec_lo(model, moment_windows(model, ys), theta)
             ok &= derive_dual_bounds(inst, model).ub_gamma2 == 0.0
             assert np.all(np.abs(full - free)[ok] <= 1e-9 * np.maximum(1.0, np.abs(full[ok])))

@@ -11,7 +11,7 @@ from ddrloc.milp import (LinearExpr, MilpModel, build_dddr, derive_dual_bounds,
                          export_lp_text)
 from ddrloc.solvers import (branch_and_bound, enumerate_oracle, exact_solve,
                             simplex_solve)
-from ddrloc.transport import h_j_closed_form
+from ddrloc.transport import _intercepts, _pieces
 from ddrloc.worstcase import AmbiguityInfeasibleError, worst_case_values
 
 
@@ -78,9 +78,10 @@ def test_transport_duals_expose_marginal_source():
                         for t, i, j in order])
         assert sol.duals @ rhs == pytest.approx(sol.objective, rel=1e-9, abs=1e-9)
         duals = {key: v for key, v in zip(order, sol.duals)}
+        cand, gaps = _pieces(inst)
         for j in range(2):
-            _, i_star = h_j_closed_form(inst, y, inst.customer_ids[j], d[j])
-            c_star = inst.penalty[j] if i_star == 0 else inst.cost[i_star - 1, j]
+            # the marginal source is the largest piece at the demand
+            c_star = cand[j, np.argmax(cand[j] * d[j] + _intercepts(inst, gaps[j], y))]
             beta = duals[("bal", None, j)]
             assert beta == pytest.approx(c_star, abs=1e-7)
             for i in range(3):

@@ -16,7 +16,7 @@ SRC = ROOT / "src" / "ddrloc"
 DEFAULTED_PARAMETERS = 23
 CLI_OPTIONS = 31
 EXPERIMENT_CONFIG_FIELDS = 19
-PUBLIC_NAMES = 60
+PUBLIC_NAMES = 57
 
 
 def _trees():

@@ -18,7 +18,7 @@ from ddrloc.worstcase import (AmbiguityInfeasibleError, ambiguity_feasible,
                               check_certificate, worst_case_dual,
                               worst_case_expectation, worst_case_values,
                               _jensen_bounds, _mixture_bounds, _moment_lps,
-                              theta_values)
+                              support_theta)
 
 
 def test_two_point_support_forces_half_half():
@@ -151,7 +151,7 @@ def test_feasibility_agrees_with_direct_lp():
         model = toy_model(inst, bar_mu=[mu], bar_sigma=[sigma],
                           support=(1.0, 100.0, 8))
         report = ambiguity_feasible(inst, model, [0])
-        theta = theta_values(inst, model, np.array([0]), 0)
+        theta = support_theta(inst, model, np.array([0]))[0]
         window = [w[0, 0] for w in moment_windows(model, [0])]
         sol = simplex_solve(primal_lp(model.support, theta, window))
         assert report.feasible == (sol.status == "optimal")
@@ -277,9 +277,8 @@ def _per_block_reference(inst, model, ys, windows):
     values = np.zeros(len(ys))
     pi = np.zeros((len(ys), inst.n_customers, model.support_size))
     for n, y in enumerate(ys):
-        for jj in range(inst.n_customers):
-            lp = primal_lp(model.support, theta_values(inst, model, y, jj),
-                           [w[n, jj] for w in windows])
+        for jj, theta in enumerate(support_theta(inst, model, y)):
+            lp = primal_lp(model.support, theta, [w[n, jj] for w in windows])
             rows = np.array([[con.coeffs.get(v.name, 0.0) for v in lp.variables]
                              for con in lp.constraints])
             cost = np.zeros((1, lp.n_variables))
@@ -330,7 +329,7 @@ def test_lockstep_moment_lps_match_lone_blocks(monkeypatch):
         flipped += int(np.sum(windows[0] < 0))
         empty = np.isnan(want_pi[:, :, 0])
         for n in np.flatnonzero(empty.any(axis=1)):
-            theta = [theta_values(inst, model, ys[n], jj) for jj in range(inst.n_customers)]
+            theta = support_theta(inst, model, ys[n])
             status, u = moment_lps(model, [w[n] for w in windows], theta)
             assert np.array_equal(status == INFEASIBLE, empty[n])
             assert u[~empty[n]].tobytes() == want_pi[n][~empty[n]].tobytes()
