@@ -26,8 +26,7 @@ from .milp import (DualBounds, LinearExpr, MilpModel, build_dddr, build_sp_saa,
                    mccormick_trilinear, model_stats)
 from .solvers import (LpSolution, MipSolution, branch_and_bound,
                       enumerate_oracle, exact_solve, simplex_solve)
-from .benchmarks import (ComparisonResult, EvaluationReport, ScenarioSet,
-                         compare_methods, evaluate_plan, gen_gamma, gen_normal,
-                         gen_perturbed, gen_scenarios, train_sp)
+from .benchmarks import (ComparisonResult, EvaluationReport, compare_methods,
+                         evaluate_plan, gen_scenarios, train_sp)
 from .experiments import (ExperimentConfig, fixture_figure2, generate_instance,
                           run)

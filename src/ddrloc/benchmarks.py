@@ -1,10 +1,12 @@
 """Out-of-sample evaluation of fixed plans and head-to-head method comparison.
 
-Test scenarios are generated from the plan-dependent moments (the "true"
-world shifts with the chosen facilities), then a fixed plan is scored by
-the closed-form second-stage cost scenario by scenario.  The comparison
-driver trains the stochastic, robust, and decision-dependent robust plans
-and evaluates each on its own seed-controlled test set.
+:func:`gen_scenarios` is the one demand sampler: every scenario matrix, the
+SP training draws included, is an (n, |J|) array it draws around the moments
+a plan induces (the "true" world shifts with the chosen facilities).  A fixed
+plan is scored on such a matrix by the closed-form second-stage cost,
+scenario by scenario.  The comparison driver trains the stochastic, robust,
+and decision-dependent robust plans and evaluates each on its own
+seed-controlled test set.
 """
 
 from __future__ import annotations
@@ -24,49 +26,25 @@ if TYPE_CHECKING:
     from .experiments import ExperimentConfig
 
 __all__ = [
-    "ScenarioSet",
     "EvaluationReport",
     "PERCENTILE_LEVELS",
-    "gen_normal",
-    "gen_gamma",
-    "gen_perturbed",
     "gen_scenarios",
     "evaluate_plan",
     "order_statistic",
     "stat_lines",
     "ComparisonResult",
     "compare_methods",
-    "sp_sample",
     "sp_objective",
     "train_sp",
 ]
 
 PERCENTILE_LEVELS = (95, 90, 75, 50)
-# gen_perturbed resamples the moments this many times, in equal blocks.
+# The "perturbed" recipe of gen_scenarios resamples the moments this many
+# times, in equal blocks.
 PERTURBED_REPS = 10
 # train_sp ranks its plans in chunks whose (plans, |I|+1, scenarios)
 # closed-form temporary holds at most this many elements.
 SP_CHUNK_ELEMENTS = 1 << 15
-
-
-@dataclass(frozen=True)
-class ScenarioSet:
-    """Equally likely demand scenarios (n, |J|) and their provenance."""
-
-    demands: np.ndarray
-    seed: int
-    generator: str
-
-    def __post_init__(self):
-        n = self.demands.shape[0]
-        if n < 1:
-            raise ValueError("need at least one scenario")
-        if np.any(self.demands < 0):
-            raise ValueError("demands must be nonnegative")
-
-    @property
-    def n_scenarios(self) -> int:
-        return self.demands.shape[0]
 
 
 @dataclass(frozen=True)
@@ -83,55 +61,43 @@ class EvaluationReport:
     unmet: np.ndarray = field(repr=False)
 
 
-def _plan_moments(model: DemandModel, y_hat, n: int):
-    """Mean and standard deviation under the plan, for ``n`` >= 1 scenarios."""
+def gen_scenarios(model: DemandModel, y_hat, dist: str, n: int, seed: int) -> np.ndarray:
+    """``n`` equally likely demand scenarios (n, |J|) around the moments of plan
+    ``y_hat``, drawn from the recipe named by ``dist``.
+
+    ``"normal"``: Normal draws, clamped at zero.  ``"gamma"``: Gamma draws
+    matching the mean and variance, which must be strictly positive.
+    ``"perturbed"``: :data:`PERTURBED_REPS` equal blocks, so ``n`` must be a
+    multiple of it; each block draws a mean uniformly inside the relative
+    mean window and a standard deviation uniformly inside the second-moment
+    window factors, then clamped Normal scenarios around them.  With windows
+    that collapse to a point (robustness level zero) ``"perturbed"`` draws
+    exactly the ``"normal"`` scenarios.  SP trains on ``"normal"`` draws at
+    the empty plan, that is at the baseline moments.
+    """
+    if dist not in ("normal", "gamma", "perturbed"):
+        raise ValueError(f"unknown scenario distribution {dist!r}")
+    if dist == "perturbed" and n % PERTURBED_REPS:
+        raise ValueError(f"perturbed scenarios come in {PERTURBED_REPS} equal "
+                         f"blocks; n={n} is not a multiple of {PERTURBED_REPS}")
     if n < 1:
         raise ValueError(f"need at least one scenario, got n={n}")
     mu, var = (m[0] for m in plan_moments(model, y_hat))
     if np.any(var < 0):
         raise ValueError("negative variance under the given plan")
-    return mu, np.sqrt(var)
-
-
-def gen_normal(model: DemandModel, y_hat, n: int = 1000, seed: int = 0) -> ScenarioSet:
-    """Normal draws around the plan-dependent moments, clamped at zero."""
-    mu, sigma = _plan_moments(model, y_hat, n)
+    sigma = np.sqrt(var)
     rng = np.random.default_rng(seed)
-    draws = rng.normal(mu, sigma, size=(n, len(mu)))
-    return ScenarioSet(np.maximum(draws, 0.0), seed, "normal")
-
-
-def gen_gamma(model: DemandModel, y_hat, n: int = 1000, seed: int = 0) -> ScenarioSet:
-    """Gamma draws matching the plan-dependent mean and variance."""
-    mu, sigma = _plan_moments(model, y_hat, n)
-    if np.any(mu <= 0) or np.any(sigma <= 0):
-        raise ValueError("gamma generation needs strictly positive moments")
-    theta = sigma ** 2 / mu
-    shape = mu / theta
-    rng = np.random.default_rng(seed)
-    draws = rng.gamma(shape, theta, size=(n, len(mu)))
-    return ScenarioSet(draws, seed, "gamma")
-
-
-def gen_perturbed(model: DemandModel, y_hat, n: int = 1000, seed: int = 0) -> ScenarioSet:
-    """Normal draws whose moments are themselves resampled once per rep.
-
-    The ``n`` scenarios come in :data:`PERTURBED_REPS` equal blocks, so ``n``
-    must be a multiple of it.  Each rep draws a mean uniformly inside the
-    relative mean window and a standard deviation uniformly inside the
-    second-moment window factors, then generates its block of clamped Normal
-    scenarios.  At a robustness level of zero this reduces to plain Normal
-    generation.
-    """
-    if n % PERTURBED_REPS:
-        raise ValueError(f"perturbed scenarios come in {PERTURBED_REPS} equal "
-                         f"blocks; n={n} is not a multiple of {PERTURBED_REPS}")
-    mu, sigma = _plan_moments(model, y_hat, n)
+    if dist == "normal":
+        return np.maximum(rng.normal(mu, sigma, size=(n, len(mu))), 0.0)
+    if dist == "gamma":
+        if np.any(mu <= 0) or np.any(sigma <= 0):
+            raise ValueError("gamma generation needs strictly positive moments")
+        theta = sigma ** 2 / mu
+        return rng.gamma(mu / theta, theta, size=(n, len(mu)))
     rel = np.divide(model.eps_mu, model.bar_mu,
                     out=np.zeros_like(model.eps_mu), where=model.bar_mu > 0)
     degenerate = (np.all(rel == 0.0) and np.all(model.eps_sigma_lo == 1.0)
                   and np.all(model.eps_sigma_hi == 1.0))
-    rng = np.random.default_rng(seed)
     blocks = []
     for _ in range(PERTURBED_REPS):
         if degenerate:
@@ -144,14 +110,7 @@ def gen_perturbed(model: DemandModel, y_hat, n: int = 1000, seed: int = 0) -> Sc
                                     model.eps_sigma_hi * sigma)
         blocks.append(rng.normal(rep_mu, rep_sigma,
                                  size=(n // PERTURBED_REPS, len(mu))))
-    draws = np.maximum(np.vstack(blocks), 0.0)
-    return ScenarioSet(draws, seed, "perturbed")
-
-
-def gen_scenarios(model: DemandModel, y_hat, dist: str, n: int, seed: int) -> ScenarioSet:
-    """``n`` test scenarios from the generator named by ``dist``."""
-    return {"normal": gen_normal, "gamma": gen_gamma,
-            "perturbed": gen_perturbed}[dist](model, y_hat, n=n, seed=seed)
+    return np.maximum(np.vstack(blocks), 0.0)
 
 
 def order_statistic(values: np.ndarray, level: int) -> float:
@@ -189,12 +148,19 @@ def stat_lines(report: EvaluationReport) -> list[str]:
     return [f"{key},{_stat(report, key):.10g}" for key, _ in _STATS]
 
 
-def evaluate_plan(instance: Instance, y_hat, scenarios: ScenarioSet) -> EvaluationReport:
-    """Score a fixed plan on a scenario set via the closed-form recourse."""
+def evaluate_plan(instance: Instance, y_hat, demands) -> EvaluationReport:
+    """Score a fixed plan via the closed-form recourse on equally likely
+    demand scenarios, a nonnegative (n, |J|) matrix with n >= 1."""
+    demands = np.asarray(demands, dtype=float)
+    if demands.ndim != 2 or demands.shape[0] < 1 or demands.shape[1] != instance.n_customers:
+        raise ValueError(f"demands must be an (n >= 1, {instance.n_customers}) "
+                         f"matrix, got shape {demands.shape}")
+    if np.any(demands < 0):
+        raise ValueError("demands must be nonnegative")
     y = _as_y(y_hat)
     fixed = float(instance.open_cost @ y)
-    objectives = fixed + second_stage_costs(instance, y, scenarios.demands)
-    unmet = unmet_by_customer(instance, y, scenarios.demands).sum(axis=1)
+    objectives = fixed + second_stage_costs(instance, y, demands)
+    unmet = unmet_by_customer(instance, y, demands).sum(axis=1)
     return EvaluationReport(
         mean_objective=float(objectives.mean()),
         std_objective=float(objectives.std()),
@@ -212,14 +178,6 @@ def evaluate_plan(instance: Instance, y_hat, scenarios: ScenarioSet) -> Evaluati
 # Training routes for the comparison
 # ---------------------------------------------------------------------------
 
-def sp_sample(model: DemandModel, n_scen: int, seed: int) -> np.ndarray:
-    """SP training demands: clamped Normal draws at the baseline moments (y = 0)."""
-    rng = np.random.default_rng(seed)
-    return np.maximum(
-        rng.normal(model.bar_mu, model.bar_sigma,
-                   size=(n_scen, len(model.bar_mu))), 0.0)
-
-
 def sp_objective(instance: Instance, y, draws: np.ndarray):
     """Opening cost plus the sample-average recourse of plan ``y``.
 
@@ -235,10 +193,11 @@ def sp_objective(instance: Instance, y, draws: np.ndarray):
 
 
 def train_sp(instance: Instance, model: DemandModel, n_scen: int, seed: int,
-             budget=None) -> np.ndarray:
-    """Sample-average plan on :func:`sp_sample` draws.
+             budget=None):
+    """Sample-average plan and its :func:`sp_objective`, as ``(y, objective)``.
 
-    Training scenarios ignore the decision dependence (moments at y = 0).
+    Training scenarios ignore the decision dependence: ``n_scen`` Normal
+    draws of :func:`gen_scenarios` at the empty plan (baseline moments).
     For up to 14 facilities every plan under the budget is ranked by
     :func:`sp_objective`, one :func:`plans_under_budget` chunk per call, with
     at most :data:`SP_CHUNK_ELEMENTS` elements in the chunk's (plans, |I|+1,
@@ -249,7 +208,8 @@ def train_sp(instance: Instance, model: DemandModel, n_scen: int, seed: int,
     """
     if n_scen < 1:
         raise ValueError(f"SP sample size must be at least 1, got {n_scen}")
-    draws = sp_sample(model, n_scen, seed)
+    draws = gen_scenarios(model, np.zeros(instance.n_facilities), "normal",
+                          n_scen, seed)
     if instance.n_facilities <= 14:
         chunk = max(1, SP_CHUNK_ELEMENTS // (n_scen * (instance.n_facilities + 1)))
         best_y, best = None, math.inf
@@ -257,14 +217,15 @@ def train_sp(instance: Instance, model: DemandModel, n_scen: int, seed: int,
             for y, obj in zip(ys, sp_objective(instance, ys, draws)):
                 if obj < best - 1e-12:
                     best_y, best = y, obj
-        return best_y.copy()
+        return best_y.copy(), float(best)
     from .milp import build_sp_saa
     from .solvers import branch_and_bound
     m = build_sp_saa(instance, draws, budget=budget)
     sol = branch_and_bound(m)
     if sol.status != "optimal":
         raise RuntimeError(f"scenario MILP ended {sol.status}")
-    return np.array([round(sol.x[nm]) for nm in m.meta["y_vars"]], dtype=int)
+    y = np.array([round(sol.x[nm]) for nm in m.meta["y_vars"]], dtype=int)
+    return y, sp_objective(instance, y, draws)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +278,14 @@ def compare_methods(instance: Instance, model: DemandModel,
     for k, n_scen in enumerate(config.sp_scenarios):
         plans[f"SP({n_scen})"] = train_sp(instance, model, n_scen,
                                           seed=config.seed + 1000 * (k + 1),
-                                          budget=config.budget)
+                                          budget=config.budget)[0]
     plans["DR"] = enumerate_oracle(instance, decision_independent(model), config.budget)[0]
     plans["DDDR"] = enumerate_oracle(instance, model, config.budget)[0]
 
     reports = {}
     for method, y in plans.items():
-        scen = gen_scenarios(model, y, config.dist, config.n_test, config.seed)
-        reports[method] = evaluate_plan(instance, y, scen)
+        demands = gen_scenarios(model, y, config.dist, config.n_test, config.seed)
+        reports[method] = evaluate_plan(instance, y, demands)
     methods = tuple(plans)
     plan_ids = {m: tuple(int(instance.facility_ids[i])
                          for i in np.flatnonzero(plans[m])) for m in methods}

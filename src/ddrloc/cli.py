@@ -12,8 +12,7 @@ import sys
 
 import numpy as np
 
-from .benchmarks import (evaluate_plan, gen_scenarios, sp_objective, sp_sample,
-                         stat_lines, train_sp)
+from .benchmarks import evaluate_plan, gen_scenarios, stat_lines, train_sp
 from .experiments import (ExperimentConfig, fixture_figure2, generate_instance,
                           run)
 from .instance import (decision_independent, load_problem, save_problem,
@@ -96,9 +95,8 @@ def cmd_solve(args) -> int:
     instance, model = load_problem(args.problem)
     extra = {}
     if args.method == "sp":
-        y = train_sp(instance, model, args.scenarios, seed=args.seed,
-                     budget=args.budget)
-        obj = sp_objective(instance, y, sp_sample(model, args.scenarios, args.seed))
+        y, obj = train_sp(instance, model, args.scenarios, seed=args.seed,
+                          budget=args.budget)
         extra = {"scenarios": args.scenarios}
     else:
         m = decision_independent(model) if args.method == "dr" else model
@@ -113,9 +111,9 @@ def cmd_solve(args) -> int:
 def cmd_evaluate(args) -> int:
     instance, model = load_problem(args.problem)
     y = _load_plan(args.plan, instance)
-    scen = gen_scenarios(model, y, args.dist, args.n, args.seed)
-    rep = evaluate_plan(instance, y, scen)
-    print(f"scenarios: {scen.n_scenarios} ({args.dist})")
+    demands = gen_scenarios(model, y, args.dist, args.n, args.seed)
+    rep = evaluate_plan(instance, y, demands)
+    print(f"scenarios: {len(demands)} ({args.dist})")
     print(f"mean objective: {rep.mean_objective:.4f} "
           f"(std {rep.std_objective:.4f})")
     for q, v in rep.objective_percentiles.items():

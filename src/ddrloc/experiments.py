@@ -66,6 +66,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown lambda recipe {self.lambda_recipe!r}")
         if self.dist not in ("normal", "gamma", "perturbed"):
             raise ValueError(f"unknown test distribution {self.dist!r}")
+        if self.n_test < 1:
+            raise ValueError(f"need at least one test scenario, got n_test={self.n_test}")
         if self.dist == "perturbed" and self.n_test % PERTURBED_REPS:
             raise ValueError(f"perturbed test sets come in {PERTURBED_REPS} equal "
                              f"blocks; n_test={self.n_test} is not a multiple")

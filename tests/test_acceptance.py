@@ -15,7 +15,7 @@ import pytest
 
 from conftest import (all_plans, extreme_rays, moment_lps, primal_lp, random_problem,
                       relaxation, toy_instance, toy_model, without_cuts)
-from ddrloc.benchmarks import evaluate_plan, gen_normal, train_sp
+from ddrloc.benchmarks import evaluate_plan, gen_scenarios, train_sp
 from ddrloc.instance import chords, decision_independent, moment_windows
 from ddrloc.milp import build_dddr, build_sp_saa
 from ddrloc.solvers import (OPTIMAL, branch_and_bound, enumerate_oracle,
@@ -313,8 +313,8 @@ def _bench_cell(seed, penalty):
     flat = model.replace(lambda_mu=np.zeros_like(model.lambda_mu),
                          lambda_sigma=np.zeros_like(model.lambda_sigma))
     plans = {
-        "SP(20)": train_sp(inst, model, 20, seed=seed + 1000),
-        "SP(100)": train_sp(inst, model, 100, seed=seed + 2000),
+        "SP(20)": train_sp(inst, model, 20, seed=seed + 1000)[0],
+        "SP(100)": train_sp(inst, model, 100, seed=seed + 2000)[0],
     }
     y_dr, _ = enumerate_oracle(inst, flat)
     plans["DR"] = y_dr
@@ -324,8 +324,7 @@ def _bench_cell(seed, penalty):
              for y, wc in zip(ys, worst_case_values(inst, model, ys)) if math.isfinite(wc)]
     reports = {}
     for method, y in plans.items():
-        scen = gen_normal(model, y, n=1000, seed=seed)
-        reports[method] = evaluate_plan(inst, y, scen)
+        reports[method] = evaluate_plan(inst, y, gen_scenarios(model, y, "normal", 1000, seed))
     _BENCH[key] = {"instance": inst, "model": model, "plans": plans,
                    "reports": reports, "table": table}
     return _BENCH[key]
@@ -415,9 +414,9 @@ def test_criterion_10_evaluation_oracle():
         n_j = int(rng.integers(2, 6))
         inst, model = random_problem(3000 + trial, n_i, n_j)
         y = rng.integers(0, 2, size=n_i)
-        scen = gen_normal(model, y, n=int(rng.integers(2, 8)), seed=trial)
-        rep = evaluate_plan(inst, y, scen)
-        m = build_sp_saa(inst, scen.demands)
+        demands = gen_scenarios(model, y, "normal", int(rng.integers(2, 8)), trial)
+        rep = evaluate_plan(inst, y, demands)
+        m = build_sp_saa(inst, demands)
         over = {nm: (float(v), float(v)) for nm, v in zip(m.meta["y_vars"], y)}
         sol = simplex_solve(relaxation(m, over))
         worst = max(worst, abs(sol.objective - rep.mean_objective)

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import all_plans, random_problem, relaxation, toy_instance, toy_model
-from ddrloc.benchmarks import (PERCENTILE_LEVELS, ScenarioSet,
-                               compare_methods, evaluate_plan, gen_gamma,
-                               gen_normal, gen_perturbed, gen_scenarios,
-                               order_statistic, sp_objective, sp_sample,
-                               train_sp)
+from ddrloc.benchmarks import (PERCENTILE_LEVELS, compare_methods,
+                               evaluate_plan, gen_scenarios, order_statistic,
+                               sp_objective, train_sp)
 from ddrloc.experiments import ExperimentConfig, generate_instance
 from ddrloc.instance import apply_robustness_level, plan_moments
 from ddrloc.milp import build_sp_saa
@@ -16,17 +14,27 @@ from ddrloc.solvers import branch_and_bound, simplex_solve
 from ddrloc.transport import second_stage_costs
 
 
-def test_scenario_set_invariants():
-    with pytest.raises(ValueError):
-        ScenarioSet(np.ones((0, 2)), 0, "normal")
-    with pytest.raises(ValueError):
-        ScenarioSet(-np.ones((2, 2)), 0, "normal")
-    # and the generators refuse an empty or negative request before drawing
-    _, model = random_problem(1, 3, 4)
-    for gen in (gen_normal, gen_gamma, gen_perturbed):
+def test_evaluate_plan_rejects_malformed_demands():
+    inst, model = random_problem(1, 3, 4)
+    y = np.ones(3)
+    for bad in (np.ones((0, 4)), np.ones(4), np.ones((2, 4, 1)),
+                np.ones((2, 5)), np.ones((2, 3))):
+        with pytest.raises(ValueError, match=r"demands must be an \(n >= 1, 4\) matrix"):
+            evaluate_plan(inst, y, bad)
+    with pytest.raises(ValueError, match="demands must be nonnegative"):
+        evaluate_plan(inst, y, -np.ones((2, 4)))
+    # and the sampler refuses an empty or negative request before drawing
+    for dist in ("normal", "gamma", "perturbed"):
         for n in (0, -10):
             with pytest.raises(ValueError, match="need at least one scenario"):
-                gen(model, np.ones(3), n=n)
+                gen_scenarios(model, np.ones(3), dist, n, 0)
+
+
+def test_gen_scenarios_rejects_unknown_dist():
+    _, model = random_problem(1, 3, 4)
+    for dist in ("uniform", "Normal", ""):
+        with pytest.raises(ValueError, match=f"unknown scenario distribution {dist!r}"):
+            gen_scenarios(model, np.ones(3), dist, 10, 0)
 
 
 def test_gen_normal_degenerate_and_clamped():
@@ -34,69 +42,88 @@ def test_gen_normal_degenerate_and_clamped():
     y = np.array([1, 0, 0])
     frozen = model.replace(bar_sigma=np.zeros(4),
                            lambda_sigma=np.zeros_like(model.lambda_sigma))
-    scen = gen_normal(frozen, y, n=5, seed=0)
-    np.testing.assert_allclose(scen.demands,
-                               np.tile(plan_moments(frozen, y)[0], (5, 1)))
+    demands = gen_scenarios(frozen, y, "normal", 5, 0)
+    np.testing.assert_allclose(demands, np.tile(plan_moments(frozen, y)[0], (5, 1)))
     wild = model.replace(bar_mu=np.full(4, 1.0), bar_sigma=np.full(4, 100.0),
                          lambda_mu=np.zeros_like(model.lambda_mu),
                          lambda_sigma=np.zeros_like(model.lambda_sigma))
-    scen = gen_normal(wild, y, n=200, seed=0)
-    assert np.all(scen.demands >= 0)
-    assert np.any(scen.demands == 0)       # negative raw draws were clamped
+    demands = gen_scenarios(wild, y, "normal", 200, 0)
+    assert np.all(demands >= 0)
+    assert np.any(demands == 0)            # negative raw draws were clamped
 
 
 def test_gen_normal_moments_clt():
     # low coefficient of variation so the clamp at zero never bites
     inst, model = random_problem(2, 3, 4, cv2=0.01)
     y = np.array([1, 1, 0])
-    scen = gen_normal(model, y, n=100_000, seed=7)
+    demands = gen_scenarios(model, y, "normal", 100_000, 7)
     mu, var = (m[0] for m in plan_moments(model, y))
     sigma = np.sqrt(var)
-    se = sigma / np.sqrt(scen.n_scenarios)
-    assert np.all(np.abs(scen.demands.mean(axis=0) - mu) < 3.5 * se)
+    se = sigma / np.sqrt(len(demands))
+    assert np.all(np.abs(demands.mean(axis=0) - mu) < 3.5 * se)
+
+
+def test_sp_draws_are_clamped_normal_at_baseline_moments(monkeypatch):
+    # train_sp trains on the sampler's "normal" draws at the empty plan: the
+    # bits of clamped Normal draws at the baseline moments.
+    for seed, cv2, recipe, kappa in ((0, 1.0, "distance", 0.0),
+                                     (3, 0.37, "rho-means", 0.1),
+                                     (8, 2.0, "distance", 0.2)):
+        inst, model = generate_instance(ExperimentConfig(
+            n_facilities=4, n_customers=6, support_size=10, seed=seed, cv2=cv2,
+            lambda_recipe=recipe, rho=2, kappa=kappa))
+        rng = np.random.default_rng(seed + 5)
+        want = np.maximum(rng.normal(model.bar_mu, model.bar_sigma, (17, 6)), 0.0)
+        got = gen_scenarios(model, np.zeros(4), "normal", 17, seed + 5)
+        assert got.tobytes() == want.tobytes()
+        seen = []
+        with monkeypatch.context() as m:
+            m.setattr("ddrloc.benchmarks.sp_objective",
+                      lambda inst, ys, draws: seen.append(draws) or np.zeros(len(ys)))
+            train_sp(inst, model, 17, seed=seed + 5)
+        assert seen and all(d.tobytes() == want.tobytes() for d in seen)
 
 
 def test_gen_gamma_parameters_and_moments():
     inst, _ = random_problem(3, 1, 1)
     model = toy_model(inst, bar_mu=[30.0], bar_sigma=[30.0])
     # theta = 900/30 = 30, shape = 1: exponential with mean 30
-    scen = gen_gamma(model, [0], n=100_000, seed=1)
-    assert scen.demands.mean() == pytest.approx(30.0, rel=0.02)
-    assert scen.demands.var() == pytest.approx(900.0, rel=0.05)
+    demands = gen_scenarios(model, [0], "gamma", 100_000, 1)
+    assert demands.mean() == pytest.approx(30.0, rel=0.02)
+    assert demands.var() == pytest.approx(900.0, rel=0.05)
     model2 = toy_model(inst, bar_mu=[9.0], bar_sigma=[3.0])   # mu == sigma^2
-    scen2 = gen_gamma(model2, [0], n=50_000, seed=2)
-    assert scen2.demands.mean() == pytest.approx(9.0, rel=0.03)
+    demands2 = gen_scenarios(model2, [0], "gamma", 50_000, 2)
+    assert demands2.mean() == pytest.approx(9.0, rel=0.03)
 
 
-def test_gen_perturbed_defaults_and_reduction():
+def test_gen_perturbed_reduction():
     inst, model = random_problem(4, 3, 4)
     y = np.array([0, 1, 1])
     robust = apply_robustness_level(model, 0.3)
-    scen = gen_perturbed(robust, y, seed=9)
-    assert scen.n_scenarios == 1000        # 10 reps of 100
+    demands = gen_scenarios(robust, y, "perturbed", 1000, 9)
+    assert demands.shape == (1000, 4)      # 10 reps of 100
+    assert not np.array_equal(demands, gen_scenarios(robust, y, "normal", 1000, 9))
     base = apply_robustness_level(model, 0.0)
-    assert np.array_equal(gen_perturbed(base, y, seed=9).demands,
-                          gen_normal(base, y, n=1000, seed=9).demands)
+    assert np.array_equal(gen_scenarios(base, y, "perturbed", 1000, 9),
+                          gen_scenarios(base, y, "normal", 1000, 9))
 
 
 def test_gen_perturbed_honours_n():
     inst, model = random_problem(4, 3, 4)
     y = np.array([0, 1, 1])
     robust = apply_robustness_level(model, 0.3)
-    assert gen_perturbed(robust, y, n=40, seed=9).n_scenarios == 40
-    scen = gen_scenarios(robust, y, "perturbed", 40, 9)
-    assert scen.n_scenarios == 40 and scen.generator == "perturbed"
+    assert gen_scenarios(robust, y, "perturbed", 40, 9).shape == (40, 4)
     with pytest.raises(ValueError, match="multiple"):
-        gen_perturbed(robust, y, n=45, seed=9)
+        gen_scenarios(robust, y, "perturbed", 45, 9)
 
 
 def test_generators_reproducible():
     inst, model = random_problem(5, 3, 4)
     y = np.array([1, 0, 1])
-    for gen in (gen_normal, gen_gamma):
-        a, b = gen(model, y, n=50, seed=3), gen(model, y, n=50, seed=3)
-        np.testing.assert_array_equal(a.demands, b.demands)
-        assert not np.array_equal(a.demands, gen(model, y, n=50, seed=4).demands)
+    for dist in ("normal", "gamma"):
+        a, b = gen_scenarios(model, y, dist, 50, 3), gen_scenarios(model, y, dist, 50, 3)
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, gen_scenarios(model, y, dist, 50, 4))
 
 
 def test_order_statistic_convention():
@@ -109,12 +136,10 @@ def test_order_statistic_convention():
 def test_evaluate_plan_trivial_cases():
     inst, model = random_problem(6, 3, 4)
     y = np.array([1, 1, 0])
-    zeros = ScenarioSet(np.zeros((4, 4)), 0, "manual")
-    rep = evaluate_plan(inst, y, zeros)
+    rep = evaluate_plan(inst, y, np.zeros((4, 4)))
     assert rep.mean_objective == pytest.approx(float(inst.open_cost @ y))
     assert rep.mean_unmet == 0.0
-    one = ScenarioSet(np.full((1, 4), 30.0), 0, "manual")
-    rep1 = evaluate_plan(inst, y, one)
+    rep1 = evaluate_plan(inst, y, np.full((1, 4), 30.0))
     assert rep1.std_objective == 0.0
     assert all(v == rep1.mean_objective
                for v in rep1.objective_percentiles.values())
@@ -123,16 +148,15 @@ def test_evaluate_plan_trivial_cases():
 def test_evaluate_plan_statistics_structure():
     inst, model = random_problem(7, 3, 4)
     y = np.array([1, 0, 1])
-    scen = gen_normal(model, y, n=300, seed=11)
-    rep = evaluate_plan(inst, y, scen)
+    demands = gen_scenarios(model, y, "normal", 300, 11)
+    rep = evaluate_plan(inst, y, demands)
     assert rep.objectives.min() <= rep.mean_objective <= rep.objectives.max()
     # worst-tail convention: percentile values decrease with the level
     ps = [rep.objective_percentiles[q] for q in PERCENTILE_LEVELS]
     assert ps == sorted(ps, reverse=True)
     # permutation invariance
     perm = np.random.default_rng(0).permutation(300)
-    shuffled = ScenarioSet(scen.demands[perm], 0, "manual")
-    rep2 = evaluate_plan(inst, y, shuffled)
+    rep2 = evaluate_plan(inst, y, demands[perm])
     assert rep2.mean_objective == pytest.approx(rep.mean_objective)
     assert rep2.objective_percentiles == rep.objective_percentiles
 
@@ -140,9 +164,9 @@ def test_evaluate_plan_statistics_structure():
 def test_evaluate_matches_restricted_scenario_lp():
     inst, model = random_problem(8, 3, 4)
     y = np.array([0, 1, 1])
-    scen = gen_normal(model, y, n=6, seed=13)
-    rep = evaluate_plan(inst, y, scen)
-    m = build_sp_saa(inst, scen.demands)
+    demands = gen_scenarios(model, y, "normal", 6, 13)
+    rep = evaluate_plan(inst, y, demands)
+    m = build_sp_saa(inst, demands)
     over = {nm: (float(v), float(v)) for nm, v in zip(m.meta["y_vars"], y)}
     sol = simplex_solve(relaxation(m, over))
     assert sol.objective == pytest.approx(rep.mean_objective, rel=1e-9)
@@ -150,7 +174,7 @@ def test_evaluate_matches_restricted_scenario_lp():
 
 def test_train_sp_enumeration_matches_milp():
     inst, model = random_problem(9, 3, 4, support_size=6)
-    y_enum = train_sp(inst, model, 15, seed=5)
+    y_enum, _ = train_sp(inst, model, 15, seed=5)
     rng = np.random.default_rng(5)
     draws = np.maximum(rng.normal(model.bar_mu, model.bar_sigma, (15, 4)), 0.0)
     m = build_sp_saa(inst, draws)
@@ -164,12 +188,18 @@ def test_train_sp_scenario_milp_route_finds_the_best_plan():
     # Beyond 14 facilities train_sp solves the scenario MILP; its plan must
     # reach the lowest sp_objective among the plans under the budget.
     inst, model = random_problem(5, 15, 6)
-    draws = sp_sample(model, 20, seed=7)
+    draws = _sp_draws(inst, model, 20, 7)
     for budget in (None, 2, 1):
-        y = train_sp(inst, model, 20, seed=7, budget=budget)
+        y, obj = train_sp(inst, model, 20, seed=7, budget=budget)
         assert budget is None or y.sum() <= budget
+        assert obj == sp_objective(inst, y, draws)
         best = sp_objective(inst, all_plans(inst.n_facilities, budget), draws).min()
-        assert sp_objective(inst, y, draws) == pytest.approx(best, rel=1e-9)
+        assert obj == pytest.approx(best, rel=1e-9)
+
+
+def _sp_draws(inst, model, n_scen, seed):
+    """train_sp's training sample."""
+    return gen_scenarios(model, np.zeros(inst.n_facilities), "normal", n_scen, seed)
 
 
 def _sp_reference(inst, draws, budget=None):
@@ -184,7 +214,7 @@ def _sp_reference(inst, draws, budget=None):
 
 def test_sp_objective_plan_matrix_matches_one_plan_calls(monkeypatch):
     inst, model = random_problem(21, 5, 6)
-    draws = sp_sample(model, 12, seed=3)
+    draws = _sp_draws(inst, model, 12, 3)
     for budget in (None, 2):
         ys = all_plans(inst.n_facilities, budget)
         one = np.array([sp_objective(inst, y, draws) for y in ys])
@@ -201,9 +231,11 @@ def test_sp_objective_plan_matrix_matches_one_plan_calls(monkeypatch):
             m.setattr("ddrloc.benchmarks.SP_CHUNK_ELEMENTS",
                       3 * len(draws) * (inst.n_facilities + 1))
             m.setattr("ddrloc.benchmarks.sp_objective", objective)
-            y = train_sp(inst, model, 12, seed=3, budget=budget)
+            y, obj = train_sp(inst, model, 12, seed=3, budget=budget)
         assert np.array_equal(ranked, ys)
         assert y.tolist() == _sp_reference(inst, draws, budget).tolist()
+        # the best row of a chunk has the bits of its plan alone
+        assert obj == sp_objective(inst, y, draws)
 
 
 def test_train_sp_rejects_empty_sample():
@@ -219,11 +251,13 @@ def test_train_sp_tie_rule(monkeypatch):
     inst = toy_instance(cost=cost, capacity=[1000.0] * 3, penalty=[225.0] * 4,
                         revenue=[150.0] * 4, open_cost=[100.0, 100.0, 1e6])
     model = toy_model(inst, [30.0] * 4, [30.0] * 4)
-    draws = sp_sample(model, 25, seed=4)
+    draws = _sp_draws(inst, model, 25, 4)
     assert (sp_objective(inst, np.array([0, 1, 0]), draws)
             == sp_objective(inst, np.array([1, 0, 0]), draws))
     for budget in (None, 1):
-        assert train_sp(inst, model, 25, seed=4, budget=budget).tolist() == [0, 1, 0]
+        y, obj = train_sp(inst, model, 25, seed=4, budget=budget)
+        assert y.tolist() == [0, 1, 0]
+        assert obj == sp_objective(inst, y, draws)
     # A later plan must beat the best so far by more than 1e-12, also when it
     # sits in a later chunk (three plans a chunk here).
     objectives = {(0, 0, 0): 1.0, (0, 0, 1): 1.0 - 5e-13, (0, 1, 0): 0.5,
@@ -232,7 +266,8 @@ def test_train_sp_tie_rule(monkeypatch):
     monkeypatch.setattr("ddrloc.benchmarks.sp_objective",
                         lambda inst, ys, draws: np.array([objectives[tuple(y)] for y in ys]))
     monkeypatch.setattr("ddrloc.benchmarks.SP_CHUNK_ELEMENTS", 3 * 25 * 4)
-    assert train_sp(inst, model, 25, seed=4).tolist() == [1, 0, 0]
+    y, obj = train_sp(inst, model, 25, seed=4)
+    assert y.tolist() == [1, 0, 0] and obj == 0.5 - 3e-12
 
 
 @pytest.mark.parametrize("seed, plans", [(0, {20: [0, 1, 3, 8, 9], 100: [0, 1, 3, 8, 9]}),
@@ -245,8 +280,8 @@ def test_train_sp_pinned_on_criterion_7_configs(seed, plans):
         n_facilities=10, n_customers=20, support_size=20, seed=seed,
         penalty=225.0, lambda_row_sum=0.99))
     for n_scen, offset in ((20, 1000), (100, 2000)):
-        y = train_sp(inst, model, n_scen, seed=seed + offset)
-        want = _sp_reference(inst, sp_sample(model, n_scen, seed + offset))
+        y, _ = train_sp(inst, model, n_scen, seed=seed + offset)
+        want = _sp_reference(inst, _sp_draws(inst, model, n_scen, seed + offset))
         assert y.tolist() == want.tolist()
         assert np.flatnonzero(y).tolist() == plans[n_scen]
 

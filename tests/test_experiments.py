@@ -53,6 +53,11 @@ def test_config_validation_and_round_trip():
     with pytest.raises(ValueError, match="multiple"):
         ExperimentConfig(dist="perturbed", n_test=45).validate()
     ExperimentConfig(dist="perturbed", n_test=40).validate()
+    for dist, n_test in (("normal", 0), ("gamma", -1), ("perturbed", 0),
+                         ("perturbed", -10)):
+        with pytest.raises(ValueError, match=f"got n_test={n_test}"):
+            ExperimentConfig(dist=dist, n_test=n_test).validate()
+    ExperimentConfig(n_test=1).validate()
     with pytest.raises(ValueError, match="SP sample size"):
         ExperimentConfig(sp_scenarios=(20, 0)).validate()
     with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):

@@ -13,10 +13,10 @@ from ddrloc.experiments import ExperimentConfig
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ddrloc"
 
-DEFAULTED_PARAMETERS = 23
+DEFAULTED_PARAMETERS = 17
 CLI_OPTIONS = 31
 EXPERIMENT_CONFIG_FIELDS = 19
-PUBLIC_NAMES = 57
+PUBLIC_NAMES = 53
 
 
 def _trees():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_plans, random_problem, recover_allocation, toy_instance
-from ddrloc.benchmarks import ScenarioSet
+from ddrloc.benchmarks import evaluate_plan
 from ddrloc.transport import (_intercepts, _pieces, second_stage_costs,
                               transport_lp_oracle, unmet_by_customer)
 
@@ -54,13 +54,13 @@ def test_recover_allocation_trivial_cases():
 
 def test_negative_demand_rejected():
     # No allocation meets a negative demand: the LP oracle reports the
-    # infeasible recourse as an error rather than a cost, and a scenario set
+    # infeasible recourse as an error rather than a cost, and evaluate_plan
     # refuses such a demand before anything prices it.
     inst = toy_instance(cost=[[1.0]], capacity=[10.0], penalty=[3.0], revenue=[2.0])
     with pytest.raises(RuntimeError, match="transport LP unexpectedly infeasible"):
         transport_lp_oracle(inst, [1], [-1.0])
     with pytest.raises(ValueError, match="demands must be nonnegative"):
-        ScenarioSet(np.array([[5.0], [-1.0]]), 0, "normal")
+        evaluate_plan(inst, [1], np.array([[5.0], [-1.0]]))
 
 
 @given(st.integers(0, 10_000))
