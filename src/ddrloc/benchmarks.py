@@ -150,11 +150,13 @@ def stat_lines(report: EvaluationReport) -> list[str]:
 
 def evaluate_plan(instance: Instance, y_hat, demands) -> EvaluationReport:
     """Score a fixed plan via the closed-form recourse on equally likely
-    demand scenarios, a nonnegative (n, |J|) matrix with n >= 1."""
+    demand scenarios, a finite, nonnegative (n, |J|) matrix with n >= 1."""
     demands = np.asarray(demands, dtype=float)
     if demands.ndim != 2 or demands.shape[0] < 1 or demands.shape[1] != instance.n_customers:
         raise ValueError(f"demands must be an (n >= 1, {instance.n_customers}) "
                          f"matrix, got shape {demands.shape}")
+    if not np.all(np.isfinite(demands)):
+        raise ValueError("demands must be finite")
     if np.any(demands < 0):
         raise ValueError("demands must be nonnegative")
     y = _as_y(y_hat)

@@ -339,8 +339,9 @@ def decision_independent(model: DemandModel) -> DemandModel:
 
 def validate(instance: Instance, model: DemandModel | None = None) -> list[str]:
     """Check every structural invariant; return one message per violation."""
-    v = []
     inst = instance
+    v = [f"{name} has a non-finite entry" for name, a in vars(inst).items()
+         if isinstance(a, np.ndarray) and not np.all(np.isfinite(a))]
     for i in np.flatnonzero(inst.capacity <= 0):
         v.append(f"facility {inst.facility_ids[i]}: capacity must be positive")
     for i in np.flatnonzero(inst.open_cost < 0):
@@ -363,6 +364,8 @@ def validate(instance: Instance, model: DemandModel | None = None) -> list[str]:
              for name, shape in shapes.items() if getattr(model, name).shape != shape]
     if model.support.ndim != 1:
         wrong.append("support must be one-dimensional")
+    wrong += [f"{name} has a non-finite entry" for name, a in vars(model).items()
+              if not np.all(np.isfinite(a))]
     if wrong:
         return v + [f"demand model: {w}" for w in wrong]
     if np.any(model.bar_mu < 0) or np.any(model.bar_sigma < 0):
@@ -412,6 +415,8 @@ def _support_fields(support: np.ndarray) -> dict:
 
 def _support_from_fields(d: dict) -> np.ndarray:
     lo, hi, step = d["min"], d["max"], d["step"]
+    if not np.all(np.isfinite([lo, hi, step])):
+        raise ValueError(f"support min, max and step must be finite, got {lo!r}, {hi!r}, {step!r}")
     if not step > 0:
         raise ValueError(f"support step must be positive, got {step!r}")
     k = int(round((hi - lo) / step)) + 1

@@ -3,7 +3,8 @@
 HiGHS (via scipy) solves every model LP: :func:`simplex_solve` with dual
 values, :func:`branch_and_bound` for the MILPs' relaxations.  The value
 oracle's moment LPs go through a separate tableau simplex that steps a batch
-of tableaux in lockstep, so a block gets the same bits alone as in any batch.
+of tableaux in lockstep, so a block gets the same bits alone as in any batch,
+and reads the moment LPs' dual certificates off the final bases.
 :func:`enumerate_oracle` is the robust solve: it bounds every plan from
 below in closed form, a chunk at a time, and prices only the plans whose
 bound can beat the best plan priced.  :func:`exact_solve`, its cross-check,
@@ -152,19 +153,21 @@ def _simplex_batch(A, b, senses, c):
     is (B, n).  Blocks with the same rows of negative right-hand side share
     a tableau shape and are stepped together by :func:`_lockstep_simplex`,
     so each block gets the same pivots, values and status alone as in any
-    batch.  Returns
-    ``(status, u, objective)`` with codes OPTIMAL, INFEASIBLE, UNBOUNDED;
-    ``u`` and ``objective`` are meaningful only where the status is OPTIMAL.
+    batch.  Returns ``(status, u, objective, y)`` with codes OPTIMAL,
+    INFEASIBLE, UNBOUNDED and ``y`` (B, m) the row duals ``c_B B^-1`` of the
+    final basis; all but the status are meaningful only where it is OPTIMAL.
     """
     status = np.empty(len(b), dtype=int)
     u = np.empty(c.shape)
     obj = np.empty(len(b))
+    y = np.empty(b.shape)
     patterns, group = np.unique(b < 0, axis=0, return_inverse=True)
     for g in range(len(patterns)):
         sel = np.flatnonzero(group.ravel() == g)
-        status[sel], u[sel], obj[sel] = _lockstep_simplex(
+        status[sel], u[sel], obj[sel], y[sel] = _lockstep_simplex(
             *_initial_tableau(A, b[sel], senses), c[sel])
-    return status, u, obj
+        y[sel] *= np.where(patterns[g], -1.0, 1.0)   # a row negated for b >= 0
+    return status, u, obj, y
 
 
 def _initial_tableau(A, b, senses):
@@ -209,10 +212,12 @@ def _lockstep_simplex(T, b, basis, artificial, c):
     rows is a stacked ``matmul``, which rounds exactly as one block's
     vector-matrix product does, so a block's pivots do not depend on its
     batch.  ``T``, ``b`` and ``basis`` are updated in place.  Returns
-    ``(status, u, objective)``: the status codes, the structural values and
-    ``c . u`` per block.
+    ``(status, u, objective, y)``: the status codes, the structural values,
+    ``c . u`` and the row duals ``c_B B^-1`` per block, whose ``B^-1`` is the
+    final tableau at the columns of the initial basis, the identity.
     """
     n_blocks, n_rows, n_total = T.shape
+    start = basis[0].copy()
     status = np.full(n_blocks, OPTIMAL)
     live = np.arange(n_blocks)
     if artificial.any():
@@ -240,7 +245,8 @@ def _lockstep_simplex(T, b, basis, artificial, c):
     u = np.zeros((n_blocks, n_total))
     np.put_along_axis(u, basis, b, axis=1)
     u = np.ascontiguousarray(u[:, :n_struct])
-    return status, u, (c[:, None, :] @ u[:, :, None])[:, 0, 0]
+    y = (np.take_along_axis(c2, basis, axis=1)[:, None, :] @ T[:, :, start])[:, 0]
+    return status, u, (c[:, None, :] @ u[:, :, None])[:, 0, 0], y
 
 
 def _pivot(T, b, n, r, j):

@@ -3,14 +3,15 @@
 For a fixed plan the adversary chooses, independently per customer, a
 distribution on the finite support whose mean and second moment lie in the
 decision-dependent windows.  Each customer therefore contributes a small LP
-over the support probabilities; the total worst case is the sum.  The dual
-of that LP and the chord test, which is exact and the only test of
-emptiness, live here as well.
+over the support probabilities; the total worst case is the sum.  The chord
+test of emptiness, which is exact, lives here as well.
 
 The value oracle :func:`worst_case_values` screens the plans with the chord
 test, builds the tableau of every remaining (plan, customer) moment LP from
-arrays and solves them a chunk at a time in one lockstep tableau simplex;
-:func:`worst_case_expectation` takes that route with its one plan.
+arrays and solves them a chunk at a time in one lockstep tableau simplex.
+:func:`worst_case_expectation` and :func:`worst_case_dual` take that route
+with their one plan: the solve that gives the value and the adversarial
+probabilities ends on a basis whose row duals are the dual certificate.
 
 Two closed-form lower bounds on a plan's robust objective serve the robust
 solve, :func:`~ddrloc.solvers.enumerate_oracle`, which prices only the plans
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import DemandModel, Instance, chord_slacks, moment_windows
-from .milp import LinearExpr, MilpModel
 from .solvers import OPTIMAL, _simplex_batch
 from .transport import _intercepts, _pieces, _theta
 
@@ -124,10 +124,13 @@ LP_CHUNK_POINTS = 12_800
 PLAN_CHUNK = 1024
 # Rows of one customer's moment LP: mass, mean_hi, mean_lo, sec_hi, sec_lo.
 _MOMENT_SENSES = ("=", "<=", ">=", "<=", ">=")
+# The LP minimises -theta . pi, so the certificate's (alpha, delta1, delta2,
+# gamma1, gamma2) are the row duals of those rows times these signs.
+_DUAL_SIGNS = np.array([-1.0, -1.0, 1.0, -1.0, 1.0])
 
 
 def _moment_lps(instance: Instance, model: DemandModel, ys: np.ndarray, windows,
-                with_pi: bool = False):
+                detail: bool = False):
     """Every (plan, customer) moment LP of a batch, given the plans' windows.
 
     Builds the tableau of each block's LP over the support probabilities
@@ -135,9 +138,11 @@ def _moment_lps(instance: Instance, model: DemandModel, ys: np.ndarray, windows,
     solves them ``LP_CHUNK_POINTS // K`` blocks at a time through the
     lockstep kernel :func:`~ddrloc.solvers._simplex_batch`, which gives each
     block the same bits alone as in any batch.  Returns
-    ``(values, pi)``: each plan's worst case and, with ``with_pi``, the
-    (N, |J|, K) adversarial probabilities.  The plans must pass the chord
-    screen, which is exact, so an infeasible LP raises RuntimeError.
+    ``(values, pi, multipliers)``: each plan's worst case and, with
+    ``detail`` (else None), the (N, |J|, K) adversarial probabilities and
+    the (N, |J|, 5) ``(alpha, delta1, delta2, gamma1, gamma2)`` of each final
+    basis.  The plans must pass the chord screen, which is exact, so an
+    infeasible LP raises RuntimeError.
     """
     d = model.support
     n_plans, n_j = len(ys), instance.n_customers
@@ -147,7 +152,8 @@ def _moment_lps(instance: Instance, model: DemandModel, ys: np.ndarray, windows,
     m_lo, m_hi, s_lo, s_hi = windows
     rhs = np.stack([np.ones_like(m_lo), m_hi, m_lo, s_hi, s_lo], axis=-1).reshape(-1, 5)
     neg_value = np.empty(n_plans * n_j)
-    pi = np.empty((n_plans * n_j, len(d))) if with_pi else None
+    pi = np.empty((n_plans, n_j, len(d))) if detail else None
+    mult = np.empty((n_plans, n_j, 5)) if detail else None
     chunk = max(1, LP_CHUNK_POINTS // len(d))
     for start in range(0, n_plans * n_j, chunk):
         blocks = np.arange(start, min(start + chunk, n_plans * n_j))
@@ -155,82 +161,60 @@ def _moment_lps(instance: Instance, model: DemandModel, ys: np.ndarray, windows,
         theta = _theta(d, cand[jj], _intercepts(instance, gaps[jj], ys[n]),
                        instance.revenue[jj][:, None])
         # 0.0 - theta, not -theta: a zero cost is +0.0.
-        status, u, obj = _simplex_batch(rows, rhs[blocks], _MOMENT_SENSES, 0.0 - theta)
+        status, u, obj, y = _simplex_batch(rows, rhs[blocks], _MOMENT_SENSES, 0.0 - theta)
         if np.any(status != OPTIMAL):
             raise RuntimeError("a moment LP is infeasible although the chord screen passed")
         neg_value[blocks] = obj
-        if with_pi:
-            pi[blocks] = 0.0 + u   # no probability reads -0.0
+        if detail:             # no probability or multiplier reads -0.0
+            pi.reshape(-1, len(d))[blocks] = 0.0 + u
+            mult.reshape(-1, 5)[blocks] = y * _DUAL_SIGNS + 0.0
     neg_value = neg_value.reshape(n_plans, n_j)
     values = np.zeros(n_plans)
     for col in neg_value.T:            # in customer order: the sum's bits depend on it
         values -= col
-    return values, None if pi is None else pi.reshape(n_plans, n_j, len(d))
+    return values, pi, mult
 
 
-def worst_case_expectation(instance: Instance, model: DemandModel, y):
-    """Adversarial expected cost and the attaining distribution, per LP solve."""
+def _one_plan(instance: Instance, model: DemandModel, y):
+    """:func:`_moment_lps`'s ``(value, pi, multipliers)`` and the windows of one
+    plan, without the plan axis; AmbiguityInfeasibleError if its set is empty."""
     ys = np.atleast_2d(np.asarray(y, dtype=float))
     windows = moment_windows(model, ys)
     report = _screen(instance, model, windows)
     if not report:
         raise AmbiguityInfeasibleError(report)
-    values, pi = _moment_lps(instance, model, ys, windows, with_pi=True)
-    total = float(values[0])
-    return total, WorstCaseDistribution(pi=pi[0], value=total)
+    values, pi, mult = _moment_lps(instance, model, ys, windows, detail=True)
+    return float(values[0]), pi[0], mult[0], tuple(w[0] for w in windows)
+
+
+def worst_case_expectation(instance: Instance, model: DemandModel, y):
+    """Adversarial expected cost and the attaining distribution, per LP solve."""
+    total, pi, _, _ = _one_plan(instance, model, y)
+    return total, WorstCaseDistribution(pi=pi, value=total)
 
 
 def worst_case_dual(instance: Instance, model: DemandModel, y):
-    """Dual optimum of the inner problem; equals the primal by strong duality."""
-    from .solvers import simplex_solve
-
-    report = ambiguity_feasible(instance, model, y)
-    if not report:
-        raise AmbiguityInfeasibleError(report)
-    n_j = instance.n_customers
-    d = model.support
-    cert = {nm: np.zeros(n_j) for nm in ("alpha", "delta1", "delta2", "gamma1", "gamma2")}
-    total = 0.0
-    windows = np.stack([w[0] for w in moment_windows(model, y)], axis=1).tolist()
-    for jj, ((m_lo, m_hi, s_lo, s_hi), theta) in enumerate(
-            zip(windows, support_theta(instance, model, y))):
-        m = MilpModel(f"moment_dual_{jj}")
-        a = m.add_variable("alpha", lower=-math.inf)
-        d1 = m.add_variable("delta1")
-        d2 = m.add_variable("delta2")
-        g1 = m.add_variable("gamma1")
-        g2 = m.add_variable("gamma2")
-        for k, dk in enumerate(d):
-            m.add_constraint(f"supp_{k}",
-                             {a: 1.0, d1: float(dk), d2: -float(dk),
-                              g1: float(dk) ** 2, g2: -float(dk) ** 2},
-                             ">=", float(theta[k]))
-        m.set_objective(LinearExpr({a: 1.0, d1: m_hi, d2: -m_lo, g1: s_hi, g2: -s_lo}))
-        sol = simplex_solve(m.seal())
-        if sol.status != "optimal":
-            raise RuntimeError(f"dual moment LP is {sol.status}")
-        for nm in cert:
-            cert[nm][jj] = sol.x[m.var_index(nm)]
-        total += sol.objective
-    return total, DualCertificate(**cert)
+    """Dual objective and optimum of the inner problem: the row duals of the
+    final basis of :func:`worst_case_expectation`'s solve, so the two values
+    agree up to rounding."""
+    _, _, mult, (m_lo, m_hi, s_lo, s_hi) = _one_plan(instance, model, y)
+    cert = DualCertificate(*np.ascontiguousarray(mult.T))
+    total = float(np.sum(cert.alpha + cert.delta1 * m_hi - cert.delta2 * m_lo
+                         + cert.gamma1 * s_hi - cert.gamma2 * s_lo))
+    return total, cert
 
 
 def check_certificate(instance: Instance, model: DemandModel, y,
                       cert: DualCertificate) -> list[str]:
     """Dual-feasibility violations of a certificate (empty list when feasible)."""
-    bad = []
-    for nm in ("delta1", "delta2", "gamma1", "gamma2"):
-        arr = getattr(cert, nm)
-        if np.any(arr < -CERT_TOL):
-            bad.append(f"{nm} has negative entries")
+    bad = [f"{nm} has negative entries" for nm in ("delta1", "delta2", "gamma1", "gamma2")
+           if np.any(getattr(cert, nm) < -CERT_TOL)]
     d = model.support
-    for cid, theta, alpha, beta, gamma in zip(
-            instance.customer_ids, support_theta(instance, model, y), cert.alpha,
-            cert.delta1 - cert.delta2, cert.gamma1 - cert.gamma2):
-        worst = float(np.min(alpha + beta * d + gamma * d ** 2 - theta))
-        if worst < -CERT_TOL:
-            bad.append(f"customer {cid}: support constraint violated by {-worst:.3g}")
-    return bad
+    worst = (cert.alpha[:, None] + (cert.delta1 - cert.delta2)[:, None] * d
+             + (cert.gamma1 - cert.gamma2)[:, None] * d ** 2
+             - support_theta(instance, model, y)).min(axis=1)
+    return bad + [f"customer {cid}: support constraint violated by {-w:.3g}"
+                  for cid, w in zip(instance.customer_ids, worst) if w < -CERT_TOL]
 
 
 # ---------------------------------------------------------------------------

@@ -157,10 +157,11 @@ def recover_allocation(instance, y, d):
 def primal_lp(support, theta, window):
     """Moment LP of one customer over the support probabilities, as a model.
 
-    ``simplex_solve`` solves it with HiGHS, an engine apart from the value
-    oracle, which builds the same rows, with the same ``float ** 2``
-    coefficients, as one lockstep-simplex tableau per block
-    (``worstcase._moment_lps``).
+    ``simplex_solve`` solves it with HiGHS, the one engine apart from the
+    value oracle.  The oracle builds the same rows, with the same
+    ``float ** 2`` coefficients, as one lockstep-simplex tableau per block
+    (``worstcase._moment_lps``), and ``worst_case_dual`` reads its
+    certificate off that same solve, so only this route checks them both.
     """
     m_lo, m_hi, s_lo, s_hi = window
     d = [float(dk) for dk in support]
@@ -173,6 +174,19 @@ def primal_lp(support, theta, window):
     m.add_constraint("sec_lo", {p: dk ** 2 for p, dk in zip(pis, d)}, ">=", s_lo)
     m.set_objective(LinearExpr({p: -float(t) for p, t in zip(pis, theta)}))
     return m.seal()
+
+
+def lp_worst_case(instance, model, y):
+    """Worst case of plan ``y``: HiGHS on every customer's :func:`primal_lp`."""
+    from ddrloc.solvers import simplex_solve
+    from ddrloc.worstcase import support_theta
+    windows = [w[0] for w in moment_windows(model, y)]
+    total = 0.0
+    for jj, theta in enumerate(support_theta(instance, model, y)):
+        sol = simplex_solve(primal_lp(model.support, theta, [w[jj] for w in windows]))
+        assert sol.status == "optimal", (jj, sol.status)
+        total -= sol.objective
+    return total
 
 
 def moment_lps(model, windows, theta=0.0):
@@ -190,7 +204,7 @@ def moment_lps(model, windows, theta=0.0):
     rhs = np.stack([np.ones_like(m_lo), m_hi, m_lo, s_hi, s_lo], axis=-1).reshape(-1, 5)
     cost = np.broadcast_to(0.0 - np.asarray(theta, dtype=float),
                            m_lo.shape + (len(d),)).reshape(len(rhs), len(d))
-    status, u, _ = _simplex_batch(np.array([np.ones(len(d)), d, d, sq, sq]), rhs,
+    status, u, _, _ = _simplex_batch(np.array([np.ones(len(d)), d, d, sq, sq]), rhs,
                                   _MOMENT_SENSES, cost)
     return status.reshape(m_lo.shape), (0.0 + u).reshape(m_lo.shape + (len(d),))
 

@@ -13,16 +13,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (all_plans, extreme_rays, moment_lps, primal_lp, random_problem,
-                      relaxation, toy_instance, toy_model, without_cuts)
+from conftest import (all_plans, extreme_rays, lp_worst_case, moment_lps, primal_lp,
+                      random_problem, relaxation, toy_instance, toy_model, without_cuts)
 from ddrloc.benchmarks import evaluate_plan, gen_scenarios, train_sp
 from ddrloc.instance import chords, decision_independent, moment_windows
 from ddrloc.milp import build_dddr, build_sp_saa
 from ddrloc.solvers import (OPTIMAL, branch_and_bound, enumerate_oracle,
                             exact_solve, simplex_solve)
 from ddrloc.transport import second_stage_costs, transport_lp_oracle
-from ddrloc.worstcase import (ambiguity_feasible, support_theta, worst_case_dual,
-                              worst_case_expectation, worst_case_values)
+from ddrloc.worstcase import (ambiguity_feasible, check_certificate, support_theta,
+                              worst_case_dual, worst_case_expectation,
+                              worst_case_values)
 
 
 def report(number, ok, detail):
@@ -157,11 +158,12 @@ def test_every_route_agrees_across_the_generated_regimes():
     # and 0.99 and rho-means with rho=2, x kappa 0 and 0.1 x K 12 and 100 x
     # budget none and 2, each also as its DR model.  The MILP finds the
     # enumeration plan, bound-ordered enumeration gives the plan and bits of
-    # pricing every plan, and HiGHS's dual of the winner's inner problem
-    # matches the lockstep primal.
+    # pricing every plan, HiGHS's primal of the winner's inner problem matches
+    # the lockstep one, and the certificate of that solve is dual feasible at
+    # its value.
     recipes = ({"lambda_row_sum": 0.5}, {"lambda_row_sum": 0.99},
                {"lambda_recipe": "rho-means", "rho": 2})
-    worst = dual_gap = 0.0
+    worst = lp_gap = dual_gap = 0.0
     for recipe, kappa, k, budget in itertools.product(recipes, (0.0, 0.1), (12, 100),
                                                       (None, 2)):
         inst, dddr = random_problem(3, 4, 8, support_size=k, kappa=kappa, **recipe)
@@ -178,9 +180,12 @@ def test_every_route_agrees_across_the_generated_regimes():
             assert sol.status == "optimal" and np.array_equal(y_milp, y), where
             worst = max(worst, abs(sol.objective - obj) / max(1.0, abs(obj)))
             primal = worst_case_expectation(inst, model, y)[0]
-            dual = worst_case_dual(inst, model, y)[0]
+            lp_gap = max(lp_gap, abs(primal - lp_worst_case(inst, model, y))
+                         / max(1.0, abs(primal)))
+            dual, cert = worst_case_dual(inst, model, y)
+            assert check_certificate(inst, model, y, cert) == [], where
             dual_gap = max(dual_gap, abs(primal - dual) / max(1.0, abs(primal)))
-    assert worst < 1e-9 and dual_gap < 1e-6, (worst, dual_gap)
+    assert worst < 1e-9 and lp_gap < 1e-6 and dual_gap < 1e-9, (worst, lp_gap, dual_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +193,12 @@ def test_every_route_agrees_across_the_generated_regimes():
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_strong_duality():
+    # The certificate comes from the lockstep solve that gives the primal, so
+    # HiGHS on the primal LPs is the independent check of the value; a dual
+    # feasible certificate at that value proves it optimal.
     rng = np.random.default_rng(3)
-    worst = 0.0
+    worst = gap = 0.0
+    bad = []
     for trial in range(100):
         n_i = int(rng.integers(1, 5))
         n_j = int(rng.integers(1, 6))
@@ -199,9 +208,13 @@ def test_criterion_3_strong_duality():
                                      kappa=kappa)
         y = rng.integers(0, 2, size=n_i)
         primal, _ = worst_case_expectation(inst, model, y)
-        dual, _ = worst_case_dual(inst, model, y)
-        worst = max(worst, abs(primal - dual) / max(1.0, abs(primal)))
-    report(3, worst < 1e-6, f"100 pairs, max relative duality gap = {worst:.2e}")
+        dual, cert = worst_case_dual(inst, model, y)
+        bad += check_certificate(inst, model, y, cert)
+        gap = max(gap, abs(primal - dual) / max(1.0, abs(primal)))
+        worst = max(worst, abs(primal - lp_worst_case(inst, model, y)) / max(1.0, abs(primal)))
+    report(3, gap < 1e-9 and worst < 1e-6 and not bad,
+           f"100 pairs, max relative duality gap = {gap:.2e}, max relative gap to "
+           f"HiGHS's primal = {worst:.2e}, {len(bad)} certificate violations")
 
 
 # ---------------------------------------------------------------------------

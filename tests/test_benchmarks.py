@@ -23,6 +23,11 @@ def test_evaluate_plan_rejects_malformed_demands():
             evaluate_plan(inst, y, bad)
     with pytest.raises(ValueError, match="demands must be nonnegative"):
         evaluate_plan(inst, y, -np.ones((2, 4)))
+    for value in (np.nan, np.inf, -np.inf):
+        bad = np.full((3, 4), 20.0)
+        bad[1, 2] = value
+        with pytest.raises(ValueError, match="demands must be finite"):
+            evaluate_plan(inst, y, bad)
     # and the sampler refuses an empty or negative request before drawing
     for dist in ("normal", "gamma", "perturbed"):
         for n in (0, -10):

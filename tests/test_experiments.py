@@ -311,9 +311,15 @@ def test_cli_solve_reports_malformed_problem_files(tmp_path, capsys):
     good = json.loads(prob.read_text())
 
     def edited(edit):
-        doc = json.loads(prob.read_text())
+        doc = json.loads(json.dumps(good))
         edit(doc)
         return doc
+
+    def fails(doc, message, method="dddr"):
+        prob.write_text(json.dumps(doc))
+        assert main(["solve", "--problem", str(prob), "--method", method]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"solve failed: {message}") and err.count("\n") == 1
 
     capsys.readouterr()
     for doc, message in (
@@ -337,10 +343,18 @@ def test_cli_solve_reports_malformed_problem_files(tmp_path, capsys):
              "invalid problem data: demand model: eps_mu has shape (5,), not (4,)"),
             (edited(lambda d: d["demand"].update(bar_sigma=[1.0] * 3)),
              "invalid problem data: demand model: bar_sigma has shape (3,), not (4,)")):
-        prob.write_text(json.dumps(doc))
-        assert main(["solve", "--problem", str(prob), "--method", "dddr"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"solve failed: {message}") and err.count("\n") == 1
+        fails(doc, message)
+    # json.load reads NaN and Infinity; no route may run on them
+    fails(edited(lambda d: d["demand"]["eps_hi"].__setitem__(0, math.inf)),
+          "invalid problem data: demand model: eps_sigma_hi has a non-finite entry")
+    fails(edited(lambda d: d["cost"][1].__setitem__(2, math.nan)),
+          "invalid problem data: cost has a non-finite entry", "sp")
+    fails(edited(lambda d: d["demand"]["bar_mu"].__setitem__(3, math.nan)),
+          "invalid problem data: demand model: bar_mu has a non-finite entry")
+    fails(edited(lambda d: d["facilities"][0].update(x=-math.inf)),
+          "invalid problem data: facility_coords has a non-finite entry")
+    fails(edited(lambda d: d["demand"]["support"].update(max=math.inf)),
+          "support min, max and step must be finite, got 1.0, inf, ")
 
 
 def test_cli_solve_reports_every_set_empty(tmp_path, capsys):

@@ -192,6 +192,23 @@ def test_validate_flags_negative_support():
         "demand model: support must be one-dimensional"]
 
 
+def test_validate_flags_non_finite_arrays():
+    inst = toy_instance(cost=[[1.0]], capacity=[1.0], penalty=[5.0], revenue=[1.0])
+    model = toy_model(inst, bar_mu=[10.0], bar_sigma=[5.0])
+    assert validate(dataclasses.replace(inst, cost=[[np.nan]]), model) == [
+        "cost has a non-finite entry"]
+    assert validate(dataclasses.replace(inst, capacity=[np.inf]), model) == [
+        "capacity has a non-finite entry"]
+    # the model's other checks are skipped, as for a wrong shape: they would
+    # meet inf - inf in the support's spacing
+    assert validate(inst, model.replace(support=[1.0, 2.0, np.inf],
+                                        eps_sigma_lo=[-np.inf])) == [
+        "demand model: support has a non-finite entry",
+        "demand model: eps_sigma_lo has a non-finite entry"]
+    assert validate(inst, model.replace(lambda_sigma=[[np.nan]])) == [
+        "demand model: lambda_sigma has a non-finite entry"]
+
+
 def test_plans_under_budget_rejects_negative_budget():
     from ddrloc.benchmarks import train_sp
     from ddrloc.solvers import enumerate_oracle

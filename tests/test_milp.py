@@ -14,8 +14,9 @@ from ddrloc.milp import (DualBounds, LinearExpr, MilpModel, build_dddr,
 from ddrloc.solvers import (OPTIMAL, branch_and_bound, enumerate_oracle, exact_solve,
                             simplex_solve)
 from ddrloc.transport import second_stage_costs
-from ddrloc.worstcase import (DualCertificate, support_theta, worst_case_dual,
-                              worst_case_expectation, worst_case_values)
+from ddrloc.worstcase import (DualCertificate, check_certificate, support_theta,
+                              worst_case_dual, worst_case_expectation,
+                              worst_case_values)
 
 
 def _holds(rows, assignment):
@@ -213,8 +214,12 @@ def test_gamma2_kept_where_sec_lo_binds():
     b = derive_dual_bounds(inst, model)
     assert b.ub_gamma2[0] > 0.0 and b.ub_gamma2[1] == 0.0
     y_star, obj_ref = enumerate_oracle(inst, model)
-    _, cert = worst_case_dual(inst, model, y_star)
-    assert cert.gamma2[0] > 1e-3 and cert.gamma2[1] == 0.0
+    obj_dual, cert = worst_case_dual(inst, model, y_star)
+    assert check_certificate(inst, model, y_star, cert) == []
+    assert float(inst.open_cost @ y_star) + obj_dual == pytest.approx(obj_ref, rel=1e-9)
+    # customer 2's second moment is pinned too, so only gamma1 - gamma2 is
+    # fixed; the basis gives gamma2 = 0 up to the tableau's rounding
+    assert cert.gamma2[0] > 1e-3 and abs(cert.gamma2[1]) < 1e-12
     names = {v.name for v in build_dddr(inst, model).variables}
     assert "gamma2_1" in names and "gamma2_2" not in names
     sol, y, _ = exact_solve(inst, model)

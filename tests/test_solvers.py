@@ -66,6 +66,34 @@ def _transport_lp(inst, y, d):
     return m.seal(), order
 
 
+def test_lockstep_duals_match_highs_on_random_lps():
+    # The row duals of _simplex_batch's final basis are HiGHS's duals on the
+    # same LP: random rows of every sense, some with a negative right-hand
+    # side, which the tableau negates, and costs >= 0, so that no LP is
+    # unbounded.  A generic LP has one dual optimum, so they must agree.
+    rng = np.random.default_rng(5)
+    senses = ["=", "<=", ">=", "<=", ">=", "<="]
+    A = rng.normal(size=(len(senses), 9))
+    b = rng.normal(size=(200, len(senses)))
+    c = rng.uniform(0.1, 2.0, size=(200, 9))
+    status, u, obj, y = ddrloc.solvers._simplex_batch(A, b, senses, c)
+    flipped = 0
+    for n in range(len(b)):
+        m = MilpModel("lp")
+        us = [m.add_variable(f"u_{k}") for k in range(A.shape[1])]
+        for r, sense in enumerate(senses):
+            m.add_constraint(f"r_{r}", dict(zip(us, A[r])), sense, b[n, r])
+        m.set_objective(LinearExpr(dict(zip(us, c[n]))))
+        sol = simplex_solve(m.seal())
+        assert (sol.status == "optimal") == (status[n] == ddrloc.solvers.OPTIMAL), n
+        if sol.status == "optimal":
+            assert obj[n] == pytest.approx(sol.objective, rel=1e-9, abs=1e-9)
+            assert y[n] @ b[n] == pytest.approx(obj[n], rel=1e-9, abs=1e-9)
+            np.testing.assert_allclose(y[n], sol.duals, rtol=1e-7, atol=1e-9)
+            flipped += int(np.sum((b[n] < 0) & (np.abs(y[n]) > 1e-6)))
+    assert status.tolist().count(ddrloc.solvers.OPTIMAL) > 20 and flipped
+
+
 def test_transport_duals_expose_marginal_source():
     rng = np.random.default_rng(42)
     for trial in range(20):

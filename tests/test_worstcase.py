@@ -6,15 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (all_plans, dual_value, extreme_rays, moment_lps, primal_lp,
-                      random_problem, toy_instance, toy_model)
+from conftest import (all_plans, dual_value, extreme_rays, lp_worst_case, moment_lps,
+                      primal_lp, random_problem, toy_instance, toy_model)
 from ddrloc.experiments import ExperimentConfig, generate_instance
 from ddrloc.instance import (apply_robustness_level, arithmetic_support, chords,
                              decision_independent, moment_windows)
 from ddrloc.milp import MilpModel
 from ddrloc.solvers import (INFEASIBLE, OPTIMAL, _simplex_batch, enumerate_oracle,
                             simplex_solve)
-from ddrloc.worstcase import (AmbiguityInfeasibleError, ambiguity_feasible,
+from ddrloc.worstcase import (CERT_TOL, AmbiguityInfeasibleError, ambiguity_feasible,
                               check_certificate, worst_case_dual,
                               worst_case_expectation, worst_case_values,
                               _jensen_bounds, _mixture_bounds, _moment_lps,
@@ -56,9 +56,9 @@ def test_strong_duality_and_certificate():
     y = np.array([0, 1, 1])
     primal, dist = worst_case_expectation(inst, model, y)
     dual, cert = worst_case_dual(inst, model, y)
-    assert primal == pytest.approx(dual, rel=1e-6)
+    assert primal == pytest.approx(dual, rel=1e-9)
     assert check_certificate(inst, model, y, cert) == []
-    assert dual_value(model, y, cert) == pytest.approx(primal, rel=1e-6)
+    assert dual_value(model, y, cert) == pytest.approx(primal, rel=1e-9)
     # weak duality: inflating alpha keeps feasibility and raises the bound
     import dataclasses
     fat = dataclasses.replace(cert, alpha=cert.alpha + 10.0)
@@ -217,13 +217,47 @@ def test_screen_agrees_with_moment_lp_feasibility():
 def test_bulk_values_match_lp_route():
     ys = [np.array(list(np.binary_repr(t, 4)), dtype=int) for t in range(16)]
     # pinned moments and moment windows (kappa > 0) on small and larger
-    # supports, against the dual LPs
+    # supports, against HiGHS on the primal LPs.  Each plan's certificate is
+    # dual feasible at the oracle's value, which proves that value optimal.
     for kappa, k in ((0.0, 12), (0.1, 12), (0.0, 41)):
         inst, model = random_problem(31, 4, 5, support_size=k, kappa=kappa)
         bulk = worst_case_values(inst, model, ys)
         for y, v in zip(ys, bulk):
-            dual, _ = worst_case_dual(inst, model, y)
-            assert v == pytest.approx(dual, rel=1e-8, abs=1e-6)
+            assert v == pytest.approx(lp_worst_case(inst, model, y), rel=1e-8, abs=1e-6)
+            dual, cert = worst_case_dual(inst, model, y)
+            assert check_certificate(inst, model, y, cert) == []
+            assert dual == pytest.approx(v, rel=1e-9)
+
+
+def test_certificate_is_tight_where_the_worst_case_puts_mass():
+    # Complementary slackness: every support point the worst case gives
+    # probability has a tight row alpha + beta d_k + gamma d_k^2 >= theta_k.
+    cases = [(random_problem(23, 3, 5, support_size=k, kappa=kappa), all_plans(3))
+             for kappa, k in itertools.product((0.0, 0.1), (12, 100))]
+    # eps_mu above the mean puts m_lo below zero, which flips that row
+    inst = toy_instance(cost=[[1.0, 2.0], [2.0, 1.0]], capacity=[10.0, 20.0],
+                        penalty=[300.0, 250.0], revenue=[1.0, 3.0])
+    cases.append(((inst, toy_model(inst, bar_mu=[4.0, 30.0], bar_sigma=[2.0, 20.0],
+                                   lambda_mu=[[0.5, 0.0], [0.2, 0.3]],
+                                   support=(0.0, 100.0, 8), eps_mu=[6.0, 5.0],
+                                   eps_lo=[0.5, 0.9], eps_hi=[1.5, 1.1])), all_plans(2)))
+    flipped = tight = 0
+    for (inst, model), ys in cases:
+        d = model.support
+        for y in ys:
+            if not ambiguity_feasible(inst, model, y):
+                continue
+            _, dist = worst_case_expectation(inst, model, y)
+            _, cert = worst_case_dual(inst, model, y)
+            assert check_certificate(inst, model, y, cert) == []
+            rows = (cert.alpha[:, None] + (cert.delta1 - cert.delta2)[:, None] * d
+                    + (cert.gamma1 - cert.gamma2)[:, None] * d ** 2
+                    - support_theta(inst, model, y))
+            mass = dist.pi > 1e-9
+            assert np.all(np.abs(rows[mass]) <= CERT_TOL), (y, np.abs(rows[mass]).max())
+            tight += int(mass.sum())
+            flipped += int(np.sum(moment_windows(model, y)[0] < 0))
+    assert flipped and tight
 
 
 def test_bulk_values_flag_infeasible_plans():
@@ -284,7 +318,7 @@ def _per_block_reference(inst, model, ys, windows):
             cost = np.zeros((1, lp.n_variables))
             for v, a in lp.objective.coeffs.items():
                 cost[0, lp.var_index(v)] += a
-            status, u, obj = _simplex_batch(
+            status, u, obj, _ = _simplex_batch(
                 rows, np.array([[con.rhs for con in lp.constraints]]),
                 [con.sense for con in lp.constraints], cost)
             if status[0] == OPTIMAL:
@@ -338,7 +372,7 @@ def test_lockstep_moment_lps_match_lone_blocks(monkeypatch):
             infeasible += int(empty[n].sum())
         keep = ~empty.any(axis=1)
         ys, windows = ys[keep], tuple(w[keep] for w in windows)
-        values, pi = _moment_lps(inst, model, ys, windows, with_pi=True)
+        values, pi, _ = _moment_lps(inst, model, ys, windows, detail=True)
         assert values.tobytes() == want[keep].tobytes()
         assert pi.tobytes() == want_pi[keep].tobytes()
         # Batch independence of the LP stage: the same windows give the same
