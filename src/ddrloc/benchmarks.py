@@ -4,9 +4,11 @@
 SP training draws included, is an (n, |J|) array it draws around the moments
 a plan induces (the "true" world shifts with the chosen facilities).  A fixed
 plan is scored on such a matrix by the closed-form second-stage cost,
-scenario by scenario.  The comparison driver trains the stochastic, robust,
-and decision-dependent robust plans and evaluates each on its own
-seed-controlled test set.
+scenario by scenario.  SP training bounds every plan's sample-average
+objective from below in closed form and prices only the plans whose bound
+can still win, as the robust solve does.  The comparison driver trains the
+stochastic, robust, and decision-dependent robust plans and evaluates each
+on its own seed-controlled test set.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .instance import (DemandModel, Instance, _as_y, decision_independent,
                        plan_moments, plans_under_budget)
-from .transport import second_stage_costs, unmet_by_customer
+from .transport import _plan_theta, second_stage_costs, unmet_by_customer
 
 if TYPE_CHECKING:
     from .experiments import ExperimentConfig
@@ -42,9 +44,9 @@ PERCENTILE_LEVELS = (95, 90, 75, 50)
 # The "perturbed" recipe of gen_scenarios resamples the moments this many
 # times, in equal blocks.
 PERTURBED_REPS = 10
-# train_sp ranks its plans in chunks whose (plans, |I|+1, scenarios)
-# closed-form temporary holds at most this many elements.
-SP_CHUNK_ELEMENTS = 1 << 15
+# train_sp's lower bounds cut each customer's sorted draws into this many
+# groups.
+SP_GROUPS = 4
 
 
 @dataclass(frozen=True)
@@ -148,9 +150,9 @@ def stat_lines(report: EvaluationReport) -> list[str]:
     return [f"{key},{_stat(report, key):.10g}" for key, _ in _STATS]
 
 
-def evaluate_plan(instance: Instance, y_hat, demands) -> EvaluationReport:
-    """Score a fixed plan via the closed-form recourse on equally likely
-    demand scenarios, a finite, nonnegative (n, |J|) matrix with n >= 1."""
+def _check_demands(instance: Instance, demands) -> np.ndarray:
+    """``demands`` as a float array; ValueError unless it is a finite,
+    nonnegative (n >= 1, |J|) matrix."""
     demands = np.asarray(demands, dtype=float)
     if demands.ndim != 2 or demands.shape[0] < 1 or demands.shape[1] != instance.n_customers:
         raise ValueError(f"demands must be an (n >= 1, {instance.n_customers}) "
@@ -159,6 +161,13 @@ def evaluate_plan(instance: Instance, y_hat, demands) -> EvaluationReport:
         raise ValueError("demands must be finite")
     if np.any(demands < 0):
         raise ValueError("demands must be nonnegative")
+    return demands
+
+
+def evaluate_plan(instance: Instance, y_hat, demands) -> EvaluationReport:
+    """Score a fixed plan via the closed-form recourse on equally likely
+    demand scenarios, a finite, nonnegative (n, |J|) matrix with n >= 1."""
+    demands = _check_demands(instance, demands)
     y = _as_y(y_hat)
     fixed = float(instance.open_cost @ y)
     objectives = fixed + second_stage_costs(instance, y, demands)
@@ -187,11 +196,31 @@ def sp_objective(instance: Instance, y, draws: np.ndarray):
     gives one objective per row, each with the bits of its plan alone.  That
     is why every plan keeps its own ``open_cost @ y``: a matrix-vector
     product rounds differently, and plan ties are decided within 1e-12.
+    ``draws`` is checked as :func:`evaluate_plan` checks its demands.
     """
+    draws = _check_demands(instance, draws)
     ys = np.asarray(y)
     fixed = np.array([instance.open_cost @ row for row in np.atleast_2d(ys)])
     objectives = fixed + second_stage_costs(instance, ys, draws).mean(axis=-1)
     return float(objectives[0]) if ys.ndim == 1 else objectives
+
+
+def _sp_bounds(instance: Instance, ys, draws: np.ndarray) -> np.ndarray:
+    """A lower bound on the :func:`sp_objective` of each plan of ``ys``.
+
+    Each customer's draws are sorted and cut into :data:`SP_GROUPS` groups
+    of equal size, up to one (empty groups are skipped when there are fewer
+    draws), and group g weighs |g|/n.  The sample-average recourse is the
+    sum over customers and groups of |g|/n times the mean of theta_j over
+    the group's draws; theta_j is convex in the demand, so by Jensen's
+    inequality that mean is at least theta_j at the group's mean demand.
+    Any partition gives a bound; the sorted one puts close demands together,
+    where theta_j is nearly affine, so its bounds are the tightest.
+    """
+    groups = [g for g in np.array_split(np.sort(draws, axis=0), SP_GROUPS) if len(g)]
+    theta = _plan_theta(instance, ys)
+    recourse = sum(len(g) / len(draws) * theta(g.mean(axis=0)) for g in groups)
+    return ys @ instance.open_cost + recourse.sum(axis=1)
 
 
 def train_sp(instance: Instance, model: DemandModel, n_scen: int, seed: int,
@@ -200,26 +229,71 @@ def train_sp(instance: Instance, model: DemandModel, n_scen: int, seed: int,
 
     Training scenarios ignore the decision dependence: ``n_scen`` Normal
     draws of :func:`gen_scenarios` at the empty plan (baseline moments).
-    For up to 14 facilities every plan under the budget is ranked by
-    :func:`sp_objective`, one :func:`plans_under_budget` chunk per call, with
-    at most :data:`SP_CHUNK_ELEMENTS` elements in the chunk's (plans, |I|+1,
-    scenarios) closed-form temporary.  Ties go to the earliest plan in
-    :func:`plans_under_budget` order: a later plan must beat the best by
-    more than 1e-12.  Beyond 14 facilities the scenario MILP is solved by
-    branch and bound.
+    Beyond 14 facilities the scenario MILP is solved by branch and bound.
+    Up to 14, the answer is the one a scan of every plan under the budget
+    gives, in :func:`plans_under_budget` order, in which a later plan must
+    beat the best so far by more than 1e-12: ties go to the earliest plan.
+
+    That scan's answer is found by pricing few plans.  Every plan gets the
+    closed-form lower bound of :func:`_sp_bounds`, ``worstcase.PLAN_CHUNK``
+    plans at a time.  Plans are priced by :func:`sp_objective`, whose rows
+    keep the bits of their plan alone, ``solvers.PRICE_BATCH`` at a time in
+    stable bound order: the first batch always, then while the next bound
+    is at most ``top + solvers.BOUND_SLACK * max(1, |m|)``.  Here m is the
+    least objective priced and ``top`` the end of the chain of priced
+    objectives that rises from m in steps of at most 1e-12.  The scan then
+    runs over the priced plans alone.
+
+    Why the skipped plans cannot change the scan's answer: a bound exceeds
+    its plan's objective by rounding at most (6.6e-14 relative at most in
+    the tests), far less than the slack less 1e-12, so the least-objective
+    plan is priced and m is the least objective of all.  Every skipped plan
+    has a bound above the limit and so an objective above ``top + 1e-12``;
+    by the chain's definition no priced plan has one in (top, top + 1e-12]
+    either.  Let q be the first plan in scan order with an objective of at
+    most ``top``; it is priced.  Every plan before q has an objective above
+    ``top + 1e-12``, so in both scans q displaces the best so far (or
+    starts it).  From q on the best is at most ``top``, and a skipped plan
+    would need an objective below ``top - 1e-12`` to displace it; so both
+    scans see the same plans after q and end on the same plan, with the
+    same bits.  A limit counted from m alone would not do: a priced plan
+    less than 1e-12 above q may keep q from displacing it in one scan and
+    not in the other, and the two scans can then leapfrog down a chain of
+    near ties to different plans.
     """
     if n_scen < 1:
         raise ValueError(f"SP sample size must be at least 1, got {n_scen}")
     draws = gen_scenarios(model, np.zeros(instance.n_facilities), "normal",
                           n_scen, seed)
     if instance.n_facilities <= 14:
-        chunk = max(1, SP_CHUNK_ELEMENTS // (n_scen * (instance.n_facilities + 1)))
-        best_y, best = None, math.inf
-        for ys in plans_under_budget(instance.n_facilities, budget, chunk):
-            for y, obj in zip(ys, sp_objective(instance, ys, draws)):
-                if obj < best - 1e-12:
-                    best_y, best = y, obj
-        return best_y.copy(), float(best)
+        from .solvers import BOUND_SLACK, PRICE_BATCH
+        from .worstcase import PLAN_CHUNK
+
+        chunks = list(plans_under_budget(instance.n_facilities, budget, PLAN_CHUNK))
+        bound = np.concatenate([_sp_bounds(instance, ys, draws) for ys in chunks])
+        ys = np.concatenate(chunks)
+        order = np.argsort(bound, kind="stable")
+        objective = np.full(len(ys), math.inf)
+
+        def limit():
+            v = np.sort(objective[objective < math.inf])
+            if not len(v):
+                return math.inf
+            step = np.flatnonzero(np.diff(v) > 1e-12)
+            top = v[step[0]] if len(step) else v[-1]
+            return top + BOUND_SLACK * max(1.0, abs(v[0]))
+
+        pos = 0
+        while pos < len(order) and bound[order[pos]] <= limit():
+            batch = order[pos:pos + PRICE_BATCH]
+            batch = batch[bound[batch] <= limit()]
+            objective[batch] = sp_objective(instance, ys[batch], draws)
+            pos += len(batch)
+        best, best_v = None, math.inf
+        for i in np.flatnonzero(objective < math.inf):     # in scan order
+            if objective[i] < best_v - 1e-12:
+                best, best_v = i, objective[i]
+        return ys[best].copy(), float(best_v)
     from .milp import build_sp_saa
     from .solvers import branch_and_bound
     m = build_sp_saa(instance, draws, budget=budget)
@@ -272,10 +346,12 @@ def compare_methods(instance: Instance, model: DemandModel,
     every plan on its own test set of ``n_test`` ``dist`` scenarios.
 
     Test sets share the config's seed but are generated per plan because the
-    true moments move with the open facilities.
+    true moments move with the open facilities.  The config is validated
+    first, so a repeated SP size cannot overwrite a plan.
     """
     from .solvers import enumerate_oracle
 
+    config.validate()
     plans = {}
     for k, n_scen in enumerate(config.sp_scenarios):
         plans[f"SP({n_scen})"] = train_sp(instance, model, n_scen,

@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ValueError("squared coefficient of variation must be >= 0")
         if not all(type(n) is int and n >= 1 for n in self.sp_scenarios):
             raise ValueError("every SP sample size must be an integer of at least 1")
+        if len(set(self.sp_scenarios)) != len(self.sp_scenarios):
+            raise ValueError(f"SP sample sizes must differ, got {list(self.sp_scenarios)}")
         _check_budget(self.budget)
 
     def to_dict(self) -> dict:

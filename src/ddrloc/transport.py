@@ -5,8 +5,9 @@ rest, collect revenue on realized demand) has a closed-form optimum theta_j:
 a maximum of affine pieces in the demand, one per candidate marginal
 source.  :func:`_pieces` builds the candidate table of every customer once,
 :func:`_intercepts` prices its pieces under plans and :func:`_theta` takes
-the maximum; the scenario costs, the value oracle, its bounds and the
-MILP's support rows all read that table.  The closed form is checked
+the maximum; the scenario costs, the value oracle, the MILP's support rows
+and, through :func:`_plan_theta`, the lower bounds of the robust and SP
+solves all read that table.  The closed form is checked
 against a plain LP solve in the tests.
 """
 
@@ -67,6 +68,24 @@ def _theta(d, cand, consts, revenue):
     """
     vals = cand[..., :, None] * d[..., None, :] + consts[..., :, None]
     return vals.max(axis=-2) - revenue * d
+
+
+def _plan_theta(instance: Instance, ys):
+    """theta_j under each plan of ``ys`` (P, |I|), as a function of one
+    demand per (plan, customer), shape (P, |J|) or broadcast against it.
+
+    A demand axis of a few points last would make every step of
+    :func:`_theta` loop over a few elements, so each call takes one.  The
+    intercepts come from one matrix product, not from :func:`_intercepts`:
+    the lower bounds of the robust and SP solves need no bits that hold for
+    a plan alone, and the elementwise form would make a (P, |J|, |I|+1,
+    |I|) temporary.
+    """
+    cand, gaps = _pieces(instance)
+    consts = ((ys * instance.capacity) @ gaps.reshape(-1, instance.n_facilities).T
+              ).reshape((len(ys),) + cand.shape)
+    revenue = instance.revenue[:, None]
+    return lambda m: _theta(m[..., None], cand, consts, revenue)[..., 0]
 
 
 def second_stage_costs(instance: Instance, y, demands: np.ndarray) -> np.ndarray:

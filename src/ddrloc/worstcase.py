@@ -28,7 +28,7 @@ import numpy as np
 
 from .instance import DemandModel, Instance, chord_slacks, moment_windows
 from .solvers import OPTIMAL, _simplex_batch
-from .transport import _intercepts, _pieces, _theta
+from .transport import _intercepts, _pieces, _plan_theta, _theta
 
 __all__ = [
     "WorstCaseDistribution",
@@ -119,9 +119,12 @@ def ambiguity_feasible(instance: Instance, model: DemandModel, y) -> Feasibility
 # Support points (blocks x K) stepped together per lockstep batch; bounds the
 # tableau memory.  A chunk holds max(1, LP_CHUNK_POINTS // K) blocks.
 LP_CHUNK_POINTS = 12_800
-# Plans per chunk of worst_case_values and of enumerate_oracle's bound passes;
-# bounds their memory.
-PLAN_CHUNK = 1024
+# Plans per chunk of worst_case_values and of the robust and SP bound passes;
+# bounds their memory.  At I=10, J=20 a chunk's (plans, |J|, |I|+1) table is
+# 450 KB: it stays in a core's cache, and the allocator reuses its memory
+# from call to call, where tables a few times larger are handed back to the
+# system after each pass and faulted in again on the next.
+PLAN_CHUNK = 256
 # Rows of one customer's moment LP: mass, mean_hi, mean_lo, sec_hi, sec_lo.
 _MOMENT_SENSES = ("=", "<=", ">=", "<=", ">=")
 # The LP minimises -theta . pi, so the certificate's (alpha, delta1, delta2,
@@ -263,24 +266,6 @@ def _mean_intervals(model: DemandModel, windows):
     a = np.maximum(np.maximum(m_lo, lo), (s_lo + lo * hi) / (lo + hi))
     b = np.minimum(np.minimum(m_hi, hi), (s_hi + p * q) / (p + q))
     return a, b
-
-
-def _plan_theta(instance: Instance, ys):
-    """theta_j under each plan of ``ys`` (P, |I|), as a function of one
-    demand per (plan, customer), shape (P, |J|).
-
-    A demand axis of a few points last would make every step of
-    :func:`~ddrloc.transport._theta` loop over a few elements, so each call
-    takes one.  The intercepts come from one matrix product, not from
-    :func:`~ddrloc.transport._intercepts`: a bound needs no bits that hold
-    for a plan alone, and the elementwise form would make a (P, |J|, |I|+1,
-    |I|) temporary.
-    """
-    cand, gaps = _pieces(instance)
-    consts = ((ys * instance.capacity) @ gaps.reshape(-1, instance.n_facilities).T
-              ).reshape((len(ys),) + cand.shape)
-    revenue = instance.revenue[:, None]
-    return lambda m: _theta(m[..., None], cand, consts, revenue)[..., 0]
 
 
 def _jensen_bounds(instance: Instance, model: DemandModel, ys):

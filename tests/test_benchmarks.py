@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import ddrloc.benchmarks
+import ddrloc.solvers
 from conftest import all_plans, random_problem, relaxation, toy_instance, toy_model
 from ddrloc.benchmarks import (PERCENTILE_LEVELS, compare_methods,
                                evaluate_plan, gen_scenarios, order_statistic,
@@ -15,19 +17,23 @@ from ddrloc.transport import second_stage_costs
 
 
 def test_evaluate_plan_rejects_malformed_demands():
+    # sp_objective's draws get the same check: a (5, 5) matrix used to score
+    # its first four columns, a negative one gave a number, NaN gave nan,
+    # an empty one nan with warnings and a narrow one an IndexError.
     inst, model = random_problem(1, 3, 4)
     y = np.ones(3)
-    for bad in (np.ones((0, 4)), np.ones(4), np.ones((2, 4, 1)),
-                np.ones((2, 5)), np.ones((2, 3))):
-        with pytest.raises(ValueError, match=r"demands must be an \(n >= 1, 4\) matrix"):
-            evaluate_plan(inst, y, bad)
-    with pytest.raises(ValueError, match="demands must be nonnegative"):
-        evaluate_plan(inst, y, -np.ones((2, 4)))
-    for value in (np.nan, np.inf, -np.inf):
-        bad = np.full((3, 4), 20.0)
-        bad[1, 2] = value
-        with pytest.raises(ValueError, match="demands must be finite"):
-            evaluate_plan(inst, y, bad)
+    for score in (evaluate_plan, sp_objective):
+        for bad in (np.ones((0, 4)), np.ones(4), np.ones((2, 4, 1)),
+                    np.ones((2, 5)), np.ones((5, 5)), np.ones((2, 3))):
+            with pytest.raises(ValueError, match=r"demands must be an \(n >= 1, 4\) matrix"):
+                score(inst, y, bad)
+        with pytest.raises(ValueError, match="demands must be nonnegative"):
+            score(inst, y, -np.ones((2, 4)))
+        for value in (np.nan, np.inf, -np.inf):
+            bad = np.full((3, 4), 20.0)
+            bad[1, 2] = value
+            with pytest.raises(ValueError, match="demands must be finite"):
+                score(inst, y, bad)
     # and the sampler refuses an empty or negative request before drawing
     for dist in ("normal", "gamma", "perturbed"):
         for n in (0, -10):
@@ -217,6 +223,18 @@ def _sp_reference(inst, draws, budget=None):
     return best_y
 
 
+def _record_pricing(monkeypatch):
+    """The plan matrices train_sp passes to sp_objective, in call order."""
+    batches = []
+
+    def objective(inst, ys, draws):
+        batches.append(np.array(ys))
+        return sp_objective(inst, ys, draws)
+
+    monkeypatch.setattr("ddrloc.benchmarks.sp_objective", objective)
+    return batches
+
+
 def test_sp_objective_plan_matrix_matches_one_plan_calls(monkeypatch):
     inst, model = random_problem(21, 5, 6)
     draws = _sp_draws(inst, model, 12, 3)
@@ -224,22 +242,26 @@ def test_sp_objective_plan_matrix_matches_one_plan_calls(monkeypatch):
         ys = all_plans(inst.n_facilities, budget)
         one = np.array([sp_objective(inst, y, draws) for y in ys])
         assert sp_objective(inst, ys, draws).tobytes() == one.tobytes()
-        # Three plans a chunk, so plans straddle chunk boundaries; every plan
-        # under the budget is ranked once, in enumeration order.
-        ranked = []
-
-        def objective(inst, ys, draws):
-            ranked.extend(map(tuple, ys))
-            return sp_objective(inst, ys, draws)
-
+        # Two plans a batch, and the bounds of the plans that open a facility
+        # the best plan keeps closed lowered (they stay lower bounds), so the
+        # answer lies beyond the first batch.  No plan is priced twice, no
+        # call gets more than a batch, and the plan and bits are those of one
+        # call per plan.
+        best = _sp_reference(inst, draws, budget)
+        closed = int(np.argmin(best))
+        real = ddrloc.benchmarks._sp_bounds
         with monkeypatch.context() as m:
-            m.setattr("ddrloc.benchmarks.SP_CHUNK_ELEMENTS",
-                      3 * len(draws) * (inst.n_facilities + 1))
-            m.setattr("ddrloc.benchmarks.sp_objective", objective)
+            m.setattr(ddrloc.benchmarks, "_sp_bounds",
+                      lambda instance, ys, draws: real(instance, ys, draws) - 1e7 * ys[:, closed])
+            m.setattr(ddrloc.solvers, "PRICE_BATCH", 2)
+            batches = _record_pricing(m)
             y, obj = train_sp(inst, model, 12, seed=3, budget=budget)
-        assert np.array_equal(ranked, ys)
-        assert y.tolist() == _sp_reference(inst, draws, budget).tolist()
-        # the best row of a chunk has the bits of its plan alone
+        priced = [tuple(p) for p in np.concatenate(batches)]
+        assert best.tolist() not in batches[0].tolist()
+        assert max(map(len, batches)) <= 2
+        assert len(set(priced)) == len(priced) < len(ys)
+        assert y.tolist() == best.tolist()
+        # the best row of a batch has the bits of its plan alone
         assert obj == sp_objective(inst, y, draws)
 
 
@@ -263,16 +285,59 @@ def test_train_sp_tie_rule(monkeypatch):
         y, obj = train_sp(inst, model, 25, seed=4, budget=budget)
         assert y.tolist() == [0, 1, 0]
         assert obj == sp_objective(inst, y, draws)
-    # A later plan must beat the best so far by more than 1e-12, also when it
-    # sits in a later chunk (three plans a chunk here).
+    # Priced one plan at a time, with (1, 0, 0)'s bound lowered (it stays a
+    # lower bound), the later twin is priced first; the earlier one still
+    # takes the tie.
+    real = ddrloc.benchmarks._sp_bounds
+
+    def lowered(instance, ys, draws):
+        bound = real(instance, ys, draws)
+        bound[(ys == [1, 0, 0]).all(axis=1)] -= 1.0
+        return bound
+
+    monkeypatch.setattr(ddrloc.benchmarks, "_sp_bounds", lowered)
+    monkeypatch.setattr(ddrloc.solvers, "PRICE_BATCH", 1)
+    with monkeypatch.context() as m:
+        batches = _record_pricing(m)
+        y, obj = train_sp(inst, model, 25, seed=4)
+    assert batches[0].tolist() == [[1, 0, 0]]
+    assert [0, 1, 0] in np.concatenate(batches).tolist()
+    assert y.tolist() == [0, 1, 0] and obj == sp_objective(inst, y, draws)
+    # A later plan must beat the best so far by more than 1e-12, also when
+    # the plans are priced last to first (bounds that fall along the scan).
     objectives = {(0, 0, 0): 1.0, (0, 0, 1): 1.0 - 5e-13, (0, 1, 0): 0.5,
                   (0, 1, 1): 0.5 - 5e-13, (1, 0, 0): 0.5 - 3e-12,
                   (1, 0, 1): 0.5 - 3.5e-12, (1, 1, 0): 0.75, (1, 1, 1): 0.5 - 3e-12}
     monkeypatch.setattr("ddrloc.benchmarks.sp_objective",
                         lambda inst, ys, draws: np.array([objectives[tuple(y)] for y in ys]))
-    monkeypatch.setattr("ddrloc.benchmarks.SP_CHUNK_ELEMENTS", 3 * 25 * 4)
+    monkeypatch.setattr(ddrloc.benchmarks, "_sp_bounds",
+                        lambda instance, ys, draws: -np.arange(len(ys), dtype=float))
     y, obj = train_sp(inst, model, 25, seed=4)
     assert y.tolist() == [1, 0, 0] and obj == 0.5 - 3e-12
+
+
+def test_train_sp_follows_a_chain_of_near_ties(monkeypatch):
+    # Objectives by scan position: p, r, q, then 1110 plans falling from q in
+    # steps of 0.9e-12 to the least, 0.5, and 10 for the rest.  A scan of
+    # every plan takes p, keeps it over r (1e-12 - 3e-14 below it) and lets
+    # q displace it, where a scan without p keeps r over q; the two scans
+    # then leapfrog down the chain, and only the first ends on its last
+    # plan.  Priced up to the least plus BOUND_SLACK, p would be left out;
+    # the limit counts from the top of the priced chain instead, which
+    # reaches p.
+    inst, model = random_problem(2, 11, 2)
+    step, n = 0.9e-12, 1110
+    q = 0.5 + n * step
+    values = np.full(2 ** 11, 10.0)
+    values[:3] = q + 1.47e-12, q + 0.5e-12, q
+    values[3:3 + n] = q - step * np.arange(1, n + 1)
+    codes = 1 << np.arange(10, -1, -1)
+    monkeypatch.setattr(ddrloc.benchmarks, "_sp_bounds",
+                        lambda instance, ys, draws: values[ys @ codes])
+    monkeypatch.setattr("ddrloc.benchmarks.sp_objective",
+                        lambda inst, ys, draws: values[ys @ codes])
+    y, obj = train_sp(inst, model, 5, seed=0)
+    assert y @ codes == 2 + n and obj == 0.5
 
 
 @pytest.mark.parametrize("seed, plans", [(0, {20: [0, 1, 3, 8, 9], 100: [0, 1, 3, 8, 9]}),
@@ -291,11 +356,43 @@ def test_train_sp_pinned_on_criterion_7_configs(seed, plans):
         assert np.flatnonzero(y).tolist() == plans[n_scen]
 
 
+def test_sp_bounds_hold_and_ranking_matches_pricing_every_plan():
+    # On criterion 7's ten instances, with both robustness levels and row
+    # sums, a budget on every other seed and five sample sizes: every plan's
+    # bound is at most its sp_objective, and train_sp gives the plan and bits
+    # of a scan that prices every plan.
+    excess = 0.0
+    for seed in range(10):
+        inst, model = generate_instance(ExperimentConfig(
+            n_facilities=10, n_customers=20, support_size=20, seed=seed,
+            penalty=225.0, kappa=(0.0, 0.1)[seed % 2],
+            lambda_row_sum=(0.5, 0.99)[seed // 2 % 2]))
+        budget = (None, 3)[seed % 2]
+        ys = all_plans(inst.n_facilities, budget)
+        for n_scen in (1, 3, 5, 20, 100):
+            draws = _sp_draws(inst, model, n_scen, seed + n_scen)
+            objectives = sp_objective(inst, ys, draws)
+            bounds = ddrloc.benchmarks._sp_bounds(inst, ys, draws)
+            excess = max(excess, ((bounds - objectives)
+                                  / np.maximum(1.0, np.abs(objectives))).max())
+            best, best_v = None, math.inf      # the scan, on rows with their plans' bits
+            for i, v in enumerate(objectives):
+                if v < best_v - 1e-12:
+                    best, best_v = i, v
+            y, obj = train_sp(inst, model, n_scen, seed=seed + n_scen, budget=budget)
+            assert y.tolist() == ys[best].tolist()
+            assert float(obj).hex() == float(best_v).hex()
+    print(f"largest relative excess of a bound over its objective: {excess:.3g}")
+    assert excess <= 1e-12
+
+
 def test_compare_methods_output_shape():
     inst, model = random_problem(10, 4, 6, support_size=8)
     result = compare_methods(inst, model, ExperimentConfig(
         sp_scenarios=(5, 10), n_test=100, seed=2))
     assert result.methods == ("SP(5)", "SP(10)", "DR", "DDDR")
+    with pytest.raises(ValueError, match="SP sample sizes must differ"):
+        compare_methods(inst, model, ExperimentConfig(sp_scenarios=(5, 10, 5)))
     csv = result.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0] == "method,statistic,value"

@@ -60,6 +60,10 @@ def test_config_validation_and_round_trip():
     ExperimentConfig(n_test=1).validate()
     with pytest.raises(ValueError, match="SP sample size"):
         ExperimentConfig(sp_scenarios=(20, 0)).validate()
+    # compare_methods names a plan SP(n), so a repeated size would overwrite one
+    for sizes in ((100, 20, 100), (5, 5)):
+        with pytest.raises(ValueError, match=r"SP sample sizes must differ, got \["):
+            ExperimentConfig(sp_scenarios=sizes).validate()
     with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
         ExperimentConfig(budget=-1).validate()
     ExperimentConfig(budget=0, sp_scenarios=(1,)).validate()
@@ -262,6 +266,8 @@ def test_cli_compare_reports_bad_configs(tmp_path, capsys):
              "every SP sample size must be an integer of at least 1"),
             ({"sp_scenarios": [5, True]},
              "every SP sample size must be an integer of at least 1"),
+            ({"sp_scenarios": [100, 20, 100]},
+             "SP sample sizes must differ, got [100, 20, 100]"),
             ({"kappa": 2.0}, "kappa must lie in [0, 1]"),
             # baseline means of 20 to 40 on the support 1..10: the robust
             # solve finds no plan with a distribution
