@@ -6,9 +6,9 @@ a plan induces (the "true" world shifts with the chosen facilities).  A fixed
 plan is scored on such a matrix by the closed-form second-stage cost,
 scenario by scenario.  SP training bounds every plan's sample-average
 objective from below in closed form and prices only the plans whose bound
-can still win, as the robust solve does.  The comparison driver trains the
-stochastic, robust, and decision-dependent robust plans and evaluates each
-on its own seed-controlled test set.
+can still win, by the robust solve's search (``solvers._bound_ordered``).
+The comparison driver trains the stochastic, robust, and decision-dependent
+robust plans and evaluates each on its own seed-controlled test set.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import solvers
 from .instance import (DemandModel, Instance, _as_y, decision_independent,
-                       plan_moments, plans_under_budget)
+                       plan_moments)
+from .milp import build_sp_saa
 from .transport import _plan_theta, second_stage_costs, unmet_by_customer
 
 if TYPE_CHECKING:
@@ -231,73 +233,28 @@ def train_sp(instance: Instance, model: DemandModel, n_scen: int, seed: int,
     draws of :func:`gen_scenarios` at the empty plan (baseline moments).
     Beyond 14 facilities the scenario MILP is solved by branch and bound.
     Up to 14, the answer is the one a scan of every plan under the budget
-    gives, in :func:`plans_under_budget` order, in which a later plan must
-    beat the best so far by more than 1e-12: ties go to the earliest plan.
-
-    That scan's answer is found by pricing few plans.  Every plan gets the
-    closed-form lower bound of :func:`_sp_bounds`, ``worstcase.PLAN_CHUNK``
-    plans at a time.  Plans are priced by :func:`sp_objective`, whose rows
-    keep the bits of their plan alone, ``solvers.PRICE_BATCH`` at a time in
-    stable bound order: the first batch always, then while the next bound
-    is at most ``top + solvers.BOUND_SLACK * max(1, |m|)``.  Here m is the
-    least objective priced and ``top`` the end of the chain of priced
-    objectives that rises from m in steps of at most 1e-12.  The scan then
-    runs over the priced plans alone.
-
-    Why the skipped plans cannot change the scan's answer: a bound exceeds
-    its plan's objective by rounding at most (6.6e-14 relative at most in
-    the tests), far less than the slack less 1e-12, so the least-objective
-    plan is priced and m is the least objective of all.  Every skipped plan
-    has a bound above the limit and so an objective above ``top + 1e-12``;
-    by the chain's definition no priced plan has one in (top, top + 1e-12]
-    either.  Let q be the first plan in scan order with an objective of at
-    most ``top``; it is priced.  Every plan before q has an objective above
-    ``top + 1e-12``, so in both scans q displaces the best so far (or
-    starts it).  From q on the best is at most ``top``, and a skipped plan
-    would need an objective below ``top - 1e-12`` to displace it; so both
-    scans see the same plans after q and end on the same plan, with the
-    same bits.  A limit counted from m alone would not do: a priced plan
-    less than 1e-12 above q may keep q from displacing it in one scan and
-    not in the other, and the two scans can then leapfrog down a chain of
-    near ties to different plans.
+    gives, in ``plans_under_budget`` order, in which a later plan must beat
+    the best so far by more than 1e-12: ties go to the earliest plan.  The
+    scan runs over the plans that ``solvers._bound_ordered`` prices by
+    :func:`sp_objective` in the order of their :func:`_sp_bounds`; the
+    search's docstring shows why it ends on the same plan, with the same bits.
     """
     if n_scen < 1:
         raise ValueError(f"SP sample size must be at least 1, got {n_scen}")
     draws = gen_scenarios(model, np.zeros(instance.n_facilities), "normal",
                           n_scen, seed)
     if instance.n_facilities <= 14:
-        from .solvers import BOUND_SLACK, PRICE_BATCH
-        from .worstcase import PLAN_CHUNK
-
-        chunks = list(plans_under_budget(instance.n_facilities, budget, PLAN_CHUNK))
-        bound = np.concatenate([_sp_bounds(instance, ys, draws) for ys in chunks])
-        ys = np.concatenate(chunks)
-        order = np.argsort(bound, kind="stable")
-        objective = np.full(len(ys), math.inf)
-
-        def limit():
-            v = np.sort(objective[objective < math.inf])
-            if not len(v):
-                return math.inf
-            step = np.flatnonzero(np.diff(v) > 1e-12)
-            top = v[step[0]] if len(step) else v[-1]
-            return top + BOUND_SLACK * max(1.0, abs(v[0]))
-
-        pos = 0
-        while pos < len(order) and bound[order[pos]] <= limit():
-            batch = order[pos:pos + PRICE_BATCH]
-            batch = batch[bound[batch] <= limit()]
-            objective[batch] = sp_objective(instance, ys[batch], draws)
-            pos += len(batch)
+        plans, bound = solvers._bounded_plans(instance.n_facilities, budget, lambda ys: (
+            np.ones(len(ys), dtype=bool), _sp_bounds(instance, ys, draws)))
+        sel, values, _ = solvers._bound_ordered(
+            bound, lambda s: sp_objective(instance, plans(s), draws), [], math.inf)
         best, best_v = None, math.inf
-        for i in np.flatnonzero(objective < math.inf):     # in scan order
-            if objective[i] < best_v - 1e-12:
-                best, best_v = i, objective[i]
-        return ys[best].copy(), float(best_v)
-    from .milp import build_sp_saa
-    from .solvers import branch_and_bound
+        for i in np.argsort(sel):                          # in scan order
+            if values[i] < best_v - 1e-12:
+                best, best_v = sel[i], values[i]
+        return plans([best])[0], float(best_v)
     m = build_sp_saa(instance, draws, budget=budget)
-    sol = branch_and_bound(m)
+    sol = solvers.branch_and_bound(m)
     if sol.status != "optimal":
         raise RuntimeError(f"scenario MILP ended {sol.status}")
     y = np.array([round(sol.x[nm]) for nm in m.meta["y_vars"]], dtype=int)
@@ -349,16 +306,14 @@ def compare_methods(instance: Instance, model: DemandModel,
     true moments move with the open facilities.  The config is validated
     first, so a repeated SP size cannot overwrite a plan.
     """
-    from .solvers import enumerate_oracle
-
     config.validate()
     plans = {}
     for k, n_scen in enumerate(config.sp_scenarios):
         plans[f"SP({n_scen})"] = train_sp(instance, model, n_scen,
                                           seed=config.seed + 1000 * (k + 1),
                                           budget=config.budget)[0]
-    plans["DR"] = enumerate_oracle(instance, decision_independent(model), config.budget)[0]
-    plans["DDDR"] = enumerate_oracle(instance, model, config.budget)[0]
+    plans["DR"] = solvers.enumerate_oracle(instance, decision_independent(model), config.budget)[0]
+    plans["DDDR"] = solvers.enumerate_oracle(instance, model, config.budget)[0]
 
     reports = {}
     for method, y in plans.items():

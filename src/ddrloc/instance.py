@@ -174,11 +174,11 @@ def plans_under_budget(n: int, budget: int | None, chunk: int):
     """Every 0/1 plan over ``n`` facilities with at most ``budget`` open, in
     lexicographic order, as integer matrices of ``chunk`` plans (the last may
     hold fewer).  The integer codes are walked in order, skipping each run of
-    codes that open too many whole.  The budget is checked at the call, not
-    at the first ``next()``."""
+    codes that open too many whole, and unpacked from their bytes, so any n
+    works.  The budget is checked at the call, not at the first ``next()``."""
     _check_budget(budget)
     limit = n if budget is None else budget
-    bits = np.arange(n - 1, -1, -1)
+    size = -(-n // 8)
 
     def codes():
         x = 0
@@ -193,7 +193,9 @@ def plans_under_budget(n: int, budget: int | None, chunk: int):
     def chunks():
         walk = codes()
         while block := list(itertools.islice(walk, chunk)):
-            yield (np.array(block)[:, None] >> bits) & 1
+            raw = np.frombuffer(b"".join(x.to_bytes(size, "big") for x in block), np.uint8)
+            rows = np.unpackbits(raw.reshape(len(block), size), axis=1)
+            yield rows[:, 8 * size - n:].astype(int)
     return chunks()
 
 

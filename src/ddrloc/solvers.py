@@ -1,15 +1,13 @@
-"""Numerical kernels: model LPs, branch-and-bound, the lockstep simplex.
+"""Model LPs, branch-and-bound, and the bound-ordered search over plans.
 
 HiGHS (via scipy) solves every model LP: :func:`simplex_solve` with dual
-values, :func:`branch_and_bound` for the MILPs' relaxations.  The value
-oracle's moment LPs go through a separate tableau simplex that steps a batch
-of tableaux in lockstep, so a block gets the same bits alone as in any batch,
-and reads the moment LPs' dual certificates off the final bases.
-:func:`enumerate_oracle` is the robust solve: it bounds every plan from
-below in closed form, a chunk at a time, and prices only the plans whose
-bound can beat the best plan priced.  :func:`exact_solve`, its cross-check,
-solves the paper's robust MILP once at derived dual bounds and checks its
-plan with the value oracle.
+values, :func:`branch_and_bound` for the MILPs' relaxations.
+:func:`_bound_ordered` is the one search that finds a plan by closed-form
+lower bounds, pricing only the plans whose bound can still win; the robust
+solve :func:`enumerate_oracle` and SP training (``benchmarks.train_sp``)
+both run it.  :func:`exact_solve`, the robust solve's cross-check, solves
+the paper's robust MILP once at derived dual bounds and checks its plan
+with the value oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from . import worstcase
 from .instance import plans_under_budget
 from .milp import MilpModel, build_dddr, derive_dual_bounds
 
@@ -35,19 +34,10 @@ __all__ = [
     "exact_solve",
 ]
 
-PIVOT_TOL = 1e-9
-FEAS_TOL = 1e-8
 # Branch-and-bound prunes nodes within ABS_GAP of the best plan found; a
 # binary within INT_TOL of 0 or 1 counts as integral.
 ABS_GAP = 1e-6
 INT_TOL = 1e-6
-# enumerate_oracle prices PRICE_BATCH plans at a time, and skips a plan only
-# when its lower bound exceeds the incumbent by more than BOUND_SLACK relative
-# (at least BOUND_SLACK absolute): the bounds use other arithmetic than the
-# value oracle and came out up to 7.3e-12 above it where they are tight, at
-# objectives of order 1e4.
-PRICE_BATCH = 16
-BOUND_SLACK = 1e-9
 
 
 @dataclass
@@ -139,184 +129,6 @@ def simplex_solve(m: MilpModel) -> LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# Lockstep tableau simplex
-# ---------------------------------------------------------------------------
-
-OPTIMAL, INFEASIBLE, UNBOUNDED = 0, 1, 2
-_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
-
-
-def _simplex_batch(A, b, senses, c):
-    """Solve ``min c.u  s.t.  A u (senses) b,  u >= 0`` for a batch of blocks.
-
-    ``A`` (m, n) and the row senses are shared, ``b`` is (B, m) and ``c``
-    is (B, n).  Blocks with the same rows of negative right-hand side share
-    a tableau shape and are stepped together by :func:`_lockstep_simplex`,
-    so each block gets the same pivots, values and status alone as in any
-    batch.  Returns ``(status, u, objective, y)`` with codes OPTIMAL,
-    INFEASIBLE, UNBOUNDED and ``y`` (B, m) the row duals ``c_B B^-1`` of the
-    final basis; all but the status are meaningful only where it is OPTIMAL.
-    """
-    status = np.empty(len(b), dtype=int)
-    u = np.empty(c.shape)
-    obj = np.empty(len(b))
-    y = np.empty(b.shape)
-    patterns, group = np.unique(b < 0, axis=0, return_inverse=True)
-    for g in range(len(patterns)):
-        sel = np.flatnonzero(group.ravel() == g)
-        status[sel], u[sel], obj[sel], y[sel] = _lockstep_simplex(
-            *_initial_tableau(A, b[sel], senses), c[sel])
-        y[sel] *= np.where(patterns[g], -1.0, 1.0)   # a row negated for b >= 0
-    return status, u, obj, y
-
-
-def _initial_tableau(A, b, senses):
-    """Phase-1 tableaux ``[A | slack/surplus | artificial]`` of a batch.
-
-    ``A`` (m, n) is shared and ``b`` is (B, m), with the same rows of
-    negative right-hand side in every block.  Those rows are negated to
-    make b >= 0 and their senses flipped.  Then comes one slack (+1,
-    ``<=``) or surplus (-1, ``>=``) column per inequality row and one
-    artificial column per row that is not ``<=``, each in row order.
-    Returns ``(T, b, basis, artificial)``: the basis starts at each ``<=``
-    row's slack and at every other row's artificial, and ``artificial``
-    masks the artificial columns.
-    """
-    n_blocks, (n_rows, n_struct) = len(b), A.shape
-    flip = np.where(b[0] < 0, -1.0, 1.0)
-    senses = [_FLIPPED[s] if f < 0 else s for s, f in zip(senses, flip)]
-    ineq = [r for r, s in enumerate(senses) if s != "="]
-    arts = [r for r, s in enumerate(senses) if s != "<="]
-    extra = np.zeros((n_rows, len(ineq) + len(arts)))
-    for i, r in enumerate(ineq):
-        extra[r, i] = 1.0 if senses[r] == "<=" else -1.0
-    for i, r in enumerate(arts):
-        extra[r, len(ineq) + i] = 1.0
-    T = np.concatenate([np.broadcast_to(A * flip[:, None], (n_blocks, n_rows, n_struct)),
-                        np.broadcast_to(extra, (n_blocks,) + extra.shape)], axis=2)
-    slack = {r: n_struct + i for i, r in enumerate(ineq)}
-    art = {r: n_struct + len(ineq) + i for i, r in enumerate(arts)}
-    start = [slack[r] if s == "<=" else art[r] for r, s in enumerate(senses)]
-    artificial = np.zeros(T.shape[2], dtype=bool)
-    artificial[list(art.values())] = True
-    return T, b * flip, np.tile(np.array(start, dtype=int), (n_blocks, 1)), artificial
-
-
-def _lockstep_simplex(T, b, basis, artificial, c):
-    """Two-phase primal simplex on a batch of same-shaped tableaux, in lockstep.
-
-    Every block follows the same rules on its own: phase 1 on the
-    artificials, then artificials driven out of the basis
-    where a nonzero non-artificial entry allows, then phase 2 on the cost
-    ``c`` (B, n_struct) with the artificials blocked.  Each reduction over
-    rows is a stacked ``matmul``, which rounds exactly as one block's
-    vector-matrix product does, so a block's pivots do not depend on its
-    batch.  ``T``, ``b`` and ``basis`` are updated in place.  Returns
-    ``(status, u, objective, y)``: the status codes, the structural values,
-    ``c . u`` and the row duals ``c_B B^-1`` per block, whose ``B^-1`` is the
-    final tableau at the columns of the initial basis, the identity.
-    """
-    n_blocks, n_rows, n_total = T.shape
-    start = basis[0].copy()
-    status = np.full(n_blocks, OPTIMAL)
-    live = np.arange(n_blocks)
-    if artificial.any():
-        c1 = np.broadcast_to(artificial.astype(float), (n_blocks, n_total))
-        _run(T, b, basis, c1, np.zeros(n_total, dtype=bool), live, status)
-        left = (artificial[basis].astype(float)[:, None, :] @ b[:, :, None])[:, 0, 0]
-        status[(status != OPTIMAL) | (left > FEAS_TOL)] = INFEASIBLE
-        live = np.flatnonzero(status == OPTIMAL)
-        # A pivot on row r changes only row r's basic column, so the rows to
-        # visit are known up front.
-        for r in np.flatnonzero(artificial[basis[live]].any(axis=0)):
-            nz = ~artificial & (np.abs(T[live, r]) > PIVOT_TOL)
-            go = artificial[basis[live, r]] & nz.any(axis=1)
-            k = live[go]
-            if k.size:
-                Tk, bk, j = T[k], b[k], nz[go].argmax(axis=1)
-                _pivot(Tk, bk, np.arange(k.size), np.full(k.size, r), j)
-                T[k], b[k] = Tk, bk
-                basis[k, r] = j
-
-    n_struct = c.shape[1]
-    c2 = np.zeros((n_blocks, n_total))
-    c2[:, :n_struct] = c
-    _run(T, b, basis, c2, artificial, live, status)
-    u = np.zeros((n_blocks, n_total))
-    np.put_along_axis(u, basis, b, axis=1)
-    u = np.ascontiguousarray(u[:, :n_struct])
-    y = (np.take_along_axis(c2, basis, axis=1)[:, None, :] @ T[:, :, start])[:, 0]
-    return status, u, (c[:, None, :] @ u[:, :, None])[:, 0, 0], y
-
-
-def _pivot(T, b, n, r, j):
-    """Pivot block n[i] of (T, b) on row r[i], column j[i]; returns the pivot rows."""
-    piv = T[n, r, j]
-    prow = T[n, r] / piv[:, None]
-    T[n, r] = prow
-    b_r = b[n, r] / piv
-    b[n, r] = b_r
-    fac = T[n, :, j]
-    fac[n, r] = 0.0
-    T -= fac[:, :, None] * prow[:, None, :]
-    b -= fac * b_r[:, None]
-    return T[n, r]
-
-
-@np.errstate(divide="ignore", invalid="ignore")
-def _run(T, b, basis, c, blocked, live, status):
-    """Pivot blocks ``live`` to optimality of ``c`` over their (T, b, basis).
-
-    Dantzig pricing (lowest index among ties) over the unblocked columns,
-    ratio ties to the lowest basis index, and Bland's rule for good once the
-    objective has stalled for more than m + 10 pivots.  A block leaves the
-    batch when it is optimal or unbounded; its state and status are written
-    back then.
-    """
-    if not live.size:
-        return
-    n_rows, n_total = T.shape[1:]
-    free = ~blocked
-    Tw, bw, bas, cw = T[live], b[live], basis[live], c[live]
-    n = np.arange(len(live))
-    c_basis = cw[n[:, None], bas][:, None, :]
-    zrow = (c_basis @ Tw)[:, 0] - cw
-    last = (c_basis @ bw[:, :, None])[:, 0, 0]
-    stall = np.zeros(len(live), dtype=int)
-    bland = np.zeros(len(live), dtype=bool)
-    for _ in range(50 * (n_rows + n_total) + 1000):
-        elig = free & (zrow > PIVOT_TOL)
-        j = np.where(elig, zrow, -np.inf).argmax(axis=1)
-        if bland.any():
-            j = np.where(bland, elig.argmax(axis=1), j)
-        col = Tw[n, :, j]
-        pos = col > PIVOT_TOL
-        done = ~(elig[n, j] & pos.any(axis=1))
-        if done.any():
-            out = live[done]
-            status[out] = np.where(elig[n, j][done], UNBOUNDED, OPTIMAL)
-            T[out], b[out], basis[out] = Tw[done], bw[done], bas[done]
-            keep = ~done
-            if not keep.any():
-                return
-            live, Tw, bw, bas, cw, zrow, last, stall, bland, j, col, pos = (
-                a[keep] for a in (live, Tw, bw, bas, cw, zrow, last, stall, bland,
-                                  j, col, pos))
-            n = np.arange(len(live))
-        ratios = np.where(pos, bw / col, np.inf)
-        tied = ratios <= ratios.min(axis=1, keepdims=True) + 1e-12
-        r = np.where(tied, bas, n_total).argmin(axis=1)
-        zrow -= zrow[n, j][:, None] * _pivot(Tw, bw, n, r, j)
-        bas[n, r] = j
-        obj = (cw[n[:, None], bas][:, None, :] @ bw[:, :, None])[:, 0, 0]
-        better = obj < last - 1e-12
-        last = np.where(better, obj, last)
-        stall = np.where(better, 0, stall + 1)
-        bland |= stall > n_rows + 10
-    raise RuntimeError("simplex iteration limit exceeded")
-
-
-# ---------------------------------------------------------------------------
 # Branch-and-bound
 # ---------------------------------------------------------------------------
 
@@ -368,68 +180,120 @@ def branch_and_bound(m: MilpModel, node_limit: int = 200_000) -> MipSolution:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration oracle and exact solve
+# Bound-ordered search, enumeration oracle and exact solve
 # ---------------------------------------------------------------------------
+
+# _bound_ordered prices PRICE_BATCH plans at a time and skips those whose
+# lower bound exceeds its limit, BOUND_SLACK relative (at least absolute)
+# above the best objective: bounds came out up to 7.3e-12 above robust
+# objectives of order 1e4, and 6.6e-14 relative above SP objectives.
+PRICE_BATCH = 16
+BOUND_SLACK = 1e-9
+
+
+def _bound_ordered(bound, price, priced, batches):
+    """Price plans in stable order of their lower bounds while one can still win.
+
+    ``bound[p]`` bounds plan p's objective from below, ``price(sel)`` gives
+    the objectives of the plans at positions ``sel`` and ``priced`` holds
+    those priced before.  At most ``batches`` batches of :data:`PRICE_BATCH`
+    are priced, while a bound is at most ``top + BOUND_SLACK * max(1,
+    |m|)``: m is the least finite objective priced (with none, the limit is
+    inf) and ``top`` the end of the chain of priced objectives rising from m
+    in steps of at most 1e-12.  Returns ``(sel, values, limit)``: the
+    positions priced, in pricing order, their objectives and the last limit.
+
+    Why a search run to its end leaves no plan that changes the answer.  A
+    bound exceeds its objective by rounding alone, far less than the slack
+    less 1e-12, so the least-objective plan is priced, m is the least
+    objective of all, and every unpriced plan has an objective above ``top +
+    1e-12``.  That settles "least objective, ties to the first plan".  For
+    the scan in which a later plan must beat the best so far by more than
+    1e-12: by the chain's definition no priced plan has an objective in
+    (top, top + 1e-12] either.  The first plan q in scan order with an
+    objective of at most ``top`` is priced, and every plan before it is
+    above ``top + 1e-12``, so q displaces the best so far (or starts it) in
+    a scan of the priced plans and in a scan of all plans.  From q on the
+    best is at most ``top``, and an unpriced plan would need an objective
+    below ``top - 1e-12`` to displace it, so both scans end on the same
+    plan, with the same bits.  A limit counted from m alone would not do: a
+    priced plan less than 1e-12 above q may keep q from displacing it in one
+    scan and not in the other, and the two scans can then leapfrog down a
+    chain of near ties to different plans.
+    """
+    order = np.argsort(bound, kind="stable")
+    values = np.empty(0)
+
+    def limit():
+        v = np.sort(np.concatenate([priced, values]))
+        v = v[v < math.inf]
+        if not len(v):
+            return math.inf
+        step = np.flatnonzero(np.diff(v) > 1e-12)
+        top = v[step[0]] if len(step) else v[-1]
+        return top + BOUND_SLACK * max(1.0, abs(v[0]))
+
+    while batches and len(values) < len(order):
+        batch = order[len(values):len(values) + PRICE_BATCH]
+        batch = batch[bound[batch] <= limit()]       # a prefix, in bound order
+        if not len(batch):
+            break
+        values = np.append(values, price(batch))
+        batches -= 1
+    return order[:len(values)], values, limit()
+
+
+def _bounded_plans(n, budget, bounds):
+    """Plans under the budget that ``bounds`` keeps, and their lower bounds.
+
+    ``bounds(ys)`` maps each ``worstcase.PLAN_CHUNK`` plans to a keep mask and
+    the kept plans' bounds.  Kept plans are held as ``np.packbits`` rows in
+    walk order, ceil(n / 8) bytes each; ``plans(sel)`` of the returned
+    ``(plans, bound)`` unpacks those at ``sel`` as ``plans_under_budget`` rows.
+    """
+    packed, bound = [], []
+    for ys in plans_under_budget(n, budget, worstcase.PLAN_CHUNK):
+        kept, b = bounds(ys)
+        packed.append(np.packbits(ys[kept], axis=1))
+        bound.append(b)
+    packed = np.concatenate(packed)
+    return (lambda sel: np.unpackbits(packed[sel], axis=1, count=n).astype(int),
+            np.concatenate(bound))
+
 
 def enumerate_oracle(instance, model, budget: int | None = None):
     """The plan of least worst-case objective, by a bound-ordered search.
 
-    Pass 1 walks every plan under the budget ``worstcase.PLAN_CHUNK`` at a
-    time, drops those whose ambiguity set is empty and gives the rest their
-    Jensen bound; the one array that grows with the plan count is a (code,
-    bound) pair per kept plan.  The :data:`PRICE_BATCH` plans of lowest
-    Jensen bound are priced for an incumbent.  Pass 2 gives the mixture bound
-    to the plans whose Jensen bound is at most the incumbent plus
-    :data:`BOUND_SLACK`, and prices them :data:`PRICE_BATCH` at a time in
-    that bound's order until the next bound exceeds the incumbent plus the
-    slack.  Both bounds are lower bounds on a plan's objective (see
-    ``worstcase._jensen_bounds`` and ``worstcase._mixture_bounds``), so no
-    plan left unpriced can beat or tie the answer.  Returns ``(y_star,
-    objective)``, the plan and bits that pricing every plan gives: ties go
-    to the plan that comes first in ``plans_under_budget`` order.
+    :func:`_bound_ordered` prices the first batch of plans in the order of
+    their Jensen bound (``worstcase._jensen_bounds``) for an incumbent.  The
+    unpriced plans whose Jensen bound is within its limit get the sharper
+    mixture bound (``worstcase._mixture_bounds``), and a second search
+    prices them in that order.  A plan the first limit leaves out has a
+    bound above the first batch's least objective plus the slack, so it
+    cannot beat or tie the answer.  Returns ``(y_star, objective)``, the
+    plan and bits that pricing every plan gives: ties go to the plan first
+    in ``plans_under_budget`` order.
     """
-    from .worstcase import PLAN_CHUNK, _jensen_bounds, _mixture_bounds, worst_case_values
+    plans, jensen = _bounded_plans(instance.n_facilities, budget,
+                                   lambda ys: worstcase._jensen_bounds(instance, model, ys))
 
-    bits = np.arange(instance.n_facilities - 1, -1, -1)
+    def price(sel):
+        ys = plans(sel)
+        return (np.array([float(instance.open_cost @ y) for y in ys])
+                + worstcase.worst_case_values(instance, model, ys))
 
-    def plans(codes):                  # the rows plans_under_budget makes
-        return (codes[:, None] >> bits) & 1
-
-    codes, jensen = [], []
-    for chunk in plans_under_budget(instance.n_facilities, budget, PLAN_CHUNK):
-        kept, bound = _jensen_bounds(instance, model, chunk)
-        codes.append(chunk[kept] @ (1 << bits))
-        jensen.append(bound)
-    codes, jensen = np.concatenate(codes), np.concatenate(jensen)
-    best_code, best_v = None, math.inf
-
-    def price(codes):
-        nonlocal best_code, best_v
-        ys = plans(codes)
-        for code, y, wc in zip(codes, ys, worst_case_values(instance, model, ys)):
-            total = float(instance.open_cost @ y) + wc
-            if total < best_v or (total == best_v < math.inf and code < best_code):
-                best_code, best_v = code, total
-
-    def limit():
-        return best_v + BOUND_SLACK * max(1.0, abs(best_v))
-
-    first = np.argsort(jensen, kind="stable")[:PRICE_BATCH]
-    price(codes[first])
-    rest = np.setdiff1d(np.flatnonzero(jensen <= limit()), first)   # in code order
+    first, first_v, limit = _bound_ordered(jensen, price, [], 1)
+    rest = np.setdiff1d(np.flatnonzero(jensen <= limit), first)   # in walk order
+    chunk = worstcase.PLAN_CHUNK
     mixture = np.concatenate([np.empty(0)] + [
-        _mixture_bounds(instance, model, plans(codes[rest[s:s + PLAN_CHUNK]]))
-        for s in range(0, len(rest), PLAN_CHUNK)])
-    order = np.argsort(mixture, kind="stable")
-    for s in range(0, len(order), PRICE_BATCH):
-        batch = order[s:s + PRICE_BATCH]
-        batch = batch[mixture[batch] <= limit()]
-        if not len(batch):
-            break
-        price(codes[rest[batch]])
-    if best_code is None:
+        worstcase._mixture_bounds(instance, model, plans(rest[s:s + chunk]))
+        for s in range(0, len(rest), chunk)])
+    sel, values, _ = _bound_ordered(mixture, lambda s: price(rest[s]), first_v, math.inf)
+    where, values = np.concatenate([first, rest[sel]]), np.concatenate([first_v, values])
+    if not np.any(values < math.inf):
         raise RuntimeError("no plan has a nonempty ambiguity set")
-    return plans(np.array([best_code]))[0], best_v
+    best = np.lexsort((where, values))[0]
+    return plans(where[best:best + 1])[0], values[best]
 
 
 def exact_solve(instance, model, budget: int | None = None):
@@ -443,15 +307,13 @@ def exact_solve(instance, model, budget: int | None = None):
     MILP value over 1e-6 relative away from the oracle's raises RuntimeError.
     Returns ``(MipSolution, y, bounds)``; ``y`` is None unless it ended optimal.
     """
-    from .worstcase import worst_case_expectation
-
     bounds = derive_dual_bounds(instance, model)
     m = build_dddr(instance, model, bounds=bounds, budget=budget)
     sol = branch_and_bound(m)
     if sol.status != "optimal":
         return sol, None, bounds
     y = np.array([round(sol.x[nm]) for nm in m.meta["y_vars"]], dtype=int)
-    value = float(instance.open_cost @ y) + worst_case_expectation(instance, model, y)[0]
+    value = float(instance.open_cost @ y) + worstcase.worst_case_expectation(instance, model, y)[0]
     if abs(sol.objective - value) > 1e-6 * max(1.0, abs(value)):
         raise RuntimeError(f"MILP value {sol.objective!r} disagrees with the value "
                            f"oracle's {value!r} at plan {y.tolist()}")

@@ -8,7 +8,7 @@ test of emptiness, which is exact, lives here as well.
 
 The value oracle :func:`worst_case_values` screens the plans with the chord
 test, builds the tableau of every remaining (plan, customer) moment LP from
-arrays and solves them a chunk at a time in one lockstep tableau simplex.
+arrays and solves them a chunk at a time in the lockstep tableau simplex below.
 :func:`worst_case_expectation` and :func:`worst_case_dual` take that route
 with their one plan: the solve that gives the value and the adversarial
 probabilities ends on a basis whose row duals are the dual certificate.
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import DemandModel, Instance, chord_slacks, moment_windows
-from .solvers import OPTIMAL, _simplex_batch
 from .transport import _intercepts, _pieces, _plan_theta, _theta
 
 __all__ = [
@@ -113,6 +112,186 @@ def ambiguity_feasible(instance: Instance, model: DemandModel, y) -> Feasibility
 
 
 # ---------------------------------------------------------------------------
+# Lockstep tableau simplex
+# ---------------------------------------------------------------------------
+
+PIVOT_TOL = 1e-9
+FEAS_TOL = 1e-8
+OPTIMAL, INFEASIBLE, UNBOUNDED = 0, 1, 2
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
+
+
+def _simplex_batch(A, b, senses, c):
+    """Solve ``min c.u  s.t.  A u (senses) b,  u >= 0`` for a batch of blocks.
+
+    ``A`` (m, n) and the row senses are shared, ``b`` is (B, m) and ``c``
+    is (B, n).  Blocks with the same rows of negative right-hand side share
+    a tableau shape and are stepped together by :func:`_lockstep_simplex`,
+    so each block gets the same pivots, values and status alone as in any
+    batch.  Returns ``(status, u, objective, y)`` with codes OPTIMAL,
+    INFEASIBLE, UNBOUNDED and ``y`` (B, m) the row duals ``c_B B^-1`` of the
+    final basis; all but the status are meaningful only where it is OPTIMAL.
+    """
+    status = np.empty(len(b), dtype=int)
+    u = np.empty(c.shape)
+    obj = np.empty(len(b))
+    y = np.empty(b.shape)
+    patterns, group = np.unique(b < 0, axis=0, return_inverse=True)
+    for g in range(len(patterns)):
+        sel = np.flatnonzero(group.ravel() == g)
+        status[sel], u[sel], obj[sel], y[sel] = _lockstep_simplex(
+            *_initial_tableau(A, b[sel], senses), c[sel])
+        y[sel] *= np.where(patterns[g], -1.0, 1.0)   # a row negated for b >= 0
+    return status, u, obj, y
+
+
+def _initial_tableau(A, b, senses):
+    """Phase-1 tableaux ``[A | slack/surplus | artificial]`` of a batch.
+
+    ``A`` (m, n) is shared and ``b`` is (B, m), with the same rows of
+    negative right-hand side in every block.  Those rows are negated to
+    make b >= 0 and their senses flipped.  Then comes one slack (+1,
+    ``<=``) or surplus (-1, ``>=``) column per inequality row and one
+    artificial column per row that is not ``<=``, each in row order.
+    Returns ``(T, b, basis, artificial)``: the basis starts at each ``<=``
+    row's slack and at every other row's artificial, and ``artificial``
+    masks the artificial columns.
+    """
+    n_blocks, (n_rows, n_struct) = len(b), A.shape
+    flip = np.where(b[0] < 0, -1.0, 1.0)
+    senses = [_FLIPPED[s] if f < 0 else s for s, f in zip(senses, flip)]
+    ineq = [r for r, s in enumerate(senses) if s != "="]
+    arts = [r for r, s in enumerate(senses) if s != "<="]
+    extra = np.zeros((n_rows, len(ineq) + len(arts)))
+    for i, r in enumerate(ineq):
+        extra[r, i] = 1.0 if senses[r] == "<=" else -1.0
+    for i, r in enumerate(arts):
+        extra[r, len(ineq) + i] = 1.0
+    T = np.concatenate([np.broadcast_to(A * flip[:, None], (n_blocks, n_rows, n_struct)),
+                        np.broadcast_to(extra, (n_blocks,) + extra.shape)], axis=2)
+    slack = {r: n_struct + i for i, r in enumerate(ineq)}
+    art = {r: n_struct + len(ineq) + i for i, r in enumerate(arts)}
+    start = [slack[r] if s == "<=" else art[r] for r, s in enumerate(senses)]
+    artificial = np.zeros(T.shape[2], dtype=bool)
+    artificial[list(art.values())] = True
+    return T, b * flip, np.tile(np.array(start, dtype=int), (n_blocks, 1)), artificial
+
+
+def _lockstep_simplex(T, b, basis, artificial, c):
+    """Two-phase primal simplex on a batch of same-shaped tableaux, in lockstep.
+
+    Every block follows the same rules on its own: phase 1 on the
+    artificials, then artificials driven out of the basis
+    where a nonzero non-artificial entry allows, then phase 2 on the cost
+    ``c`` (B, n_struct) with the artificials blocked.  Each reduction over
+    rows is a stacked ``matmul``, which rounds exactly as one block's
+    vector-matrix product does, so a block's pivots do not depend on its
+    batch.  ``T``, ``b`` and ``basis`` are updated in place.  Returns
+    ``(status, u, objective, y)``: the status codes, the structural values,
+    ``c . u`` and the row duals ``c_B B^-1`` per block, whose ``B^-1`` is the
+    final tableau at the columns of the initial basis, the identity.
+    """
+    n_blocks, n_rows, n_total = T.shape
+    start = basis[0].copy()
+    status = np.full(n_blocks, OPTIMAL)
+    live = np.arange(n_blocks)
+    if artificial.any():
+        c1 = np.broadcast_to(artificial.astype(float), (n_blocks, n_total))
+        _run(T, b, basis, c1, np.zeros(n_total, dtype=bool), live, status)
+        left = (artificial[basis].astype(float)[:, None, :] @ b[:, :, None])[:, 0, 0]
+        status[(status != OPTIMAL) | (left > FEAS_TOL)] = INFEASIBLE
+        live = np.flatnonzero(status == OPTIMAL)
+        # A pivot on row r changes only row r's basic column, so the rows to
+        # visit are known up front.
+        for r in np.flatnonzero(artificial[basis[live]].any(axis=0)):
+            nz = ~artificial & (np.abs(T[live, r]) > PIVOT_TOL)
+            go = artificial[basis[live, r]] & nz.any(axis=1)
+            k = live[go]
+            if k.size:
+                Tk, bk, j = T[k], b[k], nz[go].argmax(axis=1)
+                _pivot(Tk, bk, np.arange(k.size), np.full(k.size, r), j)
+                T[k], b[k] = Tk, bk
+                basis[k, r] = j
+
+    n_struct = c.shape[1]
+    c2 = np.zeros((n_blocks, n_total))
+    c2[:, :n_struct] = c
+    _run(T, b, basis, c2, artificial, live, status)
+    u = np.zeros((n_blocks, n_total))
+    np.put_along_axis(u, basis, b, axis=1)
+    u = np.ascontiguousarray(u[:, :n_struct])
+    y = (np.take_along_axis(c2, basis, axis=1)[:, None, :] @ T[:, :, start])[:, 0]
+    return status, u, (c[:, None, :] @ u[:, :, None])[:, 0, 0], y
+
+
+def _pivot(T, b, n, r, j):
+    """Pivot block n[i] of (T, b) on row r[i], column j[i]; returns the pivot rows."""
+    piv = T[n, r, j]
+    prow = T[n, r] / piv[:, None]
+    T[n, r] = prow
+    b_r = b[n, r] / piv
+    b[n, r] = b_r
+    fac = T[n, :, j]
+    fac[n, r] = 0.0
+    T -= fac[:, :, None] * prow[:, None, :]
+    b -= fac * b_r[:, None]
+    return T[n, r]
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _run(T, b, basis, c, blocked, live, status):
+    """Pivot blocks ``live`` to optimality of ``c`` over their (T, b, basis).
+
+    Dantzig pricing (lowest index among ties) over the unblocked columns,
+    ratio ties to the lowest basis index, and Bland's rule for good once the
+    objective has stalled for more than m + 10 pivots.  A block leaves the
+    batch when it is optimal or unbounded; its state and status are written
+    back then.
+    """
+    if not live.size:
+        return
+    n_rows, n_total = T.shape[1:]
+    free = ~blocked
+    Tw, bw, bas, cw = T[live], b[live], basis[live], c[live]
+    n = np.arange(len(live))
+    c_basis = cw[n[:, None], bas][:, None, :]
+    zrow = (c_basis @ Tw)[:, 0] - cw
+    last = (c_basis @ bw[:, :, None])[:, 0, 0]
+    stall = np.zeros(len(live), dtype=int)
+    bland = np.zeros(len(live), dtype=bool)
+    for _ in range(50 * (n_rows + n_total) + 1000):
+        elig = free & (zrow > PIVOT_TOL)
+        j = np.where(elig, zrow, -np.inf).argmax(axis=1)
+        if bland.any():
+            j = np.where(bland, elig.argmax(axis=1), j)
+        col = Tw[n, :, j]
+        pos = col > PIVOT_TOL
+        done = ~(elig[n, j] & pos.any(axis=1))
+        if done.any():
+            out = live[done]
+            status[out] = np.where(elig[n, j][done], UNBOUNDED, OPTIMAL)
+            T[out], b[out], basis[out] = Tw[done], bw[done], bas[done]
+            keep = ~done
+            if not keep.any():
+                return
+            live, Tw, bw, bas, cw, zrow, last, stall, bland, j, col, pos = (
+                a[keep] for a in (live, Tw, bw, bas, cw, zrow, last, stall, bland,
+                                  j, col, pos))
+            n = np.arange(len(live))
+        ratios = np.where(pos, bw / col, np.inf)
+        tied = ratios <= ratios.min(axis=1, keepdims=True) + 1e-12
+        r = np.where(tied, bas, n_total).argmin(axis=1)
+        zrow -= zrow[n, j][:, None] * _pivot(Tw, bw, n, r, j)
+        bas[n, r] = j
+        obj = (cw[n[:, None], bas][:, None, :] @ bw[:, :, None])[:, 0, 0]
+        better = obj < last - 1e-12
+        last = np.where(better, obj, last)
+        stall = np.where(better, 0, stall + 1)
+        bland |= stall > n_rows + 10
+    raise RuntimeError("simplex iteration limit exceeded")
+
+
+# ---------------------------------------------------------------------------
 # Primal and dual LPs
 # ---------------------------------------------------------------------------
 
@@ -139,8 +318,8 @@ def _moment_lps(instance: Instance, model: DemandModel, ys: np.ndarray, windows,
     Builds the tableau of each block's LP over the support probabilities
     (rows in ``_MOMENT_SENSES`` order, cost -theta) straight from arrays and
     solves them ``LP_CHUNK_POINTS // K`` blocks at a time through the
-    lockstep kernel :func:`~ddrloc.solvers._simplex_batch`, which gives each
-    block the same bits alone as in any batch.  Returns
+    lockstep kernel :func:`_simplex_batch`, which gives each block the same
+    bits alone as in any batch.  Returns
     ``(values, pi, multipliers)``: each plan's worst case and, with
     ``detail`` (else None), the (N, |J|, K) adversarial probabilities and
     the (N, |J|, 5) ``(alpha, delta1, delta2, gamma1, gamma2)`` of each final

@@ -196,8 +196,7 @@ def moment_lps(model, windows, theta=0.0):
     ``windows`` is ``(m_lo, m_hi, s_lo, s_hi)``, arrays of one shape S;
     ``theta`` (S + (K,), or 0.0 to test feasibility alone) is the cost.
     """
-    from ddrloc.solvers import _simplex_batch
-    from ddrloc.worstcase import _MOMENT_SENSES
+    from ddrloc.worstcase import _MOMENT_SENSES, _simplex_batch
     d = model.support
     sq = [dk ** 2 for dk in d.tolist()]
     m_lo, m_hi, s_lo, s_hi = (np.asarray(w, dtype=float) for w in windows)

@@ -18,10 +18,10 @@ from conftest import (all_plans, extreme_rays, lp_worst_case, moment_lps, primal
 from ddrloc.benchmarks import evaluate_plan, gen_scenarios, train_sp
 from ddrloc.instance import chords, decision_independent, moment_windows
 from ddrloc.milp import build_dddr, build_sp_saa
-from ddrloc.solvers import (OPTIMAL, branch_and_bound, enumerate_oracle,
-                            exact_solve, simplex_solve)
+from ddrloc.solvers import (branch_and_bound, enumerate_oracle, exact_solve,
+                            simplex_solve)
 from ddrloc.transport import second_stage_costs, transport_lp_oracle
-from ddrloc.worstcase import (ambiguity_feasible, check_certificate, support_theta,
+from ddrloc.worstcase import (OPTIMAL, ambiguity_feasible, check_certificate, support_theta,
                               worst_case_dual, worst_case_expectation,
                               worst_case_values)
 

@@ -54,3 +54,21 @@ def test_traced_train_sp_opens_second_stage_costs_spans(monkeypatch):
     assert names[0] == "benchmarks.train_sp"
     assert names.count("transport.second_stage_costs") >= 1
     assert all(rec[1] == 0 for rec in tracer.spans[1:])
+
+
+def test_traced_enumerate_oracle_opens_worst_case_values_spans(monkeypatch):
+    # worstcase.plans and ms_per_plan measure the value oracle only while
+    # enumerate_oracle reaches it through the wrapped lookup name.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import tracing
+
+    inst, model = random_problem(5, 4, 5)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        ddrloc.solvers.enumerate_oracle(inst, model)
+    finally:
+        tracer.remove()
+    names = [rec[3] for rec in tracer.spans]
+    assert set(names) == {"worstcase.worst_case_values"}
+    assert sum(rec[6]["plans"] for rec in tracer.spans) >= 1

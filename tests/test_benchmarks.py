@@ -386,6 +386,21 @@ def test_sp_bounds_hold_and_ranking_matches_pricing_every_plan():
     assert excess <= 1e-12
 
 
+def test_sp_routes_agree_at_the_switch():
+    # At 14 facilities, the largest that train_sp ranks by bounds, the
+    # scenario MILP that it solves from 15 on gives the same plan.
+    inst, model = random_problem(0, 14, 28, support_size=12)
+    draws = _sp_draws(inst, model, 20, 1)
+    y, obj = train_sp(inst, model, 20, seed=1)
+    m = build_sp_saa(inst, draws)
+    sol = branch_and_bound(m)
+    assert sol.status == "optimal"
+    y_milp = np.array([round(sol.x[nm]) for nm in m.meta["y_vars"]], dtype=int)
+    assert y.tolist() == y_milp.tolist()
+    assert obj == sp_objective(inst, y_milp, draws)
+    assert sol.objective == pytest.approx(obj, rel=1e-9)
+
+
 def test_compare_methods_output_shape():
     inst, model = random_problem(10, 4, 6, support_size=8)
     result = compare_methods(inst, model, ExperimentConfig(

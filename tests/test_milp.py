@@ -11,10 +11,10 @@ from ddrloc.instance import decision_independent, moment_windows, plans_under_bu
 from ddrloc.milp import (DualBounds, LinearExpr, MilpModel, build_dddr,
                          build_sp_saa, derive_dual_bounds, export_lp_text,
                          mccormick_bilinear, mccormick_trilinear, model_stats)
-from ddrloc.solvers import (OPTIMAL, branch_and_bound, enumerate_oracle, exact_solve,
+from ddrloc.solvers import (branch_and_bound, enumerate_oracle, exact_solve,
                             simplex_solve)
 from ddrloc.transport import second_stage_costs
-from ddrloc.worstcase import (DualCertificate, check_certificate, support_theta,
+from ddrloc.worstcase import (OPTIMAL, DualCertificate, check_certificate, support_theta,
                               worst_case_dual, worst_case_expectation,
                               worst_case_values)
 

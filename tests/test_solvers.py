@@ -7,6 +7,8 @@ from conftest import (all_plans, parse_lp_text, random_problem, relaxation, toy_
                       toy_model, uniform_bounds, without_cuts)
 import ddrloc.solvers
 import ddrloc.worstcase
+from ddrloc.experiments import ExperimentConfig, generate_instance
+from ddrloc.instance import decision_independent, plans_under_budget
 from ddrloc.milp import (LinearExpr, MilpModel, build_dddr, derive_dual_bounds,
                          export_lp_text)
 from ddrloc.solvers import (branch_and_bound, enumerate_oracle, exact_solve,
@@ -76,7 +78,7 @@ def test_lockstep_duals_match_highs_on_random_lps():
     A = rng.normal(size=(len(senses), 9))
     b = rng.normal(size=(200, len(senses)))
     c = rng.uniform(0.1, 2.0, size=(200, 9))
-    status, u, obj, y = ddrloc.solvers._simplex_batch(A, b, senses, c)
+    status, u, obj, y = ddrloc.worstcase._simplex_batch(A, b, senses, c)
     flipped = 0
     for n in range(len(b)):
         m = MilpModel("lp")
@@ -85,13 +87,13 @@ def test_lockstep_duals_match_highs_on_random_lps():
             m.add_constraint(f"r_{r}", dict(zip(us, A[r])), sense, b[n, r])
         m.set_objective(LinearExpr(dict(zip(us, c[n]))))
         sol = simplex_solve(m.seal())
-        assert (sol.status == "optimal") == (status[n] == ddrloc.solvers.OPTIMAL), n
+        assert (sol.status == "optimal") == (status[n] == ddrloc.worstcase.OPTIMAL), n
         if sol.status == "optimal":
             assert obj[n] == pytest.approx(sol.objective, rel=1e-9, abs=1e-9)
             assert y[n] @ b[n] == pytest.approx(obj[n], rel=1e-9, abs=1e-9)
             np.testing.assert_allclose(y[n], sol.duals, rtol=1e-7, atol=1e-9)
             flipped += int(np.sum((b[n] < 0) & (np.abs(y[n]) > 1e-6)))
-    assert status.tolist().count(ddrloc.solvers.OPTIMAL) > 20 and flipped
+    assert status.tolist().count(ddrloc.worstcase.OPTIMAL) > 20 and flipped
 
 
 def test_transport_duals_expose_marginal_source():
@@ -355,6 +357,42 @@ def test_enumeration_tie_rule(monkeypatch):
     y, obj = enumerate_oracle(inst, model)
     assert batches[0].tolist() == [[1, 0, 0]] and [0, 1, 0] in np.concatenate(batches).tolist()
     assert y.tolist() == [0, 1, 0] and obj == a
+
+
+def test_enumeration_prices_by_jensen_then_mixture_bound(monkeypatch):
+    # DR on an oracle-windows instance: the first batch is the PRICE_BATCH
+    # plans of least Jensen bound, and the 23 plans priced after it come in
+    # the order of their mixture bound, not of their weaker Jensen bound.
+    inst, model = generate_instance(ExperimentConfig(
+        n_facilities=7, n_customers=12, kappa=0.1, seed=11005))
+    model = decision_independent(model)
+    batches = _record_pricing(monkeypatch)
+    enumerate_oracle(inst, model)
+    ys = all_plans(7)
+    kept, jensen = ddrloc.worstcase._jensen_bounds(inst, model, ys)
+    first = ys[kept][np.argsort(jensen, kind="stable")[:ddrloc.solvers.PRICE_BATCH]]
+    assert batches[0].tolist() == first.tolist()
+    later = np.concatenate(batches[1:])
+    mixture = ddrloc.worstcase._mixture_bounds(inst, model, later)
+    assert len(later) == 23 and np.all(np.diff(mixture) >= 0)
+
+
+def test_enumeration_past_63_facilities():
+    # Plans over 64 facilities or more do not fit an int64 code, so neither
+    # the walk nor the plan store may use one; at 70 facilities pricing
+    # every plan gives facility 4.  Budget 1 leaves the empty plan and then
+    # one open facility, from the last to the first.
+    for n in (63, 64, 70):
+        inst, model = random_problem(0, n, 3)
+        ys = np.vstack([np.zeros((1, n), dtype=int), np.eye(n, dtype=int)[::-1]])
+        walked = np.concatenate(list(plans_under_budget(n, 1, 256)))
+        assert walked.dtype == ys.dtype and walked.tolist() == ys.tolist()
+        totals = [float(inst.open_cost @ y) + wc
+                  for y, wc in zip(ys, worst_case_values(inst, model, ys))]
+        best = int(np.argmin(totals))
+        y, obj = enumerate_oracle(inst, model, budget=1)
+        assert y.tolist() == ys[best].tolist(), n
+        assert float(obj).hex() == float(totals[best]).hex(), n
 
 
 @pytest.mark.parametrize("budget", [None, 2])

@@ -12,9 +12,9 @@ from ddrloc.experiments import ExperimentConfig, generate_instance
 from ddrloc.instance import (apply_robustness_level, arithmetic_support, chords,
                              decision_independent, moment_windows)
 from ddrloc.milp import MilpModel
-from ddrloc.solvers import (INFEASIBLE, OPTIMAL, _simplex_batch, enumerate_oracle,
-                            simplex_solve)
-from ddrloc.worstcase import (CERT_TOL, AmbiguityInfeasibleError, ambiguity_feasible,
+from ddrloc.solvers import enumerate_oracle, simplex_solve
+from ddrloc.worstcase import (CERT_TOL, INFEASIBLE, OPTIMAL, AmbiguityInfeasibleError,
+                              _simplex_batch, ambiguity_feasible,
                               check_certificate, worst_case_dual,
                               worst_case_expectation, worst_case_values,
                               _jensen_bounds, _mixture_bounds, _moment_lps,
